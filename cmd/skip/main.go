@@ -54,8 +54,6 @@ func main() {
 		err = cmdCluster(args)
 	case "sim":
 		err = cmdSim(args)
-	case "bench-perf":
-		err = cmdBenchPerf(args)
 	case "microbench":
 		err = cmdMicrobench()
 	case "-h", "--help", "help":
@@ -103,9 +101,6 @@ commands:
                observability.timeline spec section adds windowed fleet
                time series (-timeline-csv exports them), and -profile /
                -progress / -cpuprofile measure the simulator itself
-  bench-perf   replay a canonical 8-instance fleet with profiling on and
-               write the simulator's events/sec + allocs/event figures
-               to BENCH_perf.json (-quick for CI smoke sizing)
   microbench   nullKernel launch-overhead microbenchmark (Table V)
 
 run, generate, serve, and cluster are thin adapters that translate their

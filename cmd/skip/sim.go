@@ -350,6 +350,7 @@ func printProfile(p *skip.SimProfile) {
 	fmt.Printf("    events         %d  (%.0f events/s)\n", p.Events, p.EventsPerSec)
 	fmt.Printf("    allocations    %d (%.1f MB total, %.1f/event)  heap now %.1f MB\n",
 		p.Mallocs, float64(p.AllocBytes)/1e6, p.AllocsPerEvent, float64(p.HeapAllocBytes)/1e6)
+	fmt.Printf("    oracle misses  %d engine runs\n", p.OracleMisses)
 }
 
 func ratio(num, den float64) float64 {

@@ -108,3 +108,31 @@ func TestCheckHelpers(t *testing.T) {
 		t.Errorf("checkBool = %+v", c)
 	}
 }
+
+// TestFig5CheckOrderFollowsTable: fig5's checks come one per table row,
+// in the table's model order, on every run.
+func TestFig5CheckOrderFollowsTable(t *testing.T) {
+	var first []string
+	for run := 0; run < 20; run++ {
+		r, err := runFig5()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := r.Tables[0].Rows
+		if len(r.Checks) != len(rows) {
+			t.Fatalf("run %d: %d checks for %d table rows", run, len(r.Checks), len(rows))
+		}
+		var names []string
+		for i, c := range r.Checks {
+			if want := rows[i][0] + " kernel count ordering eager>FA>TC"; c.Name != want {
+				t.Fatalf("run %d: check %d = %q, want %q", run, i, c.Name, want)
+			}
+			names = append(names, c.Name)
+		}
+		if first == nil {
+			first = names
+		} else if strings.Join(names, "\n") != strings.Join(first, "\n") {
+			t.Fatalf("run %d check order %v differs from run 0 %v", run, names, first)
+		}
+	}
+}

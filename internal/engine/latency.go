@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"github.com/skipsim/skip/internal/cuda"
 	"github.com/skipsim/skip/internal/hw"
@@ -17,6 +19,10 @@ import (
 // tokens before caching, so a long simulation touches each engine
 // configuration once — the serving layer replays cached iteration
 // latencies thousands of times while the engine runs tens of graphs.
+//
+// A StepModel is safe for concurrent use. Its fields are read-only after
+// construction; a model from SharedStepModel is used by every serving
+// instance in the process with that configuration.
 type StepModel struct {
 	Platform *hw.Platform
 	Model    *models.Config
@@ -24,6 +30,10 @@ type StepModel struct {
 	// Bucket quantizes seq/kvLen for caching (tokens; default 64).
 	Bucket int64
 
+	// mu guards the caches. It is held across a miss's engine run, so
+	// each key is computed once; values are pure functions of the key,
+	// so the order concurrent callers fill them in cannot change them.
+	mu      sync.Mutex
 	prefill map[stepKey]sim.Time
 	decode  map[stepKey]sim.Time
 }
@@ -42,15 +52,68 @@ func NewStepModel(p *hw.Platform, m *models.Config, mode Mode, bucket int64) (*S
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if bucket <= 0 {
-		bucket = 64
-	}
 	return &StepModel{
-		Platform: p, Model: m, Mode: mode, Bucket: bucket,
+		Platform: p, Model: m, Mode: mode, Bucket: resolveBucket(bucket),
 		prefill: make(map[stepKey]sim.Time),
 		decode:  make(map[stepKey]sim.Time),
 	}, nil
 }
+
+// resolveBucket applies the 64-token default to bucket <= 0.
+func resolveBucket(bucket int64) int64 {
+	if bucket <= 0 {
+		return 64
+	}
+	return bucket
+}
+
+// sharedKey identifies a shared step model by value: two platforms
+// with the same name but different parameters get different oracles,
+// and a caller mutating its structs later cannot alias an entry.
+type sharedKey struct {
+	platform hw.Platform
+	model    models.Config
+	mode     Mode
+	bucket   int64
+}
+
+var (
+	sharedMu     sync.Mutex
+	sharedModels = make(map[sharedKey]*StepModel)
+)
+
+// SharedStepModel returns the process-wide step model for this
+// configuration, creating it on first use. Every caller with equal
+// platform, model, mode and (resolved) bucket values gets the same
+// model, so an engine configuration is executed once per process, not
+// once per serving instance. The entry holds private copies of p and m.
+// Entries live for the life of the process.
+func SharedStepModel(p *hw.Platform, m *models.Config, mode Mode, bucket int64) (*StepModel, error) {
+	if p == nil || m == nil {
+		return NewStepModel(p, m, mode, bucket)
+	}
+	key := sharedKey{platform: *p, model: *m, mode: mode, bucket: resolveBucket(bucket)}
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	if sm, ok := sharedModels[key]; ok {
+		return sm, nil
+	}
+	sm, err := NewStepModel(&key.platform, &key.model, mode, key.bucket)
+	if err != nil {
+		return nil, err
+	}
+	sharedModels[key] = sm
+	return sm, nil
+}
+
+// oracleRuns counts engine runs performed by every step model in the
+// process (cache misses).
+var oracleRuns atomic.Int64
+
+// OracleRuns reports how many engine runs step models have performed
+// in this process so far. The count is process-wide: deltas taken
+// around one call include misses from any concurrent caller.
+func OracleRuns() int64 { return oracleRuns.Load() }
 
 // bucketTokens rounds tokens up to the bucket boundary (minimum one
 // bucket) so latencies are monotone in the quantized length.
@@ -69,6 +132,8 @@ func (sm *StepModel) Prefill(batch, seq int64) (sim.Time, error) {
 		return 0, fmt.Errorf("engine: prefill latency needs positive batch (%d) and seq (%d)", batch, seq)
 	}
 	key := stepKey{batch, sm.bucketTokens(seq)}
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if t, ok := sm.prefill[key]; ok {
 		return t, nil
 	}
@@ -79,6 +144,7 @@ func (sm *StepModel) Prefill(batch, seq int64) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
+	oracleRuns.Add(1)
 	sm.prefill[key] = res.TTFT
 	return res.TTFT, nil
 }
@@ -95,6 +161,8 @@ func (sm *StepModel) DecodeStep(batch, kvLen int64) (sim.Time, error) {
 		return 0, fmt.Errorf("engine: decode step requires a decoder-only model, %s is %v", sm.Model.Name, sm.Model.Kind)
 	}
 	key := stepKey{batch, sm.bucketTokens(kvLen)}
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if t, ok := sm.decode[key]; ok {
 		return t, nil
 	}
@@ -115,10 +183,15 @@ func (sm *StepModel) DecodeStep(batch, kvLen int64) (sim.Time, error) {
 	}
 	ex.runEagerOn(rt, g)
 	d := rt.CPU.Now()
+	oracleRuns.Add(1)
 	sm.decode[key] = d
 	return d, nil
 }
 
 // CachedRuns reports how many distinct engine configurations have been
 // executed (prefill + decode), a proxy for simulation cost.
-func (sm *StepModel) CachedRuns() int { return len(sm.prefill) + len(sm.decode) }
+func (sm *StepModel) CachedRuns() int {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	return len(sm.prefill) + len(sm.decode)
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/skipsim/skip/internal/hw"
@@ -169,5 +170,167 @@ func TestStepModelCacheHitMatchesColdCompute(t *testing.T) {
 	}
 	if pHit != pFirst || pHit != pCold {
 		t.Errorf("prefill cache hit %v, first %v, cold %v: all must match", pHit, pFirst, pCold)
+	}
+}
+
+// grid queries sm over a batch × length grid and returns the prefill
+// and decode latencies in grid order.
+func grid(sm *StepModel) ([]sim.Time, error) {
+	var out []sim.Time
+	for _, b := range []int64{1, 3, 8} {
+		for _, n := range []int64{40, 64, 200, 700} {
+			p, err := sm.Prefill(b, n)
+			if err != nil {
+				return nil, err
+			}
+			d, err := sm.DecodeStep(b, n)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, p, d)
+		}
+	}
+	return out, nil
+}
+
+func oracleGrid(t *testing.T, sm *StepModel) []sim.Time {
+	t.Helper()
+	out, err := grid(sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func equalTimes(a, b []sim.Time) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSharedStepModelMatchesPrivate: the shared oracle serves exactly
+// what a private one computes, and equal configurations share one
+// model whatever the bucket spelling.
+func TestSharedStepModelMatchesPrivate(t *testing.T) {
+	shared, err := SharedStepModel(hw.GH200(), models.GPT2(), Eager, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := NewStepModel(hw.GH200(), models.GPT2(), Eager, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalTimes(oracleGrid(t, shared), oracleGrid(t, private)) {
+		t.Error("shared and private step models disagree over the grid")
+	}
+	again, err := SharedStepModel(hw.GH200(), models.GPT2(), Eager, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != shared {
+		t.Error("bucket 0 and bucket 64 resolve to the same configuration but got different shared models")
+	}
+	if _, err := SharedStepModel(nil, models.GPT2(), Eager, 0); err == nil {
+		t.Error("nil platform should fail")
+	}
+}
+
+// TestSharedStepModelKeysByValue: a platform that keeps a catalog name
+// but changes one parameter gets its own oracle, and mutating the
+// caller's platform after the fetch cannot reach the shared entry.
+func TestSharedStepModelKeysByValue(t *testing.T) {
+	base := hw.IntelH100()
+	slow := hw.IntelH100()
+	slow.CPU.SingleThreadScore /= 2
+	a, err := SharedStepModel(base, models.GPT2(), Eager, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SharedStepModel(slow, models.GPT2(), Eager, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("platforms differing only in SingleThreadScore share one oracle")
+	}
+	fast, err := a.DecodeStep(1, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slower, err := b.DecodeStep(1, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slower <= fast {
+		t.Errorf("half the single-thread score should slow eager decode: %v vs %v", slower, fast)
+	}
+
+	before := oracleGrid(t, a)
+	base.CPU.SingleThreadScore *= 4
+	base.Name = "renamed"
+	if a.Platform.CPU.SingleThreadScore == base.CPU.SingleThreadScore || a.Platform.Name == base.Name {
+		t.Fatal("the shared entry aliases the caller's platform")
+	}
+	fresh, err := NewStepModel(hw.IntelH100(), models.GPT2(), Eager, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := oracleGrid(t, a); !equalTimes(after, before) || !equalTimes(after, oracleGrid(t, fresh)) {
+		t.Error("mutating the caller's platform changed the shared oracle's latencies")
+	}
+	again, err := SharedStepModel(hw.IntelH100(), models.GPT2(), Eager, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != a {
+		t.Error("an equal platform value did not find the existing shared entry")
+	}
+}
+
+// TestStepModelConcurrentFill: goroutines filling one model at once
+// agree with a serially filled model, and every key is computed once.
+// Run under -race, this also proves the caches are guarded.
+func TestStepModelConcurrentFill(t *testing.T) {
+	sm, err := NewStepModel(hw.GH200(), models.GPT2(), Flash, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := NewStepModel(hw.GH200(), models.GPT2(), Flash, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleGrid(t, serial)
+	runs := OracleRuns()
+	const workers = 4
+	got := make([][]sim.Time, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], errs[w] = grid(sm)
+		}(w)
+	}
+	wg.Wait()
+	for w, g := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		if !equalTimes(g, want) {
+			t.Errorf("worker %d disagrees with the serial fill", w)
+		}
+	}
+	if sm.CachedRuns() != serial.CachedRuns() {
+		t.Errorf("concurrent fill cached %d keys, serial %d", sm.CachedRuns(), serial.CachedRuns())
+	}
+	if d := OracleRuns() - runs; d != int64(serial.CachedRuns()) {
+		t.Errorf("oracle run counter moved by %d, want %d: each key once", d, serial.CachedRuns())
 	}
 }

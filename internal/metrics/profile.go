@@ -28,4 +28,8 @@ type Profile struct {
 	// AllocsPerEvent is Mallocs over Events — the per-event allocation
 	// churn ROADMAP's perf trajectory tracks.
 	AllocsPerEvent float64 `json:"allocs_per_event"`
+	// OracleMisses counts engine runs the step oracle performed during
+	// the call. The counter is process-wide: misses of Simulate calls
+	// running concurrently in the same process are included.
+	OracleMisses int64 `json:"oracle_misses"`
 }

@@ -142,7 +142,7 @@ func newContSim(cfg Config, cal *sim.Calendar) (*contSim, error) {
 	if cfg.KVMemoryUtil == 0 {
 		cfg.KVMemoryUtil = 0.9
 	}
-	sm, err := engine.NewStepModel(cfg.Platform, cfg.Model, cfg.Mode, cfg.LatencyBucket)
+	sm, err := engine.SharedStepModel(cfg.Platform, cfg.Model, cfg.Mode, cfg.LatencyBucket)
 	if err != nil {
 		return nil, err
 	}

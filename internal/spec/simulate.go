@@ -210,7 +210,9 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 	}
 	var before runtime.MemStats
 	var start time.Time
+	var missesBefore int64
 	if o.profile {
+		missesBefore = engine.OracleRuns()
 		runtime.ReadMemStats(&before)
 		//skiplint:allow walltime — WithProfile measures the simulator itself (real wall time around the run), not simulated time
 		start = time.Now()
@@ -245,6 +247,7 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 			Mallocs:        int64(after.Mallocs - before.Mallocs),
 			AllocBytes:     int64(after.TotalAlloc - before.TotalAlloc),
 			HeapAllocBytes: int64(after.HeapAlloc),
+			OracleMisses:   engine.OracleRuns() - missesBefore,
 		}
 		if wall > 0 {
 			p.EventsPerSec = float64(events) / wall.Seconds()
