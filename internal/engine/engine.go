@@ -138,8 +138,7 @@ type Result struct {
 	CPUIdle sim.Time
 }
 
-// Run simulates one prefill iteration of the request and returns timing
-// plus the trace.
+// validate checks that the request names a valid platform and a model.
 func (r Request) validate() error {
 	if r.Platform == nil || r.Model == nil {
 		return fmt.Errorf("engine: request needs a platform and a model")
@@ -150,39 +149,21 @@ func (r Request) validate() error {
 	return nil
 }
 
-// Run executes the request.
+// Run simulates one prefill iteration of the request and returns its
+// timing plus the profiler trace.
 func Run(req Request) (*Result, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	attn := models.AttnEager
-	switch req.Mode {
-	case Flash, CompileMaxAutotune:
-		attn = models.AttnFlash
-	}
-	graph, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, attn)
-	if err != nil {
-		return nil, err
-	}
-
 	b := trace.NewBuilder()
 	b.Meta("platform", req.Platform.Name)
 	b.Meta("model", req.Model.Name)
 	b.Meta("mode", req.Mode.String())
 	b.Meta("batch", fmt.Sprintf("%d", req.Batch))
 	b.Meta("seq", fmt.Sprintf("%d", req.Seq))
-	rt := cuda.NewRuntime(req.Platform, b, mainThreadTID)
-
-	ex := &executor{req: req, rt: rt, builder: b}
-	switch req.Mode {
-	case Eager, Flash:
-		ex.runEager(graph)
-	case CompileDefault:
-		ex.runCompiledEagerHost(graph)
-	case CompileReduceOverhead, CompileMaxAutotune:
-		ex.runGraphReplay(graph)
-	default:
-		return nil, fmt.Errorf("engine: unknown mode %v", req.Mode)
+	ex, err := runPrefill(req, b)
+	if err != nil {
+		return nil, err
 	}
 
 	tr := b.Trace()
@@ -192,9 +173,9 @@ func Run(req Request) (*Result, error) {
 		Trace:        tr,
 		TTFT:         end - start,
 		CompileTime:  compileTime(req),
-		HostLaunches: rt.Launches(),
+		HostLaunches: ex.rt.Launches(),
 		KernelCount:  len(tr.Kernels()),
-		GPUBusy:      rt.GPUBusy(),
+		GPUBusy:      ex.rt.GPUBusy(),
 		CPUBusy:      ex.cpuBusy,
 	}
 	res.GPUIdle = res.TTFT - res.GPUBusy
@@ -202,11 +183,58 @@ func Run(req Request) (*Result, error) {
 	return res, nil
 }
 
+// attention picks the attention implementation the mode runs: fused
+// FlashAttention-2 for flash and max-autotune, materialized scores
+// otherwise.
+func (m Mode) attention() models.AttnImpl {
+	if m == Flash || m == CompileMaxAutotune {
+		return models.AttnFlash
+	}
+	return models.AttnEager
+}
+
+// runPrefill builds the request's prefill graph and executes it in the
+// request's mode on a fresh runtime recording into b. A nil b records
+// nothing; the run's timing is then read off the returned executor's
+// clocks. Run and the step oracle both execute prefill through here.
+func runPrefill(req Request, b *trace.Builder) (*executor, error) {
+	graph, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, req.Mode.attention())
+	if err != nil {
+		return nil, err
+	}
+	ex := newExecutor(req, b)
+	if err := ex.run(graph); err != nil {
+		return nil, err
+	}
+	return ex, nil
+}
+
 type executor struct {
 	req     Request
 	rt      *cuda.Runtime
 	builder *trace.Builder
 	cpuBusy sim.Time
+}
+
+// newExecutor returns an executor for req on a fresh runtime (clocks at
+// t = 0) recording into b; a nil b records nothing.
+func newExecutor(req Request, b *trace.Builder) *executor {
+	return &executor{req: req, rt: cuda.NewRuntime(req.Platform, b, mainThreadTID), builder: b}
+}
+
+// run executes one prefill graph the way the request's mode does.
+func (ex *executor) run(g *ops.Graph) error {
+	switch ex.req.Mode {
+	case Eager, Flash:
+		ex.runEager(g)
+	case CompileDefault:
+		ex.runCompiledEagerHost(g)
+	case CompileReduceOverhead, CompileMaxAutotune:
+		ex.runGraphReplay(g)
+	default:
+		return fmt.Errorf("engine: unknown mode %v", ex.req.Mode)
+	}
+	return nil
 }
 
 // advanceCPU spends host time (scaled by the platform's single-thread
@@ -251,6 +279,10 @@ func (ex *executor) transferOutputs(g *ops.Graph) {
 // costs host dispatch time, children execute in order, then the
 // operator's kernels launch. Operator trace spans cover their children,
 // which is the containment structure SKIP's parent linking relies on.
+// The walk continues the executor's timeline and ends in a
+// synchronize, the per-iteration sync a generation loop performs when
+// sampling the next token on the host, so consecutive graphs on one
+// executor model consecutive iterations.
 func (ex *executor) runEager(g *ops.Graph) {
 	ex.transferInputs(g)
 	for _, n := range g.Nodes {

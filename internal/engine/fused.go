@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"github.com/skipsim/skip/internal/cuda"
 	"github.com/skipsim/skip/internal/fusion"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/ops"
@@ -79,8 +78,8 @@ func RunFused(req Request, chainLen int, app FusionApplication) (*FusedRunResult
 	b.Meta("platform", req.Platform.Name)
 	b.Meta("model", req.Model.Name)
 	b.Meta("mode", fmt.Sprintf("ps-fused-L%d-%s", chainLen, app))
-	rt := cuda.NewRuntime(req.Platform, b, mainThreadTID)
-	ex := &executor{req: req, rt: rt, builder: b}
+	ex := newExecutor(req, b)
+	rt := ex.rt
 
 	switch app {
 	case LaunchSavingsOnly:

@@ -3,9 +3,7 @@ package engine
 import (
 	"fmt"
 
-	"github.com/skipsim/skip/internal/cuda"
 	"github.com/skipsim/skip/internal/models"
-	"github.com/skipsim/skip/internal/ops"
 	"github.com/skipsim/skip/internal/sim"
 	"github.com/skipsim/skip/internal/trace"
 )
@@ -48,27 +46,23 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 	if newTokens < 1 {
 		return nil, fmt.Errorf("engine: newTokens must be ≥ 1, got %d", newTokens)
 	}
-	attn := models.AttnEager
-	switch req.Mode {
-	case Eager:
-	case Flash:
-		attn = models.AttnFlash
-	default:
+	if req.Mode != Eager && req.Mode != Flash {
 		return nil, fmt.Errorf("engine: generation supports eager and flash modes, got %v", req.Mode)
 	}
+	attn := req.Mode.attention()
 
 	b := trace.NewBuilder()
 	b.Meta("platform", req.Platform.Name)
 	b.Meta("model", req.Model.Name)
 	b.Meta("mode", "generate-"+req.Mode.String())
-	rt := cuda.NewRuntime(req.Platform, b, mainThreadTID)
-	ex := &executor{req: req, rt: rt, builder: b}
+	ex := newExecutor(req, b)
+	rt := ex.rt
 
 	prefill, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, attn)
 	if err != nil {
 		return nil, err
 	}
-	ex.runEagerOn(rt, prefill)
+	ex.runEager(prefill)
 	ttftEnd := rt.CPU.Now()
 	prefillBusy := rt.GPUBusy()
 	prefillKernels := rt.Launches()
@@ -87,7 +81,7 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex.runEagerOn(rt, step)
+		ex.runEager(step)
 	}
 	end := rt.CPU.Now()
 	res.DecodeTime = end - ttftEnd
@@ -97,16 +91,4 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 	res.DecodeKernelsPerStep = (rt.Launches() - prefillKernels) / newTokens
 	res.Trace = b.Trace()
 	return res, nil
-}
-
-// runEagerOn walks one graph on an existing runtime (continuing the
-// timeline), synchronizing at the end — the per-iteration sync PyTorch
-// generation loops perform when sampling the next token on the host.
-func (ex *executor) runEagerOn(rt *cuda.Runtime, g *ops.Graph) {
-	ex.transferInputs(g)
-	for _, n := range g.Nodes {
-		ex.execNode(n)
-	}
-	rt.Synchronize()
-	ex.transferOutputs(g)
 }

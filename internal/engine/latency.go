@@ -5,11 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/skipsim/skip/internal/cuda"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/sim"
-	"github.com/skipsim/skip/internal/trace"
 )
 
 // StepModel is a cached iteration-latency oracle for serving
@@ -19,6 +17,9 @@ import (
 // tokens before caching, so a long simulation touches each engine
 // configuration once — the serving layer replays cached iteration
 // latencies thousands of times while the engine runs tens of graphs.
+// A miss runs the executor with a nil trace builder, so it records no
+// trace and costs only the timing walk; the latencies equal those of
+// traced runs (Run's TTFT) bit for bit.
 //
 // A StepModel is safe for concurrent use. Its fields are read-only after
 // construction; a model from SharedStepModel is used by every serving
@@ -137,16 +138,20 @@ func (sm *StepModel) Prefill(batch, seq int64) (sim.Time, error) {
 	if t, ok := sm.prefill[key]; ok {
 		return t, nil
 	}
-	res, err := Run(Request{
+	// A trace-free run: every run starts at t = 0 and ends in a
+	// synchronize that covers all stream work, so the host clock after
+	// the run equals Run's trace span, the TTFT.
+	ex, err := runPrefill(Request{
 		Platform: sm.Platform, Model: sm.Model,
 		Batch: batch, Seq: key.tokens, Mode: sm.Mode,
-	})
+	}, nil)
 	if err != nil {
 		return 0, err
 	}
+	d := ex.rt.CPU.Now()
 	oracleRuns.Add(1)
-	sm.prefill[key] = res.TTFT
-	return res.TTFT, nil
+	sm.prefill[key] = d
+	return d, nil
 }
 
 // DecodeStep returns the latency of one decode iteration: batch
@@ -166,23 +171,13 @@ func (sm *StepModel) DecodeStep(batch, kvLen int64) (sim.Time, error) {
 	if t, ok := sm.decode[key]; ok {
 		return t, nil
 	}
-	attn := models.AttnEager
-	switch sm.Mode {
-	case Flash, CompileMaxAutotune:
-		attn = models.AttnFlash
-	}
-	g, err := models.BuildDecodeStep(sm.Model, batch, key.tokens, attn)
+	g, err := models.BuildDecodeStep(sm.Model, batch, key.tokens, sm.Mode.attention())
 	if err != nil {
 		return 0, err
 	}
-	b := trace.NewBuilder()
-	rt := cuda.NewRuntime(sm.Platform, b, mainThreadTID)
-	ex := &executor{
-		req: Request{Platform: sm.Platform, Model: sm.Model, Batch: batch, Seq: key.tokens, Mode: sm.Mode},
-		rt:  rt, builder: b,
-	}
-	ex.runEagerOn(rt, g)
-	d := rt.CPU.Now()
+	ex := newExecutor(Request{Platform: sm.Platform, Model: sm.Model, Batch: batch, Seq: key.tokens, Mode: sm.Mode}, nil)
+	ex.runEager(g)
+	d := ex.rt.CPU.Now()
 	oracleRuns.Add(1)
 	sm.decode[key] = d
 	return d, nil

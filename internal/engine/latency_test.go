@@ -7,6 +7,7 @@ import (
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/sim"
+	"github.com/skipsim/skip/internal/trace"
 )
 
 func TestStepModelCachesByBucket(t *testing.T) {
@@ -44,21 +45,102 @@ func TestStepModelCachesByBucket(t *testing.T) {
 	}
 }
 
+// catalogPlatforms returns every cataloged platform, the
+// unified-physical-memory one included.
+func catalogPlatforms(t testing.TB) []*hw.Platform {
+	t.Helper()
+	var out []*hw.Platform
+	for _, name := range hw.PlatformNames() {
+		p, err := hw.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// decoderModels returns every decoder-only model in the catalog.
+func decoderModels(t testing.TB) []*models.Config {
+	t.Helper()
+	var out []*models.Config
+	for _, name := range models.ModelNames() {
+		m, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Kind == models.Decoder {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestStepModelPrefillMatchesRun: the oracle's trace-free prefill equals
+// Run's traced TTFT bit for bit on every platform, mode and decoder
+// model. Bucket 1 keeps each length unquantized.
 func TestStepModelPrefillMatchesRun(t *testing.T) {
-	sm, err := NewStepModel(hw.GH200(), models.GPT2(), Eager, 64)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range catalogPlatforms(t) {
+		for _, m := range decoderModels(t) {
+			for _, mode := range Modes() {
+				sm, err := NewStepModel(p, m, mode, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, batch := range []int64{1, 3, 16} {
+					for _, seq := range []int64{64, 200, 1024} {
+						got, err := sm.Prefill(batch, seq)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := Run(Request{Platform: p, Model: m, Batch: batch, Seq: seq, Mode: mode})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != res.TTFT {
+							t.Errorf("%s %s %v bs%d seq%d: trace-free prefill %v != Run TTFT %v",
+								p.Name, m.Name, mode, batch, seq, got, res.TTFT)
+						}
+					}
+				}
+			}
+		}
 	}
-	got, err := sm.Prefill(2, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Request{Platform: hw.GH200(), Model: models.GPT2(), Batch: 2, Seq: 128, Mode: Eager})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != res.TTFT {
-		t.Errorf("cached prefill %v != engine.Run TTFT %v", got, res.TTFT)
+}
+
+// TestStepModelDecodeMatchesTraced: the oracle's trace-free decode step
+// equals the same step executed through a real trace builder, measured
+// both as the host clock and as the recorded trace's span.
+func TestStepModelDecodeMatchesTraced(t *testing.T) {
+	for _, p := range catalogPlatforms(t) {
+		for _, m := range decoderModels(t) {
+			for _, mode := range Modes() {
+				sm, err := NewStepModel(p, m, mode, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, batch := range []int64{1, 3, 16} {
+					for _, kv := range []int64{64, 200, 1024} {
+						got, err := sm.DecodeStep(batch, kv)
+						if err != nil {
+							t.Fatal(err)
+						}
+						g, err := models.BuildDecodeStep(m, batch, kv, mode.attention())
+						if err != nil {
+							t.Fatal(err)
+						}
+						b := trace.NewBuilder()
+						ex := newExecutor(Request{Platform: p, Model: m, Batch: batch, Seq: kv, Mode: mode}, b)
+						ex.runEager(g)
+						start, end := b.Trace().Span()
+						if now := ex.rt.CPU.Now(); got != now || got != end-start {
+							t.Errorf("%s %s %v bs%d kv%d: trace-free decode %v, traced clock %v, traced span %v",
+								p.Name, m.Name, mode, batch, kv, got, now, end-start)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -334,3 +416,49 @@ func TestStepModelConcurrentFill(t *testing.T) {
 		t.Errorf("oracle run counter moved by %d, want %d: each key once", d, serial.CachedRuns())
 	}
 }
+
+// BenchmarkStepModelMiss times one oracle miss: each iteration fills one
+// key on a fresh private model (llama-3.2-1B on GH200, eager, the
+// benchmark fleets' configuration).
+func BenchmarkStepModelMiss(b *testing.B) {
+	for _, phase := range []string{"prefill", "decode"} {
+		b.Run(phase, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sm, err := NewStepModel(hw.GH200(), models.Llama32_1B(), Eager, 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if phase == "prefill" {
+					benchLatency, err = sm.Prefill(1, 512)
+				} else {
+					benchLatency, err = sm.DecodeStep(8, 512)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStepModelHit times one warm decode-step lookup.
+func BenchmarkStepModelHit(b *testing.B) {
+	sm, err := NewStepModel(hw.GH200(), models.Llama32_1B(), Eager, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sm.DecodeStep(8, 512); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchLatency, err = sm.DecodeStep(8, 512); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchLatency keeps the benchmarked lookups observable to the compiler.
+var benchLatency sim.Time

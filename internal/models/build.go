@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/skipsim/skip/internal/ops"
 )
@@ -54,8 +55,18 @@ func BuildPrefill(c *Config, batch, seq int64, attn AttnImpl) (*ops.Graph, error
 	return g, nil
 }
 
+// appendLayers appends a layer's operator block to the graph once per
+// layer. Every repetition references the same nodes: nodes are
+// immutable once built, so one block serves all layers and a graph
+// costs one block of nodes, not one per layer.
+func appendLayers(g *ops.Graph, block []*ops.Node, layers int64) {
+	g.Nodes = slices.Grow(g.Nodes, len(block)*int(layers))
+	for i := int64(0); i < layers; i++ {
+		g.Nodes = append(g.Nodes, block...)
+	}
+}
+
 func buildEncoder(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
-	h, hd := c.Heads, c.HeadDim()
 	rows := b * s
 	hiddenElems := rows * c.Hidden
 
@@ -69,51 +80,60 @@ func buildEncoder(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
 		ops.LayerNorm("embeddings", rows, c.Hidden),
 	)
 
-	for layer := int64(0); layer < c.Layers; layer++ {
-		// Self-attention projections.
-		g.Nodes = append(g.Nodes,
-			ops.Linear("attn_q", b, s, c.Hidden, c.Hidden),
-			ops.Linear("attn_k", b, s, c.Hidden, c.Hidden),
-			ops.Linear("attn_v", b, s, c.Hidden, c.Hidden),
-		)
-		if attn == AttnFlash {
-			g.Nodes = append(g.Nodes, ops.FlashAttention("enc", b, h, s, hd))
-		} else {
-			scoreElems := b * h * s * s
-			g.Nodes = append(g.Nodes,
-				// transpose_for_scores materializations.
-				ops.Copy("contiguous", "q_heads", hiddenElems),
-				ops.Copy("contiguous", "k_heads", hiddenElems),
-				ops.Copy("contiguous", "v_heads", hiddenElems),
-				ops.BMM("qk", b*h, s, hd, s),
-				ops.Pointwise("div", "attn_scale", scoreElems, 1, 1),
-				ops.Pointwise("add", "attn_mask", scoreElems, 2, 1),
-				ops.Softmax("attn", b*h*s, s),
-				ops.BMM("av", b*h, s, s, hd),
-				ops.Copy("contiguous", "context", hiddenElems),
-			)
-		}
-		g.Nodes = append(g.Nodes,
-			ops.Linear("attn_out", b, s, c.Hidden, c.Hidden),
-			ops.Pointwise("add", "attn_residual", hiddenElems, 2, 1),
-			ops.LayerNorm("attn", rows, c.Hidden),
-			ops.Linear("mlp_in", b, s, c.Hidden, c.Intermediate),
-			ops.GELU("mlp", rows*c.Intermediate),
-			ops.Linear("mlp_out", b, s, c.Intermediate, c.Hidden),
-			ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1),
-			ops.LayerNorm("mlp", rows, c.Hidden),
-		)
-		for i := 0; i < batchMaskKernels(b); i++ {
-			g.Nodes = append(g.Nodes,
-				ops.Copy("expand", fmt.Sprintf("mask_bcast_%d", i), b*s))
-		}
-	}
+	appendLayers(g, encoderLayer(c, b, s, attn), c.Layers)
 
 	// Pooler head over [CLS].
 	g.Nodes = append(g.Nodes,
 		ops.Linear("pooler", b, 1, c.Hidden, c.Hidden),
 		ops.Pointwise("tanh", "pooler_tanh", b*c.Hidden, 1, 6),
 	)
+}
+
+// encoderLayer builds one encoder layer's operator block, including
+// its attention-mask broadcast copies.
+func encoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
+	h, hd := c.Heads, c.HeadDim()
+	rows := b * s
+	hiddenElems := rows * c.Hidden
+	var layer []*ops.Node
+	// Self-attention projections.
+	layer = append(layer,
+		ops.Linear("attn_q", b, s, c.Hidden, c.Hidden),
+		ops.Linear("attn_k", b, s, c.Hidden, c.Hidden),
+		ops.Linear("attn_v", b, s, c.Hidden, c.Hidden),
+	)
+	if attn == AttnFlash {
+		layer = append(layer, ops.FlashAttention("enc", b, h, s, hd))
+	} else {
+		scoreElems := b * h * s * s
+		layer = append(layer,
+			// transpose_for_scores materializations.
+			ops.Copy("contiguous", "q_heads", hiddenElems),
+			ops.Copy("contiguous", "k_heads", hiddenElems),
+			ops.Copy("contiguous", "v_heads", hiddenElems),
+			ops.BMM("qk", b*h, s, hd, s),
+			ops.Pointwise("div", "attn_scale", scoreElems, 1, 1),
+			ops.Pointwise("add", "attn_mask", scoreElems, 2, 1),
+			ops.Softmax("attn", b*h*s, s),
+			ops.BMM("av", b*h, s, s, hd),
+			ops.Copy("contiguous", "context", hiddenElems),
+		)
+	}
+	layer = append(layer,
+		ops.Linear("attn_out", b, s, c.Hidden, c.Hidden),
+		ops.Pointwise("add", "attn_residual", hiddenElems, 2, 1),
+		ops.LayerNorm("attn", rows, c.Hidden),
+		ops.Linear("mlp_in", b, s, c.Hidden, c.Intermediate),
+		ops.GELU("mlp", rows*c.Intermediate),
+		ops.Linear("mlp_out", b, s, c.Intermediate, c.Hidden),
+		ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1),
+		ops.LayerNorm("mlp", rows, c.Hidden),
+	)
+	for i := 0; i < batchMaskKernels(b); i++ {
+		layer = append(layer,
+			ops.Copy("expand", fmt.Sprintf("mask_bcast_%d", i), b*s))
+	}
+	return layer
 }
 
 func buildDecoder(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
@@ -128,13 +148,7 @@ func buildDecoder(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
 		)
 	}
 
-	for layer := int64(0); layer < c.Layers; layer++ {
-		buildDecoderLayer(g, c, b, s, attn)
-		for i := 0; i < batchMaskKernels(b); i++ {
-			g.Nodes = append(g.Nodes,
-				ops.Copy("expand", fmt.Sprintf("mask_bcast_%d", i), b*s))
-		}
-	}
+	appendLayers(g, decoderLayer(c, b, s, attn), c.Layers)
 
 	// Final norm + LM head (next-token logits over the full vocab; the
 	// dominant single GEMM for large-vocab models).
@@ -147,67 +161,70 @@ func buildDecoder(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
 	g.Nodes = append(g.Nodes, ops.Linear("lm_head", b, s, c.Hidden, c.Vocab))
 }
 
-func buildDecoderLayer(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
+// decoderLayer builds one decoder layer's prefill operator block,
+// including its attention-mask broadcast copies.
+func decoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 	h, hd, kvh := c.Heads, c.HeadDim(), c.KVHeads
 	rows := b * s
 	hiddenElems := rows * c.Hidden
 	kvElems := rows * c.KVDim()
 	scoreElems := b * h * s * s
+	var layer []*ops.Node
 
 	// Pre-attention norm.
 	switch c.Norm {
 	case RMSNorm:
-		g.Nodes = append(g.Nodes, ops.RMSNorm("input", rows, c.Hidden))
+		layer = append(layer, ops.RMSNorm("input", rows, c.Hidden))
 	default:
-		g.Nodes = append(g.Nodes, ops.LayerNorm("ln_1", rows, c.Hidden))
+		layer = append(layer, ops.LayerNorm("ln_1", rows, c.Hidden))
 	}
 
 	// QKV projection: GPT-2 uses one fused Conv1D; Llama-family uses
 	// three separate linears (GQA-shaped K/V).
 	gpt2Style := c.Position == Learned
 	if gpt2Style {
-		g.Nodes = append(g.Nodes,
+		layer = append(layer,
 			ops.Conv1D("c_attn", b, s, c.Hidden, 3*c.Hidden),
 			ops.Copy("split", "q_split", hiddenElems),
 			ops.Copy("split", "k_split", hiddenElems),
 			ops.Copy("split", "v_split", hiddenElems),
 		)
 	} else {
-		g.Nodes = append(g.Nodes,
+		layer = append(layer,
 			ops.Linear("q_proj", b, s, c.Hidden, c.Hidden),
 			ops.Linear("k_proj", b, s, c.Hidden, c.KVDim()),
 			ops.Linear("v_proj", b, s, c.Hidden, c.KVDim()),
 		)
 	}
 	if c.Position == RoPE {
-		g.Nodes = append(g.Nodes,
+		layer = append(layer,
 			ops.RoPE("q", hiddenElems),
 			ops.RoPE("k", kvElems),
 		)
 	}
 
 	if attn == AttnFlash {
-		g.Nodes = append(g.Nodes, ops.FlashAttention("dec", b, h, s, hd))
+		layer = append(layer, ops.FlashAttention("dec", b, h, s, hd))
 	} else {
 		if gpt2Style {
 			// Head-permute materializations.
-			g.Nodes = append(g.Nodes,
+			layer = append(layer,
 				ops.Copy("contiguous", "q_heads", hiddenElems),
 				ops.Copy("contiguous", "k_heads", hiddenElems),
 				ops.Copy("contiguous", "v_heads", hiddenElems),
 			)
 		} else if kvh < h {
 			// Grouped-query attention: repeat_kv expand copies.
-			g.Nodes = append(g.Nodes,
+			layer = append(layer,
 				ops.Copy("expand", "repeat_k", rows*c.Hidden),
 				ops.Copy("expand", "repeat_v", rows*c.Hidden),
 			)
 		}
-		g.Nodes = append(g.Nodes, ops.BMM("qk", b*h, s, hd, s))
+		layer = append(layer, ops.BMM("qk", b*h, s, hd, s))
 		if gpt2Style {
 			// GPT-2's explicit causal masking dance: scale, bias slice,
 			// mask value tensor, where, plus the attention-mask add.
-			g.Nodes = append(g.Nodes,
+			layer = append(layer,
 				ops.Pointwise("div", "attn_scale", scoreElems, 1, 1),
 				ops.Copy("slice", "causal_bias", scoreElems),
 				ops.Pointwise("full_like", "mask_value", scoreElems, 0, 0),
@@ -217,50 +234,50 @@ func buildDecoderLayer(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
 		} else {
 			// Llama-family: mask add folded into one op (scaling happens
 			// in the matmul epilogue).
-			g.Nodes = append(g.Nodes,
+			layer = append(layer,
 				ops.Pointwise("add", "causal_mask", scoreElems, 2, 1),
 			)
 		}
-		g.Nodes = append(g.Nodes, ops.Softmax("attn", b*h*s, s))
+		layer = append(layer, ops.Softmax("attn", b*h*s, s))
 		// Softmax runs in fp32; cast back to fp16.
-		g.Nodes = append(g.Nodes, ops.Pointwise("to", "softmax_cast", scoreElems, 1, 0))
-		g.Nodes = append(g.Nodes,
+		layer = append(layer, ops.Pointwise("to", "softmax_cast", scoreElems, 1, 0))
+		layer = append(layer,
 			ops.BMM("av", b*h, s, s, hd),
 			ops.Copy("contiguous", "context", hiddenElems),
 		)
 		if gpt2Style {
-			g.Nodes = append(g.Nodes, ops.Copy("contiguous", "merge_heads", hiddenElems))
+			layer = append(layer, ops.Copy("contiguous", "merge_heads", hiddenElems))
 		}
 	}
 
 	// Output projection + residual.
 	if gpt2Style {
-		g.Nodes = append(g.Nodes, ops.Conv1D("c_proj", b, s, c.Hidden, c.Hidden))
+		layer = append(layer, ops.Conv1D("c_proj", b, s, c.Hidden, c.Hidden))
 	} else {
-		g.Nodes = append(g.Nodes, ops.Linear("o_proj", b, s, c.Hidden, c.Hidden))
+		layer = append(layer, ops.Linear("o_proj", b, s, c.Hidden, c.Hidden))
 	}
-	g.Nodes = append(g.Nodes, ops.Pointwise("add", "attn_residual", hiddenElems, 2, 1))
+	layer = append(layer, ops.Pointwise("add", "attn_residual", hiddenElems, 2, 1))
 
 	// Pre-MLP norm.
 	switch c.Norm {
 	case RMSNorm:
-		g.Nodes = append(g.Nodes, ops.RMSNorm("post_attn", rows, c.Hidden))
+		layer = append(layer, ops.RMSNorm("post_attn", rows, c.Hidden))
 	default:
-		g.Nodes = append(g.Nodes, ops.LayerNorm("ln_2", rows, c.Hidden))
+		layer = append(layer, ops.LayerNorm("ln_2", rows, c.Hidden))
 	}
 
 	// MLP.
 	interElems := rows * c.Intermediate
 	switch c.Activation {
 	case SiLUGate:
-		g.Nodes = append(g.Nodes,
+		layer = append(layer,
 			ops.Linear("gate_proj", b, s, c.Hidden, c.Intermediate),
 			ops.Linear("up_proj", b, s, c.Hidden, c.Intermediate),
 			ops.SiLUMul("mlp", interElems),
 			ops.Linear("down_proj", b, s, c.Intermediate, c.Hidden),
 		)
 	case GELUGate:
-		g.Nodes = append(g.Nodes,
+		layer = append(layer,
 			ops.Linear("gate_proj", b, s, c.Hidden, c.Intermediate),
 			ops.Linear("up_proj", b, s, c.Hidden, c.Intermediate),
 			ops.GELU("mlp_gate", interElems),
@@ -268,17 +285,21 @@ func buildDecoderLayer(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
 			ops.Linear("down_proj", b, s, c.Intermediate, c.Hidden),
 		)
 	case GELUNew:
-		g.Nodes = append(g.Nodes,
+		layer = append(layer,
 			ops.Conv1D("c_fc", b, s, c.Hidden, c.Intermediate),
 			ops.NewGELU("mlp", interElems),
 			ops.Conv1D("c_proj_mlp", b, s, c.Intermediate, c.Hidden),
 		)
 	default:
-		g.Nodes = append(g.Nodes,
+		layer = append(layer,
 			ops.Linear("mlp_in", b, s, c.Hidden, c.Intermediate),
 			ops.GELU("mlp", interElems),
 			ops.Linear("mlp_out", b, s, c.Intermediate, c.Hidden),
 		)
 	}
-	g.Nodes = append(g.Nodes, ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1))
+	layer = append(layer, ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1))
+	for i := 0; i < batchMaskKernels(b); i++ {
+		layer = append(layer, ops.Copy("expand", fmt.Sprintf("mask_bcast_%d", i), rows))
+	}
+	return layer
 }

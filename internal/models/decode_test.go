@@ -109,3 +109,20 @@ func TestDecodeStepKVAppend(t *testing.T) {
 		t.Errorf("cat kernels = %d, want ≥ %d", cats, 2*Llama32_1B().Layers)
 	}
 }
+
+// BenchmarkBuildDecodeStep times building one llama-3.2-1B decode-step
+// graph, the graph every decode oracle miss executes.
+func BenchmarkBuildDecodeStep(b *testing.B) {
+	c := Llama32_1B()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := BuildDecodeStep(c, 8, 512, AttnEager)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchGraph = g
+	}
+}
+
+// benchGraph keeps the benchmarked build observable to the compiler.
+var benchGraph *ops.Graph

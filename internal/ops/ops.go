@@ -77,6 +77,11 @@ type Kernel struct {
 // operators, and the kernels the operator launches after its children
 // complete (the common ATen pattern: setup children — views, transposes —
 // then the compute launch).
+//
+// Nodes are immutable once built: the executor, the fusion passes and
+// every other reader only read them. A graph may therefore reference
+// one node at several positions (the model builders share one layer
+// block across all layers), and a node must never be modified in place.
 type Node struct {
 	// Name is the ATen symbol, e.g. "aten::linear".
 	Name string
@@ -152,6 +157,10 @@ func (n *Node) TotalCost() hw.KernelCost {
 
 // Graph is the ordered top-level operator list of one forward pass, the
 // unit the executor runs and SKIP treats as "parent ATen operators".
+// Its nodes are immutable once built, and one node may appear at
+// several positions of Nodes (every layer of a model references the
+// same layer block); readers treat each position as one operator
+// execution.
 type Graph struct {
 	// Name labels the graph (model + phase).
 	Name string

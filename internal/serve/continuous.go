@@ -70,6 +70,9 @@ type contRequest struct {
 	// restoreStall is the pending host-tier restore penalty, charged
 	// once to the request's next iteration.
 	restoreStall sim.Time
+	// chunk is the prompt chunk the in-flight iteration prefills for
+	// this request; 0 means the iteration decodes one token for it.
+	chunk int64
 }
 
 func (r *contRequest) kvLen() int64 { return r.promptLen + r.generated }
@@ -126,6 +129,13 @@ type contSim struct {
 	winQueue   float64
 	winKV      float64
 	lastQueueN int
+
+	// batch is the in-flight iteration's batch (a copy of running at
+	// kick time) and finish its completion callback, bound once. Only
+	// one iteration is in flight per instance (busy), so both are
+	// reused across iterations.
+	batch  []*contRequest
+	finish func(end sim.Time)
 }
 
 // newContSim builds a continuous-batching simulator on the given
@@ -152,6 +162,7 @@ func newContSim(cfg Config, cal *sim.Calendar) (*contSim, error) {
 		sm:          sm,
 		bytesPerTok: kvBytesPerToken(cfg.Model),
 	}
+	s.finish = s.finishIteration
 	s.capacity = cfg.KVCapacityBytes
 	if s.capacity <= 0 {
 		hbm := float64(cfg.Platform.GPU.HBMGB) * 1e9
@@ -454,32 +465,25 @@ func (s *contSim) kick(now sim.Time) {
 		return
 	}
 
-	// Plan the iteration: prefill chunks for requests still consuming
-	// their prompt, one decode token for the rest.
+	// Plan the iteration: a prefill chunk for each request still
+	// consuming its prompt, one decode token for the rest.
 	var dur sim.Time
-	type prefillPlan struct {
-		r     *contRequest
-		chunk int64
-	}
-	var prefills []prefillPlan
 	decodeBatch := int64(0)
 	maxKV := int64(0)
 	for _, r := range s.running {
-		if r.promptDone < r.promptLen {
-			chunk := r.promptLen - r.promptDone
-			if s.cfg.Policy == ChunkedPrefill && chunk > s.cfg.PrefillChunk {
-				chunk = s.cfg.PrefillChunk
-			}
-			prefills = append(prefills, prefillPlan{r, chunk})
-		} else {
+		r.chunk = 0
+		if r.promptDone >= r.promptLen {
 			decodeBatch++
 			if kv := r.kvLen(); kv > maxKV {
 				maxKV = kv
 			}
+			continue
 		}
-	}
-	for _, p := range prefills {
-		d, err := s.sm.Prefill(1, p.chunk)
+		r.chunk = r.promptLen - r.promptDone
+		if s.cfg.Policy == ChunkedPrefill && r.chunk > s.cfg.PrefillChunk {
+			r.chunk = s.cfg.PrefillChunk
+		}
+		d, err := s.sm.Prefill(1, r.chunk)
 		if err != nil {
 			s.err = err
 			return
@@ -513,32 +517,30 @@ func (s *contSim) kick(now sim.Time) {
 	s.busy = true
 	s.iterations++
 	s.totalBatch += len(s.running)
-	batch := append([]*contRequest(nil), s.running...)
-	chunks := make(map[*contRequest]int64, len(prefills))
-	for _, p := range prefills {
-		chunks[p.r] = p.chunk
-	}
-	s.cal.Schedule(now+dur, func(end sim.Time) { s.finishIteration(end, batch, chunks) })
+	s.batch = append(s.batch[:0], s.running...)
+	s.cal.Schedule(now+dur, s.finish)
 }
 
-// finishIteration applies one iteration's outcomes at its end time:
-// prompt progress, emitted tokens, completions, KV growth.
-func (s *contSim) finishIteration(end sim.Time, batch []*contRequest, chunks map[*contRequest]int64) {
+// finishIteration applies the in-flight iteration's outcomes at its end
+// time: prompt progress, emitted tokens, completions, KV growth.
+func (s *contSim) finishIteration(end sim.Time) {
 	if s.state == StateStopped {
 		// Killed mid-iteration: the batch was already evicted and
 		// requeued elsewhere; this iteration's outcomes are discarded.
+		// A stopped instance never kicks again, so its reused batch and
+		// the requests' chunk fields are never read again.
 		return
 	}
 	s.busy = false
 	if s.err != nil {
 		return
 	}
-	for _, r := range batch {
+	for _, r := range s.batch {
 		if !s.isRunning(r) {
 			continue // preempted while... cannot happen mid-iteration, but stay safe
 		}
-		if chunk, ok := chunks[r]; ok {
-			r.promptDone += chunk
+		if r.chunk > 0 {
+			r.promptDone += r.chunk
 			if r.promptDone >= r.promptLen {
 				// Prefill complete: the iteration's forward pass emits
 				// the first output token.

@@ -196,6 +196,12 @@ func (t *Trace) Validate() error {
 }
 
 // Builder emits well-formed traces, allocating correlation IDs.
+//
+// A nil *Builder is a valid builder that records nothing: every emitting
+// method returns at once, NextCorrelation returns 0 and Trace returns
+// nil. Executors take a nil builder when only the timing of a run is
+// wanted (the serving step-latency oracle), so one code path serves both
+// traced and trace-free runs.
 type Builder struct {
 	t        *Trace
 	nextCorr uint64
@@ -207,15 +213,26 @@ func NewBuilder() *Builder {
 }
 
 // Meta records a provenance key.
-func (b *Builder) Meta(key, value string) { b.t.Meta[key] = value }
+func (b *Builder) Meta(key, value string) {
+	if b == nil {
+		return
+	}
+	b.t.Meta[key] = value
+}
 
 // Operator emits a host operator span on thread tid.
 func (b *Builder) Operator(name string, tid int, ts, dur sim.Time) {
+	if b == nil {
+		return
+	}
 	b.t.Append(Event{Name: name, Cat: CatOperator, Ts: ts, Dur: dur, TID: tid})
 }
 
 // NextCorrelation reserves a fresh correlation ID.
 func (b *Builder) NextCorrelation() uint64 {
+	if b == nil {
+		return 0
+	}
 	c := b.nextCorr
 	b.nextCorr++
 	return c
@@ -223,16 +240,25 @@ func (b *Builder) NextCorrelation() uint64 {
 
 // Launch emits a cudaLaunchKernel runtime span carrying corr.
 func (b *Builder) Launch(name string, tid int, ts, dur sim.Time, corr uint64) {
+	if b == nil {
+		return
+	}
 	b.t.Append(Event{Name: name, Cat: CatRuntime, Ts: ts, Dur: dur, TID: tid, Correlation: corr})
 }
 
 // Runtime emits a non-launch runtime span (synchronize, memcpy call).
 func (b *Builder) Runtime(name string, tid int, ts, dur sim.Time) {
+	if b == nil {
+		return
+	}
 	b.t.Append(Event{Name: name, Cat: CatRuntime, Ts: ts, Dur: dur, TID: tid})
 }
 
 // Kernel emits a device kernel execution on a stream, linked to corr.
 func (b *Builder) Kernel(name string, stream int, ts, dur sim.Time, corr uint64, flops, bytes float64) {
+	if b == nil {
+		return
+	}
 	b.t.Append(Event{
 		Name: name, Cat: CatKernel, Ts: ts, Dur: dur,
 		TID: streamTID(stream), Stream: stream, Correlation: corr,
@@ -242,6 +268,9 @@ func (b *Builder) Kernel(name string, stream int, ts, dur sim.Time, corr uint64,
 
 // Memcpy emits a copy event on a stream.
 func (b *Builder) Memcpy(name string, stream int, ts, dur sim.Time, corr uint64, bytes float64) {
+	if b == nil {
+		return
+	}
 	b.t.Append(Event{
 		Name: name, Cat: CatMemcpy, Ts: ts, Dur: dur,
 		TID: streamTID(stream), Stream: stream, Correlation: corr, Bytes: bytes,
@@ -250,6 +279,9 @@ func (b *Builder) Memcpy(name string, stream int, ts, dur sim.Time, corr uint64,
 
 // Trace finalizes and returns the built trace, sorted.
 func (b *Builder) Trace() *Trace {
+	if b == nil {
+		return nil
+	}
 	b.t.Sort()
 	return b.t
 }

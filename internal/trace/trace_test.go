@@ -250,3 +250,21 @@ func TestJSONRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNilBuilderRecordsNothing: a nil builder is a valid, silent
+// builder, the trace-free mode the step-latency oracle runs in.
+func TestNilBuilderRecordsNothing(t *testing.T) {
+	var b *Builder
+	b.Meta("platform", "x")
+	b.Operator("aten::linear", 1, 0, 10)
+	if c := b.NextCorrelation(); c != 0 {
+		t.Errorf("nil builder NextCorrelation = %d, want 0", c)
+	}
+	b.Launch("cudaLaunchKernel", 1, 0, 5, 0)
+	b.Runtime("cudaDeviceSynchronize", 1, 5, 5)
+	b.Kernel("gemm", 7, 5, 10, 0, 1, 2)
+	b.Memcpy("Memcpy HtoD", 7, 0, 3, 0, 4)
+	if tr := b.Trace(); tr != nil {
+		t.Errorf("nil builder Trace = %v, want nil", tr)
+	}
+}
