@@ -34,7 +34,7 @@ var DefaultScopes = map[string][]string{
 	"maprange": {
 		"github.com/skipsim/skip/internal/serve",
 		"github.com/skipsim/skip/internal/cluster",
-		"github.com/skipsim/skip/internal/disagg",
+		"github.com/skipsim/skip/internal/bench",
 		"github.com/skipsim/skip/internal/spec",
 		"github.com/skipsim/skip/internal/metrics",
 		"github.com/skipsim/skip/internal/trace",

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/skipsim/skip/internal/hw"
 )
 
 func TestRegistryCoversEveryArtifact(t *testing.T) {
@@ -133,6 +135,47 @@ func TestFig5CheckOrderFollowsTable(t *testing.T) {
 			first = names
 		} else if strings.Join(names, "\n") != strings.Join(first, "\n") {
 			t.Fatalf("run %d check order %v differs from run 0 %v", run, names, first)
+		}
+	}
+}
+
+// TestExtDecodeCheckOrderFollowsPlatforms: ext2-decode's per-platform
+// checks come in evaluation-platform order, then the GH200 TPOT check,
+// on every run.
+func TestExtDecodeCheckOrderFollowsPlatforms(t *testing.T) {
+	plats := hw.EvaluationPlatforms()
+	for run := 0; run < 10; run++ {
+		r, err := runExtDecode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Checks) != len(plats)+1 {
+			t.Fatalf("run %d: %d checks for %d platforms", run, len(r.Checks), len(plats))
+		}
+		for i, p := range plats {
+			if want := p.Name + " decode more launch-bound than prefill"; r.Checks[i].Name != want {
+				t.Fatalf("run %d: check %d = %q, want %q", run, i, r.Checks[i].Name, want)
+			}
+		}
+	}
+}
+
+// TestFig10CheckOrderFollowsModels: fig10's checks come in blocks of
+// five per model, in the tables' model order, on every run.
+func TestFig10CheckOrderFollowsModels(t *testing.T) {
+	const perModel = 5
+	for run := 0; run < 5; run++ {
+		r, err := runFig10()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Checks) != perModel*len(encoderModels) {
+			t.Fatalf("run %d: %d checks for %d models", run, len(r.Checks), len(encoderModels))
+		}
+		for i, c := range r.Checks {
+			if model := encoderModels[i/perModel]; !strings.HasPrefix(c.Name, model+" ") {
+				t.Fatalf("run %d: check %d = %q, want a %s check", run, i, c.Name, model)
+			}
 		}
 	}
 }

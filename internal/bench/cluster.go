@@ -192,7 +192,8 @@ func runExtCluster() (*Result, error) {
 	lq := byPolicy[cluster.LeastQueue]
 	pa := byPolicy[cluster.PlatformAware]
 	minT, maxT := pa.P99TTFT, pa.P99TTFT
-	for _, st := range byPolicy {
+	for _, policy := range cluster.Policies() {
+		st := byPolicy[policy]
 		if st.P99TTFT < minT {
 			minT = st.P99TTFT
 		}
@@ -201,7 +202,8 @@ func runExtCluster() (*Result, error) {
 		}
 	}
 	ledgerOK := true
-	for _, st := range byPolicy {
+	for _, policy := range cluster.Policies() {
+		st := byPolicy[policy]
 		settled := 0
 		for _, is := range st.Instances {
 			settled += is.Serve.Completed + is.Serve.Abandoned
@@ -296,8 +298,8 @@ func routedCounts(st *cluster.Stats) []int {
 }
 
 func allInstancesUsed(byPolicy map[cluster.Policy]*cluster.Stats) bool {
-	for _, st := range byPolicy {
-		for _, is := range st.Instances {
+	for _, policy := range cluster.Policies() {
+		for _, is := range byPolicy[policy].Instances {
 			if is.Routed == 0 {
 				return false
 			}

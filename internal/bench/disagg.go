@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"github.com/skipsim/skip/internal/cluster"
-	"github.com/skipsim/skip/internal/disagg"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/spec"
 )
@@ -82,7 +81,7 @@ func runExtDisagg() (*Result, error) {
 			"goodput (req/s)", "transfers", "wire mean (ms)"},
 	}
 	monoStats := map[string]*cluster.Stats{}
-	disaggStats := map[string]*disagg.Stats{} // scenario/config → stats
+	disaggStats := map[string]*cluster.DisaggStats{} // scenario/config → stats
 	for _, scenario := range []string{"chat", "agentic", "summarize"} {
 		monoRep, err := spec.Simulate(disaggStudySpec(scenario, monolithicGroups(), nil))
 		if err != nil {
@@ -129,7 +128,7 @@ func runExtDisagg() (*Result, error) {
 		Title:   "Homogeneous 4-node fleets, chat workload: what the KV handoff costs per platform",
 		Columns: []string{"Fleet", "Config", "P95 TTFT (ms)", "P95 E2E (ms)", "goodput (req/s)", "wire mean (ms)", "stall mean (ms)"},
 	}
-	homo := map[string]*disagg.Stats{}
+	homo := map[string]*cluster.DisaggStats{}
 	for _, platform := range []string{hw.GH200Name, hw.IntelH100Name} {
 		monoRep, err := spec.Simulate(disaggStudySpec("chat",
 			[]spec.FleetGroupSpec{{Platform: platform, Count: 4}}, nil))
@@ -186,7 +185,7 @@ func runExtDisagg() (*Result, error) {
 		return nil, err
 	}
 	var crossover float64 = -1
-	var sweepStats []*disagg.Stats
+	var sweepStats []*cluster.DisaggStats
 	for i, pt := range swRep.Sweep {
 		bw := sweep[i]
 		st := pt.Report.Disagg
@@ -222,6 +221,7 @@ func runExtDisagg() (*Result, error) {
 
 	chatSplit := disaggStats["chat/prefill=Intel+H100"]
 	ledgerOK := true
+	//skiplint:allow maprange — all-true ledger check: only ever clears one flag, so the result is order-independent
 	for _, st := range disaggStats {
 		if st.Offered != st.Rejected+st.Unroutable+st.Routed ||
 			st.HandedOff != st.TransferDrops+st.Resumed {

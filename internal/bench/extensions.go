@@ -141,9 +141,10 @@ func runExtDecode() (*Result, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 
-	for name, r := range rows {
+	for _, p := range hw.EvaluationPlatforms() {
+		r := rows[p.Name]
 		res.Checks = append(res.Checks, checkBool(
-			name+" decode more launch-bound than prefill", r.decodeIdle > r.prefillIdle,
+			p.Name+" decode more launch-bound than prefill", r.decodeIdle > r.prefillIdle,
 			fmt.Sprintf("%.0f%% vs %.0f%%", r.decodeIdle*100, r.prefillIdle*100), "decode idles more"))
 	}
 	res.Checks = append(res.Checks, checkBool(

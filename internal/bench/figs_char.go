@@ -70,12 +70,13 @@ var (
 	encoderBatches = []int64{1, 2, 4, 8, 16, 32, 64}
 	decoderBatches = []int64{1, 2, 4, 8, 16}
 	platformOrder  = []string{hw.AMDA100Name, hw.IntelH100Name, hw.GH200Name}
+	encoderModels  = []string{"bert-base-uncased", "xlm-roberta-base"}
 )
 
 func runFig6() (*Result, error) {
 	res := &Result{ID: "fig6", Title: "Fig. 6"}
 	transitions := make(map[string]map[string]int64) // model → platform → batch
-	for _, name := range []string{"bert-base-uncased", "xlm-roberta-base"} {
+	for _, name := range encoderModels {
 		model, err := models.ByName(name)
 		if err != nil {
 			return nil, err
@@ -106,7 +107,7 @@ func runFig6() (*Result, error) {
 		res.Tables = append(res.Tables, tbl)
 	}
 
-	for _, name := range []string{"bert-base-uncased", "xlm-roberta-base"} {
+	for _, name := range encoderModels {
 		tr := transitions[name]
 		res.Checks = append(res.Checks,
 			checkBand(name+" Intel transition", float64(tr[hw.IntelH100Name]), 4, 16, "≈8"),
@@ -122,7 +123,7 @@ func runFig6() (*Result, error) {
 
 func runFig10() (*Result, error) {
 	return runCharFig("fig10", "Fig. 10",
-		[]string{"bert-base-uncased", "xlm-roberta-base"}, encoderBatches, checkFig10)
+		encoderModels, encoderBatches, checkFig10)
 }
 
 func runFig11() (*Result, error) {
@@ -173,7 +174,8 @@ func runCharFig(id, title string, modelNames []string, batches []int64,
 
 func checkFig10(all map[string]map[string][]charPoint) []Check {
 	var checks []Check
-	for name, points := range all {
+	for _, name := range encoderModels {
+		points := all[name]
 		intel, amd, gh := points[hw.IntelH100Name], points[hw.AMDA100Name], points[hw.GH200Name]
 		last := len(encoderBatches) - 1
 		bs1Intel := float64(gh[0].res.TTFT) / float64(intel[0].res.TTFT)

@@ -29,9 +29,9 @@ const (
 	// tokens meeting the TTFT SLO, pooled across instances: grow below
 	// Target, shrink at or above the midpoint between Target and 1.
 	SignalSLOAttainment
-	// SignalTransferQueue tracks mean queued KV transfers per
-	// interconnect link (disaggregated fleets only): grow above Target,
-	// shrink below Target/2.
+	// SignalTransferQueue tracks KV transfers on the wire or queued for
+	// it per active decode-capable instance (disaggregated fleets
+	// only): grow above Target, shrink below Target/2.
 	SignalTransferQueue
 )
 
@@ -70,12 +70,14 @@ type AutoscaleConfig struct {
 	Signal ScaleSignal
 	// Target is the signal's setpoint: outstanding requests per
 	// instance (queue-depth), attainment fraction in (0,1]
-	// (slo-attainment), or queued transfers per link (transfer-queue).
+	// (slo-attainment), or pending transfers per decode-capable
+	// instance (transfer-queue).
 	Target float64
-	// Min / Max bound the active-instance count. Shrinks only ever
-	// drain instances the controller itself added, so the configured
-	// base fleet is a floor regardless of Min; Max caps active plus
-	// pending joins.
+	// Min / Max bound the active count of the scaled members (the
+	// whole fleet, or one role of a disaggregated fleet). Shrinks only
+	// ever drain instances the controller itself added, so the
+	// configured base fleet is a floor regardless of Min; Max caps
+	// active plus pending joins.
 	Min, Max int
 	// Interval is the controller period (default 1s).
 	Interval sim.Time
@@ -142,19 +144,12 @@ func (a *AutoscaleConfig) sloWindow() int {
 	return 50
 }
 
-// Resolve returns the controller knobs with defaults applied — the
-// values the tick loop actually runs on. Shared with the disaggregated
-// fleet's controller so both apply identical defaults.
-func (a *AutoscaleConfig) Resolve() (interval, cooldown, spinUp sim.Time, window int) {
-	return a.interval(), a.cooldown(), a.spinUp(), a.sloWindow()
-}
-
 // setupAutoscale validates the template eagerly (a broken template must
 // fail the run at setup, not mid-simulation at first spin-up) and arms
 // the first controller tick.
 func (f *fleetSim) setupAutoscale() error {
 	a := f.cfg.Autoscale
-	if a.Signal == SignalTransferQueue {
+	if a.Signal == SignalTransferQueue && f.dis == nil {
 		return fmt.Errorf("cluster: the transfer-queue signal applies to disaggregated fleets only")
 	}
 	if _, err := serve.NewInstance("autoscale-template", a.Template, sim.NewCalendar()); err != nil {
@@ -166,33 +161,35 @@ func (f *fleetSim) setupAutoscale() error {
 
 // scaleTick is one controller period: evaluate the signal (unless
 // cooling down), act, and re-arm while the simulation still has work —
-// the tick chain ends with the workload, so the calendar drains.
+// pending KV transfers included, so the tick chain ends with the
+// workload, the calendar drains, and no cache is left on the wire.
 func (f *fleetSim) scaleTick(now sim.Time) {
-	if f.routeErr != nil {
+	if f.err != nil {
 		return
 	}
 	a := f.cfg.Autoscale
 	if !f.scaled || now-f.lastScale >= a.cooldown() {
 		f.scaleDecide(now)
 	}
-	if now < f.lastArrival || f.outstanding() > 0 || f.pendingJoins > 0 {
+	if now < f.lastArrival || f.outstanding(RoleBoth) > 0 || f.pendingJoins > 0 || f.dis.inFlight() > 0 {
 		f.cal.Schedule(now+a.interval(), f.scaleTick)
 	}
 }
 
 // scaleDecide evaluates the signal against its setpoint with hysteresis
 // (the grow and shrink thresholds are separated so the controller does
-// not oscillate around Target) and triggers at most one action.
+// not oscillate around Target) and triggers at most one action on the
+// scaled members.
 func (f *fleetSim) scaleDecide(now sim.Time) {
 	a := f.cfg.Autoscale
 	var grow, shrink bool
 	switch a.Signal {
 	case SignalSLOAttainment:
 		met, total := 0, 0
-		for _, in := range f.members {
-			if in.State() != serve.StateStopped {
-				m, t := in.SLOWindow(a.sloWindow())
-				met, total = met+m, total+t
+		for _, m := range f.members {
+			if m.in.State() != serve.StateStopped {
+				mm, t := m.in.SLOWindow(a.sloWindow())
+				met, total = met+mm, total+t
 			}
 		}
 		if total == 0 {
@@ -201,13 +198,26 @@ func (f *fleetSim) scaleDecide(now sim.Time) {
 		att := float64(met) / float64(total)
 		grow = att < a.Target
 		shrink = att >= (1+a.Target)/2
-	default: // SignalQueueDepth
-		act := f.activeCount()
+	case SignalTransferQueue:
+		// Transfer pressure starves decode capacity: the signal is
+		// caches on the wire (or queued for it) per active
+		// decode-capable instance, whichever members the controller
+		// scales.
+		act := f.active(RoleDecode)
 		if act == 0 {
 			grow = true
 			break
 		}
-		depth := float64(f.outstanding()) / float64(act)
+		depth := float64(f.dis.inFlight()) / float64(act)
+		grow = depth > a.Target
+		shrink = depth < a.Target/2
+	default: // SignalQueueDepth over the scaled members
+		act := f.active(f.scaleRole)
+		if act == 0 {
+			grow = true
+			break
+		}
+		depth := float64(f.outstanding(f.scaleRole)) / float64(act)
 		grow = depth > a.Target
 		shrink = depth < a.Target/2
 	}
@@ -222,7 +232,7 @@ func (f *fleetSim) scaleDecide(now sim.Time) {
 // grow schedules one instance join after the spin-up delay.
 func (f *fleetSim) grow(now sim.Time) {
 	a := f.cfg.Autoscale
-	if f.activeCount()+f.pendingJoins >= a.Max {
+	if f.active(f.scaleRole)+f.pendingJoins >= a.Max {
 		return
 	}
 	f.pendingJoins++
@@ -233,10 +243,10 @@ func (f *fleetSim) grow(now sim.Time) {
 // join lands a spun-up instance in the running fleet.
 func (f *fleetSim) join(now sim.Time) {
 	f.pendingJoins--
-	if f.routeErr != nil {
+	if f.err != nil {
 		return
 	}
-	in, err := f.addInstance(f.cfg.Autoscale.Template, true)
+	in, err := f.addInstance(f.cfg.Autoscale.Template, f.scaleRole, true)
 	if err != nil {
 		f.fail(fmt.Errorf("cluster: autoscale join: %w", err))
 		return
@@ -246,20 +256,20 @@ func (f *fleetSim) join(now sim.Time) {
 	f.sampleFleet(now)
 }
 
-// shrink drains the highest-index active instance the controller added.
-// The base fleet is never drained, and the last active instance never
-// leaves.
+// shrink drains the highest-index accepting instance the controller
+// added. The base fleet is never drained, and the last active scaled
+// member never leaves.
 func (f *fleetSim) shrink(now sim.Time) {
 	a := f.cfg.Autoscale
-	act := f.activeCount()
+	act := f.active(f.scaleRole)
 	if act <= 1 || act <= a.Min {
 		return
 	}
 	for i := len(f.members) - 1; i >= 0; i-- {
-		if f.managed[i] && f.members[i].Accepting() {
+		if m := f.members[i]; m.managed && m.in.Accepting() {
 			f.lastScale, f.scaled = now, true
 			f.chaos.Drains++
-			f.members[i].Drain(now) // emits drain-start via the stamped observer
+			m.in.Drain(now) // emits drain-start via the stamped observer
 			f.sampleFleet(now)
 			return
 		}

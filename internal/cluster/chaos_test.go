@@ -10,8 +10,8 @@ import (
 )
 
 // TestStaticFleetHasNilChaos: without an autoscale or faults section the
-// churn ledger must never allocate — the Report then omits it and static
-// output stays bit-identical to the pre-lifecycle path.
+// churn ledger must never allocate — nil means a static fleet, and the
+// report omits the section.
 func TestStaticFleetHasNilChaos(t *testing.T) {
 	st, err := Simulate(Config{Instances: mixedFleet(), Policy: RoundRobin}, testLoad(t, 20, 200, 7))
 	if err != nil {
@@ -275,5 +275,75 @@ func TestFaultTargetNoOps(t *testing.T) {
 	if st.Completed+st.Abandoned+c.Dropped != st.Routed {
 		t.Errorf("ledger: completed %d + abandoned %d + dropped %d != routed %d",
 			st.Completed, st.Abandoned, c.Dropped, st.Routed)
+	}
+}
+
+// survivalFleet builds an idle fleet with a churn ledger, one member
+// per role, without scheduling any arrivals. Any role other than
+// RoleBoth makes it a disaggregated fleet with its own decode pool.
+func survivalFleet(t *testing.T, roles ...Role) *fleetSim {
+	t.Helper()
+	f, err := newFleet(Config{}, []serve.Request{{ID: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.prefill = f.newPool(LeastQueue)
+	f.decode = f.prefill
+	for _, r := range roles {
+		if r != RoleBoth && f.dis == nil {
+			f.dis = &handoffs{links: map[[2]int]sim.Time{}, slow: map[[2]int]float64{}}
+			f.decode = f.newPool(LeastQueue)
+		}
+	}
+	for _, r := range roles {
+		if _, err := f.addInstance(testServeConfig(hw.GH200()), r, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.chaos = &ChaosStats{}
+	return f
+}
+
+// TestRandomCrashSurvivability pins the random-crash rule: a crash
+// fires only when every pool keeps an accepting member other than the
+// victim. A draining victim beside one accepting survivor crashes; a
+// lone accepting victim is skipped; and in a disaggregated fleet a
+// crash that would empty the decode pool is skipped even though the
+// prefill pool could spare the instance count.
+func TestRandomCrashSurvivability(t *testing.T) {
+	drainBusy := func(t *testing.T, f *fleetSim, idx int) {
+		t.Helper()
+		in := f.members[idx].in
+		if err := in.Accept(0, serve.Request{ID: 1, PromptLen: 32, OutputLen: 4}); err != nil {
+			t.Fatal(err)
+		}
+		in.Drain(0)
+		if in.State() != serve.StateDraining {
+			t.Fatalf("member %d is %v, want draining", idx, in.State())
+		}
+	}
+
+	f := survivalFleet(t, RoleBoth, RoleBoth)
+	drainBusy(t, f, 0)
+	f.randomCrash(0, 0) // victim: the draining member 0
+	if f.chaos.Crashes != 1 || f.chaos.Killed != 1 || f.chaos.Requeued != 1 {
+		t.Errorf("draining victim beside one accepting survivor: %+v, want 1 crash, 1 killed, 1 requeued", f.chaos)
+	}
+
+	f = survivalFleet(t, RoleBoth, RoleBoth)
+	drainBusy(t, f, 0)
+	f.randomCrash(0, 1) // victim: member 1, the only accepting one
+	if f.chaos.Crashes != 0 {
+		t.Errorf("lone accepting victim crashed: %+v", f.chaos)
+	}
+
+	f = survivalFleet(t, RolePrefill, RolePrefill, RoleDecode)
+	f.randomCrash(0, 2) // victim: the only decode member
+	if f.chaos.Crashes != 0 {
+		t.Errorf("crash emptied the decode pool: %+v", f.chaos)
+	}
+	f.randomCrash(0, 0) // victim: one of two prefill members
+	if f.chaos.Crashes != 1 {
+		t.Errorf("prefill victim with a prefill survivor was skipped: %+v", f.chaos)
 	}
 }

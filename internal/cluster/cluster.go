@@ -1,18 +1,30 @@
-// Package cluster simulates a multi-instance inference fleet under one
-// shared clock: N continuous-batching instances (serve.Instance, each a
-// full iteration-level scheduler with its own KV-capacity model) behind
-// a front-end that applies token-bucket admission control and a
-// pluggable routing policy. Because every instance runs on the same
-// sim.Calendar, events interleave in global timestamp order and a fixed
-// request stream reproduces byte-identical statistics.
+// Package cluster simulates an inference fleet under one shared clock:
+// continuous-batching instances (serve.Instance, each a full
+// iteration-level scheduler with its own KV-capacity model) behind a
+// front door that applies token-bucket admission control and pluggable
+// routing. Because every instance runs on the same sim.Calendar, events
+// interleave in global timestamp order and a fixed request stream
+// reproduces byte-identical statistics.
 //
-// This answers the fleet-scale question the single-instance simulator
-// cannot: the paper shows coupled (GH200) and loosely-coupled
-// (Intel+H100) platforms win in different regimes — BS=1 TTFT versus
-// large-batch decode — so how should a router split live traffic across
-// a mixed fleet? The routing policies range from oblivious
-// (round-robin) through load- and KV-aware to the platform-aware split
-// that encodes the paper's regime boundary directly.
+// Every fleet is a set of role pools on one loop. A pool is the slice
+// of instances one router places over. A monolithic fleet (Simulate)
+// is a single pool of RoleBoth instances: every request runs end to
+// end where the router puts it. A disaggregated fleet (SimulateDisagg)
+// adds a decode pool: fresh arrivals land on the prefill-capable pool,
+// prefill-only instances hand their KV cache to a decode-capable
+// instance over an interconnect-priced transfer link (TransferModel),
+// and the request resumes there. Autoscaling, fault injection, crash
+// requeue, decision records and the ledgers are written once and run
+// per pool.
+//
+// This answers the fleet-scale questions a single instance cannot. The
+// paper shows coupled (GH200) and loosely-coupled (Intel+H100)
+// platforms win in different regimes — BS=1 TTFT versus large-batch
+// decode — so how should a router split live traffic across a mixed
+// fleet, and when does moving prefill and decode onto different
+// hardware pay for the KV handoff? A GH200's NVLink-C2C hands a cache
+// off at 450 GB/s through unified memory, while a discrete PCIe node
+// store-and-forwards it through host DRAM.
 package cluster
 
 import (
@@ -23,7 +35,7 @@ import (
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// Config parameterizes a cluster simulation.
+// Config parameterizes a monolithic fleet simulation.
 type Config struct {
 	// Instances holds one serving config per instance. Every config
 	// must use a continuous policy (ContinuousBatch or ChunkedPrefill);
@@ -53,7 +65,7 @@ type Config struct {
 	Observer serve.Observer
 	// Autoscale, when set, grows and shrinks the fleet against a load
 	// signal while the simulation runs (see AutoscaleConfig). Nil keeps
-	// the fleet static — the pre-refactor behavior, bit for bit.
+	// the fleet static and the report's Chaos section absent.
 	Autoscale *AutoscaleConfig
 	// Faults, when set, injects instance crashes and slow-node
 	// multipliers on schedule or at seeded-random instants (see
@@ -62,7 +74,7 @@ type Config struct {
 	// CounterfactualK, when positive, records every routing decision
 	// with up to K scored alternatives and counterfactual policy
 	// replays in Stats.Routing. Zero keeps recording off and the
-	// Routing section absent — the pre-feature report, bit for bit.
+	// Routing section absent.
 	CounterfactualK int
 }
 
@@ -75,6 +87,13 @@ func (c *Config) validate() error {
 			return fmt.Errorf("cluster: instance %d needs a platform", i)
 		}
 	}
+	return c.validateChurn(false)
+}
+
+// validateChurn checks the admission, autoscale and fault knobs every
+// fleet shares; links reports whether the fleet has KV-transfer links
+// for link faults to degrade.
+func (c *Config) validateChurn(links bool) error {
 	if c.AdmitRatePerSec < 0 {
 		return fmt.Errorf("cluster: admission rate must be non-negative, got %g", c.AdmitRatePerSec)
 	}
@@ -84,35 +103,77 @@ func (c *Config) validate() error {
 		}
 	}
 	if c.Faults != nil {
-		if err := c.Faults.Validate(false); err != nil {
+		if err := c.Faults.Validate(links); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// member is one instance with its role; managed marks instances the
+// autoscaler spun up — the only ones a shrink may drain, so the
+// configured base fleet is never scaled away.
+type member struct {
+	in      *serve.Instance
+	role    Role
+	managed bool
+}
+
+// pool is one routing domain: the instances a router places over, in
+// join order, with their member indices.
+type pool struct {
+	ins []*serve.Instance
+	idx []int // pool position → member index
+	rt  *Router
+	// rec records the pool's routing decisions for counterfactual
+	// scoring; nil when CounterfactualK is zero.
+	rec *DecisionRecorder
+}
+
+// place picks an instance for req and records the decision, returning
+// the member index or -1 when no pool instance can ever fit it.
+func (p *pool) place(now sim.Time, req serve.Request, requeue bool) int {
+	i := p.rt.Pick(req, p.ins)
+	if i < 0 {
+		return -1
+	}
+	if p.rec != nil {
+		p.rec.Record(now, req, p.ins, i, requeue, 0)
+	}
+	return p.idx[i]
+}
+
+// accepting reports whether a pool member other than victim still
+// accepts fresh work.
+func (p *pool) accepting(victim int) bool {
+	for i, in := range p.ins {
+		if p.idx[i] != victim && in.Accepting() {
+			return true
+		}
+	}
+	return false
+}
+
 // fleetSim is one in-flight fleet simulation: the shared calendar, the
-// mutable membership view, the routing and admission state, and the
-// churn ledger. Membership is index-stable — the members slice only
-// grows (autoscale joins append) and departed instances stay in place
-// as Stopped, filtered by the router's Accepting checks — so session
-// pins, the round-robin cursor, and per-instance statistics never
-// reindex under churn.
+// mutable membership view with its pools, the admission state and the
+// churn ledger. Membership is index-stable — members and pools only
+// grow (autoscale joins append) and departed instances stay in place as
+// Stopped, filtered by the routers' Accepting checks — so session pins,
+// the round-robin cursor, and per-instance statistics never reindex
+// under churn.
 type fleetSim struct {
 	cfg Config
 	cal *sim.Calendar
 
-	members []*serve.Instance
-	// managed marks instances the autoscaler spun up — the only ones a
-	// shrink may drain, so the configured base fleet is never scaled
-	// away.
-	managed []bool
-
-	rt    *router
-	admit *TokenBucket
-	// rec records routing decisions for counterfactual scoring; nil
-	// when Config.CounterfactualK is zero.
-	rec *DecisionRecorder
+	members []member
+	// prefill places fresh arrivals and requeues that never produced a
+	// first token; decode places handoffs and mid-stream requeues. A
+	// monolithic fleet's two are the same pool.
+	prefill, decode *pool
+	admit           *TokenBucket
+	// scaleRole names the members the autoscaler counts, adds and
+	// drains; RoleBoth counts the whole fleet.
+	scaleRole Role
 
 	reqs        []serve.Request
 	lastArrival sim.Time
@@ -122,79 +183,134 @@ type fleetSim struct {
 	// crash increment each instance's own routed count (keeping the
 	// per-instance settled==placed invariant) but not this one, so the
 	// front-door conservation law survives churn.
-	placed   int
-	routeErr error
+	placed int
+	err    error
 
 	// chaos is nil for a static fleet (no autoscale, no faults): the
-	// ledger then never allocates and the Report omits it, keeping
-	// static output bit-identical to the pre-refactor path.
+	// ledger then never allocates and the report omits it.
 	chaos        *ChaosStats
 	pendingJoins int
 	lastScale    sim.Time
 	scaled       bool
+
+	// dis is the KV-handoff state of a disaggregated fleet; nil for a
+	// monolithic one.
+	dis *handoffs
+}
+
+// newFleet sorts the request stream by arrival and sets up the shared
+// calendar and admission control; the caller adds pools and members.
+func newFleet(cfg Config, requests []serve.Request) (*fleetSim, error) {
+	if len(requests) == 0 {
+		return nil, fmt.Errorf("cluster: no requests")
+	}
+	reqs := make([]serve.Request, len(requests))
+	copy(reqs, requests)
+	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	f := &fleetSim{
+		cfg:         cfg,
+		cal:         sim.NewCalendar(),
+		reqs:        reqs,
+		lastArrival: reqs[len(reqs)-1].Arrival,
+	}
+	if cfg.AdmitRatePerSec > 0 {
+		f.admit = NewTokenBucket(cfg.AdmitRatePerSec, cfg.AdmitBurst)
+	}
+	return f, nil
+}
+
+// newPool builds an empty pool routed by policy.
+func (f *fleetSim) newPool(policy Policy) *pool {
+	p := &pool{rt: NewRouter(policy, f.cfg.ShortPrompt)}
+	if f.cfg.CounterfactualK > 0 {
+		p.rec = NewDecisionRecorder(policy, f.cfg.ShortPrompt, f.cfg.CounterfactualK)
+	}
+	return p
 }
 
 func (f *fleetSim) fail(err error) {
-	if f.routeErr == nil {
-		f.routeErr = err
+	if f.err == nil {
+		f.err = err
 	}
 }
 
-// emitFleet reports a fleet-level event (join, fault, requeue) to the
-// config observer.
+// emitFleet reports a fleet-level event (join, fault) to the config
+// observer.
 func (f *fleetSim) emitFleet(e serve.Event) {
 	if f.cfg.Observer != nil {
 		f.cfg.Observer(e)
 	}
 }
 
-func (f *fleetSim) frontDoor(now sim.Time, t serve.EventType, req serve.Request, instance string) {
+// emit reports a front-door or transfer event for one request.
+func (f *fleetSim) emit(now sim.Time, t serve.EventType, req serve.Request, instance, link string) {
 	if f.cfg.Observer == nil {
 		return
 	}
 	f.cfg.Observer(serve.Event{
 		Time: now, Type: t,
-		RequestID: req.ID, SessionID: req.SessionID, Instance: instance,
+		RequestID: req.ID, SessionID: req.SessionID,
+		Instance: instance, Link: link,
 	})
 }
 
-// addInstance constructs an instance on the shared calendar and appends
-// it to the membership view.
-func (f *fleetSim) addInstance(icfg serve.Config, managed bool) (*serve.Instance, error) {
+// addInstance constructs an instance on the shared calendar and slots
+// it into the membership view and the pools its role serves. Instance
+// names carry the role only in a disaggregated fleet.
+func (f *fleetSim) addInstance(icfg serve.Config, role Role, managed bool) (*serve.Instance, error) {
 	if icfg.TTFTSLO == 0 {
 		icfg.TTFTSLO = f.cfg.TTFTSLO
 	}
-	name := fmt.Sprintf("%s#%d", icfg.Platform.Name, len(f.members))
-	if f.cfg.Observer != nil {
-		icfg.Observer = StampInstance(name, f.cfg.Observer, icfg.Observer)
+	idx := len(f.members)
+	name := icfg.Platform.Name
+	if f.dis != nil {
+		name += "/" + role.String()
+	}
+	name = fmt.Sprintf("%s#%d", name, idx)
+	if obs := f.cfg.Observer; obs != nil {
+		own := icfg.Observer
+		icfg.Observer = func(e serve.Event) {
+			if own != nil {
+				own(e)
+			}
+			e.Instance = name
+			obs(e)
+		}
 	}
 	in, err := serve.NewInstance(name, icfg, f.cal)
 	if err != nil {
 		return nil, err
 	}
-	f.members = append(f.members, in)
-	f.managed = append(f.managed, managed)
+	f.members = append(f.members, member{in: in, role: role, managed: managed})
+	if role != RoleDecode {
+		f.prefill.ins = append(f.prefill.ins, in)
+		f.prefill.idx = append(f.prefill.idx, idx)
+	}
+	if role != RolePrefill && f.decode != f.prefill {
+		f.decode.ins = append(f.decode.ins, in)
+		f.decode.idx = append(f.decode.idx, idx)
+	}
 	return in, nil
 }
 
-// activeCount counts members still accepting fresh work.
-func (f *fleetSim) activeCount() int {
+// active counts the accepting members role covers (see inRole).
+func (f *fleetSim) active(role Role) int {
 	n := 0
-	for _, in := range f.members {
-		if in.Accepting() {
+	for _, m := range f.members {
+		if inRole(m.role, role) && m.in.Accepting() {
 			n++
 		}
 	}
 	return n
 }
 
-// outstanding sums queued plus running requests across the fleet,
-// draining members included.
-func (f *fleetSim) outstanding() int {
+// outstanding sums queued plus running requests over the non-stopped
+// members role covers, draining ones included.
+func (f *fleetSim) outstanding(role Role) int {
 	n := 0
-	for _, in := range f.members {
-		if in.State() != serve.StateStopped {
-			n += in.Outstanding()
+	for _, m := range f.members {
+		if inRole(m.role, role) && m.in.State() != serve.StateStopped {
+			n += m.in.Outstanding()
 		}
 	}
 	return n
@@ -203,43 +319,77 @@ func (f *fleetSim) outstanding() int {
 // sampleFleet records the active-member count in the churn ledger's
 // fleet-size series (called at every membership transition).
 func (f *fleetSim) sampleFleet(now sim.Time) {
-	act := f.activeCount()
+	act := f.active(RoleBoth)
 	if act > f.chaos.PeakActive {
 		f.chaos.PeakActive = act
 	}
 	f.chaos.FleetSize = append(f.chaos.FleetSize, serve.SamplePoint{T: now, V: float64(act)})
 }
 
-// route places one front-door arrival.
+// route places one front-door arrival on the prefill-capable pool.
 func (f *fleetSim) route(now sim.Time, req serve.Request) {
-	if f.routeErr != nil {
+	if f.err != nil {
 		return
 	}
 	if f.admit != nil && !f.admit.Allow(now) {
 		f.rejected++
-		f.frontDoor(now, serve.EventRejected, req, "")
+		f.emit(now, serve.EventRejected, req, "", "")
 		return
 	}
-	idx := f.rt.pick(req, f.members)
+	idx := f.prefill.place(now, req, false)
 	if idx < 0 {
 		f.unroutable++
-		f.frontDoor(now, serve.EventUnroutable, req, "")
+		f.emit(now, serve.EventUnroutable, req, "", "")
 		return
 	}
-	if f.rec != nil {
-		f.rec.Record(now, req, f.members, idx, false, 0)
-	}
+	m := f.members[idx]
 	f.placed++
-	f.frontDoor(now, serve.EventRouted, req, f.members[idx].Name())
-	if err := f.members[idx].Accept(now, req); err != nil {
-		// pick only offers accepting, fitting instances, so Accept
+	f.emit(now, serve.EventRouted, req, m.in.Name(), "")
+	var err error
+	if m.role == RolePrefill {
+		err = m.in.AcceptPrefill(now, req, f.handoffFrom(idx))
+	} else {
+		err = m.in.Accept(now, req)
+	}
+	if err != nil {
+		// place only offers accepting, fitting instances, so Accept
 		// cannot refuse; treat a refusal as the bug it would be.
-		f.fail(fmt.Errorf("cluster: %s refused routed request %d: %w",
-			f.members[idx].Name(), req.ID, err))
+		f.fail(fmt.Errorf("cluster: %s refused routed request %d: %w", m.in.Name(), req.ID, err))
 	}
 }
 
-// Simulate runs the fleet over the request stream and returns
+// run executes the simulation: autoscale tick, then the fault plan,
+// then the arrivals, all on the shared calendar.
+func (f *fleetSim) run() error {
+	if f.cfg.Autoscale != nil || f.cfg.Faults != nil {
+		f.chaos = &ChaosStats{}
+		f.sampleFleet(0)
+	}
+	if f.cfg.Autoscale != nil {
+		if err := f.setupAutoscale(); err != nil {
+			return err
+		}
+	}
+	if f.cfg.Faults != nil {
+		f.setupFaults()
+	}
+	for i := range f.reqs {
+		req := f.reqs[i]
+		f.cal.Schedule(req.Arrival, func(now sim.Time) { f.route(now, req) })
+	}
+	f.cal.Run()
+	if f.err != nil {
+		return f.err
+	}
+	for _, m := range f.members {
+		if err := m.in.Err(); err != nil {
+			return fmt.Errorf("cluster: instance %s: %w", m.in.Name(), err)
+		}
+	}
+	return nil
+}
+
+// Simulate runs a monolithic fleet over the request stream and returns
 // fleet-level statistics. Requests are routed at their arrival instant
 // against the instances' live scheduler state; the whole simulation —
 // autoscaling and fault injection included — is deterministic for a
@@ -248,114 +398,45 @@ func Simulate(cfg Config, requests []serve.Request) (*Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(requests) == 0 {
-		return nil, fmt.Errorf("cluster: no requests")
+	f, err := newFleet(cfg, requests)
+	if err != nil {
+		return nil, err
 	}
-	reqs := make([]serve.Request, len(requests))
-	copy(reqs, requests)
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
-
-	f := &fleetSim{
-		cfg:         cfg,
-		cal:         sim.NewCalendar(),
-		rt:          newRouter(cfg.Policy, cfg.ShortPrompt),
-		reqs:        reqs,
-		lastArrival: reqs[len(reqs)-1].Arrival,
-	}
+	f.prefill = f.newPool(cfg.Policy)
+	f.decode = f.prefill
 	for _, icfg := range cfg.Instances {
-		if _, err := f.addInstance(icfg, false); err != nil {
+		if _, err := f.addInstance(icfg, RoleBoth, false); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.AdmitRatePerSec > 0 {
-		f.admit = NewTokenBucket(cfg.AdmitRatePerSec, cfg.AdmitBurst)
+	if err := f.run(); err != nil {
+		return nil, err
 	}
-	if cfg.CounterfactualK > 0 {
-		f.rec = NewDecisionRecorder(cfg.Policy, cfg.ShortPrompt, cfg.CounterfactualK)
+	t, err := f.tally()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Autoscale != nil || cfg.Faults != nil {
-		f.chaos = &ChaosStats{}
-		f.sampleFleet(0)
+	st := &Stats{
+		RouterPolicy: cfg.Policy.String(),
+		Offered:      len(f.reqs),
+		Rejected:     f.rejected,
+		Unroutable:   f.unroutable,
+		Routed:       f.placed,
+		Completed:    t.completed,
+		Abandoned:    t.abandoned,
+		Preemptions:  t.preemptions,
+		Pooled:       t.Pooled,
+		Chaos:        f.finishChaos(),
+		Routing:      f.prefill.rec.Stats(),
+		KVCache:      t.kvCache,
 	}
-	if cfg.Autoscale != nil {
-		if err := f.setupAutoscale(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Faults != nil {
-		f.setupFaults()
-	}
-
-	for i := range reqs {
-		req := reqs[i]
-		f.cal.Schedule(req.Arrival, func(now sim.Time) { f.route(now, req) })
-	}
-	f.cal.Run()
-	if f.routeErr != nil {
-		return nil, f.routeErr
-	}
-	for _, in := range f.members {
-		if err := in.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: instance %s: %w", in.Name(), err)
-		}
-	}
-
-	st := f.assembleStats()
-
-	// Conservation invariant: every offered request is accounted for
-	// exactly once — rejected at the door, unroutable, or routed and
-	// then completed/abandoned by its instance. A violation means the
-	// fleet lost or duplicated a request across routing, queueing,
-	// preemption, or abandonment.
-	if st.Offered != st.Rejected+st.Unroutable+st.Routed {
-		return nil, fmt.Errorf("cluster: request accounting broken: offered %d != rejected %d + unroutable %d + routed %d",
-			st.Offered, st.Rejected, st.Unroutable, st.Routed)
-	}
-	for i := range st.Instances {
-		is := &st.Instances[i]
-		if is.Serve.Requests != is.Routed {
-			return nil, fmt.Errorf("cluster: %s settled %d of %d routed requests",
-				is.Name, is.Serve.Requests, is.Routed)
-		}
-	}
-	if c := st.Chaos; c != nil {
-		// Churn invariants: every crash eviction is requeued or dropped,
-		// and every fresh placement still settles exactly once —
-		// completed, abandoned, or dropped after a crash. Requests
-		// requeued N times settle N+1 times (once per hosting instance),
-		// which the per-instance checks above already balance.
-		if c.Killed != c.Requeued+c.Dropped {
-			return nil, fmt.Errorf("cluster: churn accounting broken: killed %d != requeued %d + dropped %d",
-				c.Killed, c.Requeued, c.Dropped)
-		}
-		if st.Routed != st.Completed+st.Abandoned+c.Dropped {
-			return nil, fmt.Errorf("cluster: churn accounting broken: routed %d != completed %d + abandoned %d + dropped %d",
-				st.Routed, st.Completed, st.Abandoned, c.Dropped)
-		}
-	}
-	// The prefix-cache ledger must reconcile exactly (per instance and
-	// in the fleet aggregate) — see serve.KVCacheStats.
-	for _, is := range st.Instances {
-		if err := is.Serve.KVCache.Reconcile(); err != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", is.Name, err)
-		}
-	}
-	if err := st.KVCache.Reconcile(); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+	for i, m := range f.members {
+		st.Instances = append(st.Instances, InstanceStats{
+			Name:     m.in.Name(),
+			Platform: m.in.Platform().Name,
+			Routed:   m.in.Routed(),
+			Serve:    *t.serve[i],
+		})
 	}
 	return st, nil
-}
-
-// StampInstance adapts a fleet observer for one instance: events the
-// instance emits carry its name, and any observer already set on the
-// instance config keeps firing unstamped. Shared by every fleet
-// assembler (cluster, disagg).
-func StampInstance(name string, fleet, own serve.Observer) serve.Observer {
-	return func(e serve.Event) {
-		if own != nil {
-			own(e)
-		}
-		e.Instance = name
-		fleet(e)
-	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -159,10 +160,10 @@ func TestClusterSessionAffinityPinsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	instances := []*serve.Instance{a, b}
-	rt := newRouter(SessionAffinity, 0)
+	rt := NewRouter(SessionAffinity, 0)
 
 	first := serve.Request{ID: 0, SessionID: 9, PromptLen: 32, OutputLen: 2}
-	if idx := rt.pick(first, instances); idx != 0 {
+	if idx := rt.Pick(first, instances); idx != 0 {
 		t.Fatalf("empty fleet: first turn should land on instance 0, got %d", idx)
 	}
 	// Load instance 0 so least-outstanding would now prefer 1 —
@@ -177,15 +178,15 @@ func TestClusterSessionAffinityPinsSessions(t *testing.T) {
 		t.Fatalf("instance 0 outstanding = %d, want 1", a.Outstanding())
 	}
 	later := serve.Request{ID: 1, SessionID: 9, PromptLen: 40, OutputLen: 2}
-	if idx := rt.pick(later, instances); idx != 0 {
+	if idx := rt.Pick(later, instances); idx != 0 {
 		t.Errorf("session 9's later turn routed to %d, want its pinned instance 0", idx)
 	}
 	fresh := serve.Request{ID: 2, SessionID: 10, PromptLen: 32, OutputLen: 2}
-	if idx := rt.pick(fresh, instances); idx != 1 {
+	if idx := rt.Pick(fresh, instances); idx != 1 {
 		t.Errorf("new session should take the least-loaded instance 1, got %d", idx)
 	}
 	sessionless := serve.Request{ID: 3, PromptLen: 32, OutputLen: 2}
-	if idx := rt.pick(sessionless, instances); idx != 1 {
+	if idx := rt.Pick(sessionless, instances); idx != 1 {
 		t.Errorf("sessionless request should balance to instance 1, got %d", idx)
 	}
 }
@@ -393,5 +394,45 @@ func TestClusterSLOPropagation(t *testing.T) {
 	if loose.SLOAttainment != 1 || loose.Goodput != loose.Throughput {
 		t.Errorf("1h SLO: attainment %.2f goodput %.1f vs throughput %.1f",
 			loose.SLOAttainment, loose.Goodput, loose.Throughput)
+	}
+}
+
+// BenchmarkRouterPick times one placement decision per policy over an
+// 80-instance mixed pool carrying uneven load, cycling through
+// requests of four prompt lengths across sixteen sessions.
+func BenchmarkRouterPick(b *testing.B) {
+	cal := sim.NewCalendar()
+	pool := make([]*serve.Instance, 80)
+	for i := range pool {
+		p := hw.GH200()
+		if i%2 == 1 {
+			p = hw.IntelH100()
+		}
+		in, err := serve.NewInstance(fmt.Sprintf("%s#%d", p.Name, i), testServeConfig(p), cal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < i%5; k++ {
+			if err := in.Accept(0, serve.Request{ID: 8*i + k, PromptLen: 32, OutputLen: 4}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pool[i] = in
+	}
+	reqs := make([]serve.Request, 64)
+	for i := range reqs {
+		reqs[i] = serve.Request{ID: 1000 + i, SessionID: int64(i%16 + 1), PromptLen: int64(16 + 16*(i%4)), OutputLen: 4}
+	}
+	for _, policy := range Policies() {
+		b.Run(policy.String(), func(b *testing.B) {
+			rt := NewRouter(policy, 40)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rt.Pick(reqs[i%len(reqs)], pool) < 0 {
+					b.Fatal("no instance fits")
+				}
+			}
+		})
 	}
 }

@@ -86,9 +86,10 @@ type FaultsConfig struct {
 	Faults []Fault
 	// CrashRatePerSec adds seeded-random crashes: instants drawn as a
 	// Poisson process over the arrival window, victims drawn uniformly
-	// from the surviving members at fire time. Crashes that would leave
-	// fewer than two accepting instances are skipped — chaos tests the
-	// fleet, it does not end the service.
+	// from the surviving members at fire time. A crash that would leave
+	// a pool (prefill-capable or decode-capable) without an accepting
+	// instance is skipped — chaos tests the fleet, it does not end the
+	// service.
 	CrashRatePerSec float64
 	// Seed drives the random-crash plan (rate > 0 only).
 	Seed int64
@@ -156,13 +157,14 @@ func (f *fleetSim) setupFaults() {
 // yet (an index beyond the membership at fire time) or already stopped
 // make the fault a deterministic no-op.
 func (f *fleetSim) injectFault(now sim.Time, ft Fault) {
-	if f.routeErr != nil {
+	if f.err != nil || ft.Target >= len(f.members) {
 		return
 	}
-	if ft.Target >= len(f.members) {
+	if ft.Kind == FaultLinkDegrade {
+		f.degradeLink(now, ft)
 		return
 	}
-	in := f.members[ft.Target]
+	in := f.members[ft.Target].in
 	if in.State() == serve.StateStopped {
 		return
 	}
@@ -184,30 +186,30 @@ func (f *fleetSim) injectFault(now sim.Time, ft Fault) {
 
 // randomCrash fires one seeded-random crash: the victim is drawn from
 // the members still standing via the pre-drawn pick, and the crash is
-// skipped when it would leave fewer than two accepting instances.
+// skipped when it would leave a pool without an accepting instance.
 func (f *fleetSim) randomCrash(now sim.Time, pick uint64) {
-	if f.routeErr != nil {
+	if f.err != nil {
 		return
 	}
 	var cands []int
-	accepting := 0
-	for i, in := range f.members {
-		if in.State() != serve.StateStopped {
+	for i, m := range f.members {
+		if m.in.State() != serve.StateStopped {
 			cands = append(cands, i)
 		}
-		if in.Accepting() {
-			accepting++
-		}
 	}
-	if accepting <= 1 || len(cands) == 0 {
+	if len(cands) == 0 {
 		return
 	}
-	f.crash(now, cands[int(pick%uint64(len(cands)))])
+	v := cands[int(pick%uint64(len(cands)))]
+	if !f.prefill.accepting(v) || !f.decode.accepting(v) {
+		return
+	}
+	f.crash(now, v)
 }
 
 // crash kills one member and re-routes everything it was serving.
 func (f *fleetSim) crash(now sim.Time, idx int) {
-	in := f.members[idx]
+	in := f.members[idx].in
 	f.chaos.Crashes++
 	f.emitFleet(serve.Event{
 		Time: now, Type: serve.EventFaultInjected,
@@ -221,30 +223,42 @@ func (f *fleetSim) crash(now sim.Time, idx int) {
 	}
 }
 
-// requeue re-places one crash-evicted request through the routing
-// policy, or reports it dropped when no accepting instance can ever
-// fit it. The routed request carries its resolved lengths so the fit
-// check is exact regardless of the target's config defaults.
+// requeue re-places one crash-evicted request through the pool matching
+// its progress, or reports it dropped when no accepting instance there
+// can ever fit it. A victim whose first token was never served goes
+// back through the prefill-capable pool — and hands off again if it
+// lands on a prefill-only instance — while a mid-stream victim re-runs
+// on the decode-capable pool, recomputing its prompt locally exactly as
+// a post-resume preemption would. The routed request carries its
+// resolved lengths so the fit check is exact regardless of the
+// target's config defaults.
 func (f *fleetSim) requeue(now sim.Time, ev serve.Evicted) {
-	if f.routeErr != nil {
+	if f.err != nil {
 		return
 	}
 	req := ev.Req
 	req.PromptLen, req.OutputLen = ev.PromptLen, ev.OutputLen
-	idx := f.rt.pick(req, f.members)
+	p := f.prefill
+	if ev.HasFirst {
+		p = f.decode
+	}
+	idx := p.place(now, req, true)
 	if idx < 0 {
 		f.chaos.Dropped++
-		f.frontDoor(now, serve.EventUnroutable, req, "")
+		f.emit(now, serve.EventUnroutable, req, "", "")
 		return
 	}
-	if f.rec != nil {
-		f.rec.Record(now, req, f.members, idx, true, 0)
+	m := f.members[idx]
+	var err error
+	if m.role == RolePrefill {
+		err = m.in.AcceptRequeuedPrefill(now, ev, f.handoffFrom(idx))
+	} else {
+		err = m.in.AcceptRequeued(now, ev)
 	}
-	if err := f.members[idx].AcceptRequeued(now, ev); err != nil {
-		f.fail(fmt.Errorf("cluster: %s refused requeued request %d: %w",
-			f.members[idx].Name(), req.ID, err))
+	if err != nil {
+		f.fail(fmt.Errorf("cluster: %s refused requeued request %d: %w", m.in.Name(), req.ID, err))
 		return
 	}
 	f.chaos.Requeued++
-	f.frontDoor(now, serve.EventRequeued, req, f.members[idx].Name())
+	f.emit(now, serve.EventRequeued, req, m.in.Name(), "")
 }

@@ -16,7 +16,7 @@ type FleetGroup struct {
 	Count    int
 	// Role is the disaggregation role of the group's instances:
 	// "prefill", "decode", "both", or "" (no disaggregation — the plain
-	// cluster simulator, which ignores the field). See internal/disagg.
+	// cluster simulator, which ignores the field). See ParseRole.
 	Role string
 }
 

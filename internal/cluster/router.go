@@ -101,40 +101,15 @@ func Policies() []Policy {
 	return []Policy{RoundRobin, LeastQueue, LeastKV, SessionAffinity, PlatformAware, PrefixAffinity}
 }
 
-// Router is the routing-policy engine behind Simulate's front door,
-// exported so layers composing their own fleets — the disaggregation
-// simulator routes a prefill pool and a decode pool independently —
-// reuse the same placement policies and tie-breaking.
+// Router is the mutable routing state behind a fleet pool: the
+// round-robin cursor and the session→instance pin table. All decisions
+// are deterministic — ties break to the lowest instance index and the
+// session table is only ever read by key, never iterated. The instance
+// slice a pick sees may grow between calls (autoscale joins) and
+// instances in it may have stopped accepting (drains, crashes); every
+// policy filters on Accepting, so membership is effectively mutable
+// without the slice ever reindexing.
 type Router struct {
-	r *router
-}
-
-// NewRouter builds a router for the policy. shortPrompt is the
-// platform-aware regime boundary (≤ 0 takes the 512-token default).
-func NewRouter(policy Policy, shortPrompt int64) *Router {
-	return &Router{r: newRouter(policy, shortPrompt)}
-}
-
-// Pick returns the index of the instance the policy places the request
-// on, or -1 when no instance can ever fit it. Decisions are
-// deterministic and may mutate routing state (round-robin cursor,
-// session pins).
-func (rt *Router) Pick(req serve.Request, instances []*serve.Instance) int {
-	return rt.r.pick(req, instances)
-}
-
-// Repins counts session-affinity pins moved off departed instances.
-func (rt *Router) Repins() int { return rt.r.repins }
-
-// router holds the mutable routing state: the round-robin cursor and
-// the session→instance pin table. All decisions are deterministic —
-// ties break to the lowest instance index and the session table is only
-// ever read by key, never iterated. The instance slice a pick sees may
-// grow between calls (autoscale joins) and instances in it may have
-// stopped accepting (drains, crashes); every policy filters on
-// Accepting, so membership is effectively mutable without the slice
-// ever reindexing.
-type router struct {
 	policy      Policy
 	shortPrompt int64
 	next        int
@@ -144,18 +119,21 @@ type router struct {
 	repins int
 }
 
-func newRouter(policy Policy, shortPrompt int64) *router {
+// NewRouter builds a router for the policy. shortPrompt is the
+// platform-aware regime boundary (≤ 0 takes the 512-token default).
+func NewRouter(policy Policy, shortPrompt int64) *Router {
 	if shortPrompt <= 0 {
 		shortPrompt = 512
 	}
-	return &router{policy: policy, shortPrompt: shortPrompt, sessions: make(map[int64]int)}
+	return &Router{policy: policy, shortPrompt: shortPrompt, sessions: make(map[int64]int)}
 }
 
-// pick returns the instance index for the request, or -1 when no
-// instance can ever fit it (the caller counts it unroutable). Only
-// instances where the request's lifetime KV footprint fits are
-// considered.
-func (r *router) pick(req serve.Request, instances []*serve.Instance) int {
+// Pick returns the index of the instance the policy places the request
+// on, or -1 when no instance can ever fit it (the caller counts it
+// unroutable). Only instances where the request's lifetime KV
+// footprint fits are considered. Picks may mutate routing state (the
+// round-robin cursor, session pins).
+func (r *Router) Pick(req serve.Request, instances []*serve.Instance) int {
 	switch r.policy {
 	case RoundRobin:
 		n := len(instances)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/skipsim/skip/internal/serve"
@@ -17,10 +18,7 @@ type InstanceStats struct {
 	Serve  serve.Stats
 }
 
-// Stats summarizes a fleet simulation. The aggregate latency
-// percentiles are computed over the pooled per-request samples from all
-// instances — not averaged per-instance percentiles — so they are the
-// fleet's true distribution.
+// Stats summarizes a monolithic fleet simulation.
 type Stats struct {
 	// RouterPolicy names the routing policy that produced these stats.
 	RouterPolicy string
@@ -38,7 +36,36 @@ type Stats struct {
 	Abandoned   int
 	Preemptions int
 
-	// TTFT / TPOT / E2E over the pooled completed requests.
+	// Pooled carries the latency percentiles over the pooled completed
+	// requests, the fleet rates, and the spread of routed counts.
+	Pooled
+
+	Instances []InstanceStats
+
+	// Chaos ledgers fleet churn — autoscale actions, injected faults,
+	// and the disposition of every crash-evicted request. Nil (and
+	// omitted from JSON) for a static fleet. When present, the headline
+	// Goodput above is goodput under chaos.
+	Chaos *ChaosStats `json:",omitempty"`
+
+	// Routing carries per-decision records and counterfactual policy
+	// replays. Nil (and omitted from JSON) unless Config.CounterfactualK
+	// was set.
+	Routing *RoutingStats `json:",omitempty"`
+
+	// KVCache sums the per-instance prefix-cache ledgers (hit rate
+	// recomputed over the pooled counts). Nil (and omitted from JSON)
+	// for a cacheless fleet.
+	KVCache *serve.KVCacheStats `json:",omitempty"`
+}
+
+// Pooled is the fleet-wide block both report types share. Latency
+// percentiles are computed over the pooled per-request samples of all
+// instances — not averaged per-instance percentiles — so they are the
+// fleet's true distribution. A TTFT sample comes from wherever a
+// request's first token was served, TPOT and E2E samples from wherever
+// it finished.
+type Pooled struct {
 	MeanTTFT, P50TTFT, P95TTFT, P99TTFT, MaxTTFT sim.Time
 	MeanTPOT, P50TPOT, P95TPOT                   sim.Time
 	MeanE2E, P50E2E, P95E2E, MaxE2E              sim.Time
@@ -54,28 +81,9 @@ type Stats struct {
 	SLOAttainment float64
 
 	// LoadImbalance is the coefficient of variation (stddev/mean) of
-	// per-instance routed counts: 0 for a perfectly even split, growing
-	// as the router concentrates load.
+	// per-instance placed work (routed + resumed): 0 for a perfectly
+	// even split, growing as placement concentrates load.
 	LoadImbalance float64
-
-	Instances []InstanceStats
-
-	// Chaos ledgers fleet churn — autoscale actions, injected faults,
-	// and the disposition of every crash-evicted request. Nil (and
-	// omitted from JSON) for static fleets, so reports without an
-	// autoscale/faults section stay bit-identical to the static path.
-	// When present, the headline Goodput above is goodput under chaos.
-	Chaos *ChaosStats `json:",omitempty"`
-
-	// Routing carries per-decision records and counterfactual policy
-	// replays. Nil (and omitted from JSON) unless Config.CounterfactualK
-	// was set, so default reports stay bit-identical.
-	Routing *RoutingStats `json:",omitempty"`
-
-	// KVCache sums the per-instance prefix-cache ledgers (hit rate
-	// recomputed over the pooled counts). Nil (and omitted from JSON)
-	// for cacheless fleets, so those reports stay bit-identical.
-	KVCache *serve.KVCacheStats `json:",omitempty"`
 }
 
 // ChaosStats is the churn ledger of a dynamic fleet. Counters balance
@@ -108,75 +116,122 @@ type ChaosStats struct {
 	FleetSize   []serve.SamplePoint
 }
 
-// assembleStats pools per-instance results into fleet-level statistics.
-func (f *fleetSim) assembleStats() *Stats {
-	st := &Stats{
-		RouterPolicy: f.cfg.Policy.String(),
-		Offered:      len(f.reqs),
-		Rejected:     f.rejected,
-		Unroutable:   f.unroutable,
-		Routed:       f.placed,
-	}
-	var ttfts, tpots, e2es []sim.Time
-	var tokensOut int64
-	var caches []*serve.KVCacheStats
-	for _, in := range f.members {
-		is := in.Stats()
-		caches = append(caches, is.KVCache)
-		st.Completed += is.Completed
-		st.Abandoned += is.Abandoned
-		st.Preemptions += is.Preemptions
-		if is.Horizon > st.Horizon {
-			st.Horizon = is.Horizon
-		}
-		tokensOut += is.TokensOut
-		t, p, e := in.Latencies()
-		ttfts = append(ttfts, t...)
-		tpots = append(tpots, p...)
-		e2es = append(e2es, e...)
-		st.Instances = append(st.Instances, InstanceStats{
-			Name:     in.Name(),
-			Platform: in.Platform().Name,
-			Routed:   in.Routed(),
-			Serve:    *is,
-		})
-	}
-
-	st.MeanTTFT, st.MaxTTFT = MeanMax(ttfts)
-	pt := serve.Percentiles(ttfts, 50, 95, 99)
-	st.P50TTFT, st.P95TTFT, st.P99TTFT = pt[0], pt[1], pt[2]
-	st.MeanTPOT, _ = MeanMax(tpots)
-	pp := serve.Percentiles(tpots, 50, 95)
-	st.P50TPOT, st.P95TPOT = pp[0], pp[1]
-	st.MeanE2E, st.MaxE2E = MeanMax(e2es)
-	pe := serve.Percentiles(e2es, 50, 95)
-	st.P50E2E, st.P95E2E = pe[0], pe[1]
-
-	if st.Horizon > 0 {
-		sec := st.Horizon.Seconds()
-		st.Throughput = float64(st.Completed) / sec
-		st.TokensPerSec = float64(tokensOut) / sec
-	}
-	st.SLOAttainment, st.Goodput = serve.SLOGoodput(ttfts, f.cfg.TTFTSLO, st.Horizon, st.Throughput)
-	counts := make([]int, len(st.Instances))
-	for i, is := range st.Instances {
-		counts[i] = is.Routed
-	}
-	st.LoadImbalance = ImbalanceCV(counts)
-	if f.chaos != nil {
-		f.chaos.Repins = f.rt.repins
-		f.chaos.FinalActive = f.activeCount()
-		st.Chaos = f.chaos
-	}
-	st.Routing = f.rec.Stats()
-	st.KVCache = serve.MergeKVCacheStats(caches)
-	return st
+// totals is what every fleet report pools from its members.
+type totals struct {
+	Pooled
+	completed, abandoned, preemptions, handedOff, resumed int
+	// serve holds each member's statistics, in member order.
+	serve   []*serve.Stats
+	kvCache *serve.KVCacheStats
 }
 
-// MeanMax returns the mean and maximum of a latency sample set (0, 0
-// when empty). Shared by every fleet-statistics assembler (cluster,
-// disagg).
-func MeanMax(ts []sim.Time) (mean, max sim.Time) {
+// tally pools the members' statistics and reconciles the fleet's
+// ledgers: a violation means the fleet lost or duplicated a request
+// across routing, handoff, transfer, queueing, preemption, abandonment
+// or a crash.
+func (f *fleetSim) tally() (*totals, error) {
+	t := &totals{serve: make([]*serve.Stats, len(f.members))}
+	var ttfts, tpots, e2es []sim.Time
+	var tokensOut int64
+	caches := make([]*serve.KVCacheStats, len(f.members))
+	placed := make([]int, len(f.members))
+	for i, m := range f.members {
+		is := m.in.Stats()
+		t.serve[i], caches[i] = is, is.KVCache
+		t.completed += is.Completed
+		t.abandoned += is.Abandoned
+		t.preemptions += is.Preemptions
+		t.handedOff += is.HandedOff
+		t.resumed += is.Resumed
+		if is.Horizon > t.Horizon {
+			t.Horizon = is.Horizon
+		}
+		tokensOut += is.TokensOut
+		tt, tp, e := m.in.Latencies()
+		ttfts = append(ttfts, tt...)
+		tpots = append(tpots, tp...)
+		e2es = append(e2es, e...)
+		// Everything an instance was given (routed arrivals and
+		// requeues, resumed handoffs) must settle there: completed,
+		// abandoned, handed off, or killed in a crash.
+		placed[i] = m.in.Routed() + is.Resumed
+		if is.Requests != placed[i] {
+			return nil, fmt.Errorf("cluster: %s settled %d of %d placed requests (routed %d + resumed %d)",
+				m.in.Name(), is.Requests, placed[i], m.in.Routed(), is.Resumed)
+		}
+		if err := is.KVCache.Reconcile(); err != nil {
+			return nil, fmt.Errorf("cluster: %s: %w", m.in.Name(), err)
+		}
+	}
+
+	p := &t.Pooled
+	p.MeanTTFT, p.MaxTTFT = meanMax(ttfts)
+	pt := serve.Percentiles(ttfts, 50, 95, 99)
+	p.P50TTFT, p.P95TTFT, p.P99TTFT = pt[0], pt[1], pt[2]
+	p.MeanTPOT, _ = meanMax(tpots)
+	pp := serve.Percentiles(tpots, 50, 95)
+	p.P50TPOT, p.P95TPOT = pp[0], pp[1]
+	p.MeanE2E, p.MaxE2E = meanMax(e2es)
+	pe := serve.Percentiles(e2es, 50, 95)
+	p.P50E2E, p.P95E2E = pe[0], pe[1]
+	if p.Horizon > 0 {
+		sec := p.Horizon.Seconds()
+		p.Throughput = float64(t.completed) / sec
+		p.TokensPerSec = float64(tokensOut) / sec
+	}
+	p.SLOAttainment, p.Goodput = serve.SLOGoodput(ttfts, f.cfg.TTFTSLO, p.Horizon, p.Throughput)
+	p.LoadImbalance = imbalanceCV(placed)
+	t.kvCache = serve.MergeKVCacheStats(caches)
+	if err := t.kvCache.Reconcile(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+
+	// Every offered request is rejected at the door, unroutable, or
+	// routed; every handoff resumes or is dropped; every crash eviction
+	// is requeued or dropped; and every fresh placement settles exactly
+	// once — completed, abandoned, dropped at transfer, or dropped at
+	// requeue. Requests requeued N times settle N+1 times (once per
+	// hosting instance), which the per-instance checks above balance.
+	offered := len(f.reqs)
+	if offered != f.rejected+f.unroutable+f.placed {
+		return nil, fmt.Errorf("cluster: request accounting broken: offered %d != rejected %d + unroutable %d + routed %d",
+			offered, f.rejected, f.unroutable, f.placed)
+	}
+	drops := f.dis.dropped()
+	if t.handedOff != drops+t.resumed {
+		return nil, fmt.Errorf("cluster: handoff accounting broken: %d handed off != %d dropped + %d resumed",
+			t.handedOff, drops, t.resumed)
+	}
+	if c := f.chaos; c != nil {
+		if c.Killed != c.Requeued+c.Dropped {
+			return nil, fmt.Errorf("cluster: churn accounting broken: killed %d != requeued %d + dropped %d",
+				c.Killed, c.Requeued, c.Dropped)
+		}
+		drops += c.Dropped
+	}
+	if f.placed != t.completed+t.abandoned+drops {
+		return nil, fmt.Errorf("cluster: request accounting broken: routed %d != completed %d + abandoned %d + dropped %d",
+			f.placed, t.completed, t.abandoned, drops)
+	}
+	return t, nil
+}
+
+// finishChaos closes the churn ledger: session repins summed once per
+// distinct router, and the final active count. Nil for a static fleet.
+func (f *fleetSim) finishChaos() *ChaosStats {
+	if f.chaos != nil {
+		f.chaos.Repins = f.prefill.rt.repins
+		if f.decode != f.prefill {
+			f.chaos.Repins += f.decode.rt.repins
+		}
+		f.chaos.FinalActive = f.active(RoleBoth)
+	}
+	return f.chaos
+}
+
+// meanMax returns the mean and maximum of a latency sample set (0, 0
+// when empty).
+func meanMax(ts []sim.Time) (mean, max sim.Time) {
 	if len(ts) == 0 {
 		return 0, 0
 	}
@@ -190,10 +245,10 @@ func MeanMax(ts []sim.Time) (mean, max sim.Time) {
 	return sum / sim.Time(len(ts)), max
 }
 
-// ImbalanceCV is the coefficient of variation (stddev/mean) of
+// imbalanceCV is the coefficient of variation (stddev/mean) of
 // per-instance work counts: 0 for a perfectly even split, growing as
 // placement concentrates load.
-func ImbalanceCV(counts []int) float64 {
+func imbalanceCV(counts []int) float64 {
 	if len(counts) == 0 {
 		return 0
 	}

@@ -1,4 +1,4 @@
-package disagg
+package cluster
 
 import (
 	"fmt"

@@ -12,10 +12,10 @@ import (
 )
 
 // TestDisaggStaticNilChaos: without autoscale or faults the churn
-// ledger never allocates, keeping static reports bit-identical to the
-// pre-lifecycle output.
+// ledger never allocates — nil means a static fleet, and the report
+// omits the section.
 func TestDisaggStaticNilChaos(t *testing.T) {
-	st, err := Simulate(testConfig(), testWorkload(t, 20))
+	st, err := cluster.SimulateDisagg(testConfig(), testWorkload(t, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +26,11 @@ func TestDisaggStaticNilChaos(t *testing.T) {
 
 // chaosConfig is a 2+2 fleet sized so crashes in either pool leave a
 // survivor.
-func chaosConfig() Config {
+func chaosConfig() cluster.DisaggConfig {
 	c := testConfig()
-	c.Groups = []Group{
-		{Platform: hw.GH200(), Count: 2, Role: RolePrefill},
-		{Platform: hw.IntelH100(), Count: 2, Role: RoleDecode},
+	c.Groups = []cluster.Group{
+		{Platform: hw.GH200(), Count: 2, Role: cluster.RolePrefill},
+		{Platform: hw.IntelH100(), Count: 2, Role: cluster.RoleDecode},
 	}
 	return c
 }
@@ -52,7 +52,7 @@ func TestDisaggCrashRequeuesBothPhases(t *testing.T) {
 			requeues = append(requeues, e)
 		}
 	}
-	st, err := Simulate(cfg, testWorkload(t, 40))
+	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDisaggCrashRequeuesBothPhases(t *testing.T) {
 // ledger, without losing work.
 func TestDisaggLinkDegradeFault(t *testing.T) {
 	reqs := testWorkload(t, 20)
-	base, err := Simulate(testConfig(), reqs)
+	base, err := cluster.SimulateDisagg(testConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDisaggLinkDegradeFault(t *testing.T) {
 	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
 		{At: 0, Kind: cluster.FaultLinkDegrade, Target: 0, Dst: 1, Factor: 16},
 	}}
-	slow, err := Simulate(cfg, reqs)
+	slow, err := cluster.SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDisaggLinkDegradeFault(t *testing.T) {
 	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
 		{At: 0, Kind: cluster.FaultLinkDegrade, Target: 0, Dst: 99, Factor: 2},
 	}}
-	noop, err := Simulate(cfg, reqs)
+	noop, err := cluster.SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +135,13 @@ func TestDisaggLinkDegradeFault(t *testing.T) {
 // changing the wire time the link is busy for.
 func TestOverlapFractionReducesStall(t *testing.T) {
 	reqs := testWorkload(t, 20)
-	base, err := Simulate(testConfig(), reqs)
+	base, err := cluster.SimulateDisagg(testConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
 	cfg.Transfer.OverlapFraction = 0.8
-	over, err := Simulate(cfg, reqs)
+	over, err := cluster.SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestOverlapFractionReducesStall(t *testing.T) {
 
 	// Exposed is exact: zero overlap returns the wire time unchanged
 	// (bit-identity for legacy configs), fraction f exposes (1-f)·wire.
-	var tm TransferModel
+	var tm cluster.TransferModel
 	if got := tm.Exposed(100 * sim.Millisecond); got != 100*sim.Millisecond {
 		t.Errorf("zero overlap must expose the full wire time, got %v", got)
 	}
@@ -170,7 +170,7 @@ func TestOverlapFractionReducesStall(t *testing.T) {
 	for _, bad := range []float64{-0.1, 1, 1.5} {
 		cfg := testConfig()
 		cfg.Transfer.OverlapFraction = bad
-		if _, err := Simulate(cfg, reqs); err == nil {
+		if _, err := cluster.SimulateDisagg(cfg, reqs); err == nil {
 			t.Errorf("overlap fraction %g accepted, want a validation error", bad)
 		}
 	}
@@ -188,7 +188,7 @@ func TestMidTransferDestinationDeath(t *testing.T) {
 	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
 		{At: 300 * sim.Millisecond, Kind: cluster.FaultCrash, Target: 1},
 	}}
-	st, err := Simulate(cfg, testWorkload(t, 20))
+	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +210,9 @@ func TestMidTransferDestinationDeath(t *testing.T) {
 // spun-up instances must actually absorb resumes.
 func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
 	cfg := testConfig()
-	cfg.Groups = []Group{
-		{Platform: hw.GH200(), Count: 2, Role: RolePrefill},
-		{Platform: hw.IntelH100(), Count: 1, Role: RoleDecode},
+	cfg.Groups = []cluster.Group{
+		{Platform: hw.GH200(), Count: 2, Role: cluster.RolePrefill},
+		{Platform: hw.IntelH100(), Count: 1, Role: cluster.RoleDecode},
 	}
 	cfg.Transfer.BandwidthGBps = 0.1 // slow wire: transfers queue up
 	tmpl := testBase()
@@ -223,8 +223,8 @@ func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
 		Interval: 20 * sim.Millisecond, Cooldown: 20 * sim.Millisecond,
 		SpinUpDelay: 40 * sim.Millisecond,
 	}
-	cfg.AutoscaleRole = RoleDecode
-	st, err := Simulate(cfg, testWorkload(t, 30))
+	cfg.AutoscaleRole = cluster.RoleDecode
+	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
 // churn ledger, transfer economics, and per-instance series included —
 // run to run. CI runs this under -race as well.
 func TestDisaggSeededChaosDeterministic(t *testing.T) {
-	mk := func() Config {
+	mk := func() cluster.DisaggConfig {
 		cfg := chaosConfig()
 		tmpl := testBase()
 		tmpl.Platform = hw.IntelH100()
@@ -266,15 +266,15 @@ func TestDisaggSeededChaosDeterministic(t *testing.T) {
 			Interval: 20 * sim.Millisecond, Cooldown: 20 * sim.Millisecond,
 			SpinUpDelay: 40 * sim.Millisecond,
 		}
-		cfg.AutoscaleRole = RoleDecode
+		cfg.AutoscaleRole = cluster.RoleDecode
 		cfg.Faults = &cluster.FaultsConfig{CrashRatePerSec: 3, Seed: 7}
 		return cfg
 	}
-	a, err := Simulate(mk(), testWorkload(t, 40))
+	a, err := cluster.SimulateDisagg(mk(), testWorkload(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(mk(), testWorkload(t, 40))
+	b, err := cluster.SimulateDisagg(mk(), testWorkload(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}

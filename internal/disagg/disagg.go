@@ -1,645 +1,12 @@
-// Package disagg simulates prefill/decode disaggregated serving: fleet
-// groups take a role — prefill, decode, or both — and requests routed
-// to a prefill-pool instance run prompt processing only, then hand
-// their KV cache to a decode-pool instance over an explicit transfer
-// model priced from the platforms' interconnects (see TransferModel).
-//
-// This operationalizes the paper's central asymmetry at fleet scale:
-// prefill is compute-bound, decode is memory-bandwidth-bound, and the
-// two phases want different hardware — but splitting them (DistServe/
-// Splitwise-style) only pays if moving the KV state is cheap enough.
-// Coupled architectures change exactly that economics: a GH200's
-// NVLink-C2C hands a cache off at 450 GB/s through unified memory,
-// while a discrete PCIe node store-and-forwards it through host DRAM.
-// The package exists to find the crossover.
-//
-// The simulator composes serve.Instance (split lifecycle:
-// AcceptPrefill / Resume) and cluster's routing and admission
-// primitives under one shared calendar; each (source, destination)
-// instance pair is a FIFO transfer link, and the request ledger
-// reconciles exactly — every prefill completion is matched by exactly
-// one decode completion or a reported drop.
+// Package disagg keeps one name for the disaggregated fleet report,
+// which now lives in internal/cluster (see cluster.SimulateDisagg). The
+// alias remains because the repository benchmark module reads reports
+// through disagg.Stats; it goes when that module moves to
+// cluster.DisaggStats. The disaggregation tests live beside it until
+// then and move to internal/cluster with it.
 package disagg
 
-import (
-	"fmt"
-	"sort"
+import "github.com/skipsim/skip/internal/cluster"
 
-	"github.com/skipsim/skip/internal/cluster"
-	"github.com/skipsim/skip/internal/hw"
-	"github.com/skipsim/skip/internal/serve"
-	"github.com/skipsim/skip/internal/sim"
-)
-
-// Role assigns a fleet group to a disaggregation pool.
-type Role int
-
-const (
-	// RoleBoth serves requests end to end — a monolithic instance that
-	// participates in prefill placement and can also absorb handoffs.
-	RoleBoth Role = iota
-	// RolePrefill runs prompt processing only: every admitted request
-	// stops at its first token and hands its KV cache away.
-	RolePrefill
-	// RoleDecode resumes handed-off requests mid-stream; the front door
-	// never routes fresh arrivals here.
-	RoleDecode
-)
-
-func (r Role) String() string {
-	switch r {
-	case RolePrefill:
-		return "prefill"
-	case RoleDecode:
-		return "decode"
-	case RoleBoth:
-		return "both"
-	default:
-		return fmt.Sprintf("role(%d)", int(r))
-	}
-}
-
-// ParseRole maps a fleet-spec role name to a Role; the empty string is
-// RoleBoth (an untagged group serves monolithically).
-func ParseRole(name string) (Role, error) {
-	switch name {
-	case "prefill":
-		return RolePrefill, nil
-	case "decode":
-		return RoleDecode, nil
-	case "both", "":
-		return RoleBoth, nil
-	}
-	return 0, fmt.Errorf("disagg: unknown role %q (have prefill|decode|both)", name)
-}
-
-// Group is one homogeneous slice of a disaggregated fleet.
-type Group struct {
-	Platform *hw.Platform
-	Count    int
-	Role     Role
-}
-
-// Config parameterizes a disaggregated fleet simulation.
-type Config struct {
-	// Groups lists the fleet's slices with their roles. At least one
-	// prefill-capable (prefill|both) and one decode-capable
-	// (decode|both) group are required.
-	Groups []Group
-	// Base is the serving config every instance inherits (model, policy,
-	// KV knobs, SLO) with its group's platform substituted; it must use
-	// a continuous policy.
-	Base serve.Config
-	// PrefillPolicy places fresh arrivals on the prefill pool. Like
-	// cluster.Config's Policy, the zero value is RoundRobin; the spec
-	// front door (fleet.disaggregation) defaults to least-queue instead.
-	PrefillPolicy cluster.Policy
-	// DecodePolicy places completed prefills on the decode pool. Zero
-	// value RoundRobin; the spec front door defaults to least-kv —
-	// decode placement is a KV-capacity decision.
-	DecodePolicy cluster.Policy
-	// LinkAwareDecode, when set, overrides DecodePolicy's pick with a
-	// transfer-aware one: each handoff goes to the fitting decode
-	// instance with the earliest projected landing — the (src,dst)
-	// link's FIFO backlog plus the exposed wire time for the bytes
-	// actually shipped (prefix-cached blocks excluded) — ties to the
-	// lowest KV pressure, then the lowest index. Off keeps
-	// DecodePolicy's placement bit for bit.
-	LinkAwareDecode bool
-	// ShortPrompt is the platform-aware policies' regime boundary in
-	// prompt tokens (default 512).
-	ShortPrompt int64
-	// Transfer prices the KV handoff between pools.
-	Transfer TransferModel
-	// TTFTSLO is the fleet time-to-first-token objective for goodput
-	// accounting (also copied into instance configs that set none).
-	TTFTSLO sim.Time
-	// AdmitRatePerSec / AdmitBurst enable token-bucket admission control
-	// at the front door (0 disables).
-	AdmitRatePerSec float64
-	AdmitBurst      float64
-	// Observer receives front-door events (routed, rejected,
-	// unroutable), KV-transfer events (kv-transfer-start/done with the
-	// source→destination link), and every instance's lifecycle events
-	// with the instance name stamped in.
-	Observer serve.Observer
-	// Autoscale, when set, grows and shrinks the AutoscaleRole pool
-	// against a load signal while the simulation runs; disaggregated
-	// fleets additionally support the transfer-queue signal (pending KV
-	// transfers per active decode-capable instance). Nil keeps the
-	// fleet static — the pre-refactor behavior, bit for bit.
-	Autoscale *cluster.AutoscaleConfig
-	// AutoscaleRole names the pool the controller scales. The zero value
-	// is RoleBoth (spun-up instances serve end to end); the spec front
-	// door defaults to "decode" instead — decode capacity is what
-	// transfer pressure starves.
-	AutoscaleRole Role
-	// Faults, when set, injects crashes, slow-node multipliers, and
-	// degraded-link faults (see cluster.FaultsConfig; Target and Dst
-	// index the flattened member list in group order).
-	Faults *cluster.FaultsConfig
-	// CounterfactualK, when positive, records every prefill- and
-	// decode-pool routing decision with up to K scored alternatives and
-	// counterfactual policy replays (Stats.PrefillRouting /
-	// Stats.DecodeRouting). Decode records carry the chosen link's FIFO
-	// backlog at pick time. Zero keeps recording off and both sections
-	// absent.
-	CounterfactualK int
-}
-
-func (c *Config) validate() error {
-	if err := c.Transfer.validate(); err != nil {
-		return err
-	}
-	if len(c.Groups) == 0 {
-		return fmt.Errorf("disagg: config needs at least one group")
-	}
-	// KV handoffs originate only on RolePrefill instances; an all-"both"
-	// fleet never transfers and needs no priceable link. Autoscaled
-	// prefill instances count: the controller can mint handoff sources
-	// mid-run.
-	var transfersPossible bool
-	for _, g := range c.Groups {
-		if g.Role == RolePrefill {
-			transfersPossible = true
-		}
-	}
-	if c.Autoscale != nil && c.AutoscaleRole == RolePrefill {
-		transfersPossible = true
-	}
-	var prefillable, decodable int
-	for i, g := range c.Groups {
-		if g.Platform == nil {
-			return fmt.Errorf("disagg: group %d needs a platform", i)
-		}
-		if g.Count <= 0 {
-			return fmt.Errorf("disagg: group %d (%s) needs a positive count, got %d", i, g.Platform.Name, g.Count)
-		}
-		// hw.Validate deliberately permits zero interconnect bandwidth on
-		// unified-physical-memory platforms (their CPU↔GPU transfers are
-		// free), but a KV handoff between *instances* still crosses a
-		// wire: with no override, TransferModel.Time would divide by
-		// zero and price every transfer at +Inf. Reject the fleet here,
-		// naming the platform, instead of simulating nonsense.
-		if transfersPossible && c.Transfer.BandwidthGBps == 0 && g.Platform.IC.BandwidthGBps <= 0 {
-			return fmt.Errorf("disagg: platform %q has no interconnect bandwidth to price KV transfers (unified-memory platforms may declare zero); set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", g.Platform.Name)
-		}
-		if g.Role != RolePrefill {
-			decodable += g.Count
-		}
-		if g.Role != RoleDecode {
-			prefillable += g.Count
-		}
-	}
-	if prefillable == 0 {
-		return fmt.Errorf("disagg: fleet has no prefill-capable (prefill or both) instances")
-	}
-	if decodable == 0 {
-		return fmt.Errorf("disagg: fleet has no decode-capable (decode or both) instances")
-	}
-	if c.Base.Model == nil {
-		return fmt.Errorf("disagg: base config needs a model")
-	}
-	if c.AdmitRatePerSec < 0 {
-		return fmt.Errorf("disagg: admission rate must be non-negative, got %g", c.AdmitRatePerSec)
-	}
-	if c.Autoscale != nil {
-		if err := c.Autoscale.Validate(); err != nil {
-			return err
-		}
-		// An autoscaled instance can be a transfer endpoint too (source
-		// when scaling prefill, destination when scaling decode or both),
-		// so its platform faces the same zero-bandwidth trap as the base
-		// groups.
-		if transfersPossible && c.Transfer.BandwidthGBps == 0 && c.Autoscale.Template.Platform.IC.BandwidthGBps <= 0 {
-			return fmt.Errorf("disagg: autoscale template platform %q has no interconnect bandwidth to price KV transfers; set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", c.Autoscale.Template.Platform.Name)
-		}
-	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// member is one instance with its disaggregation role; managed marks
-// members the autoscaler added (the only ones a shrink may drain).
-type member struct {
-	in      *serve.Instance
-	role    Role
-	managed bool
-}
-
-// dsim is one in-flight disaggregated simulation: the shared calendar,
-// the mutable membership view with its role pools, the per-link
-// transfer state, and the churn ledger. Like cluster's fleetSim,
-// membership is index-stable — members and pools only grow, departed
-// instances stay in place as Stopped and are filtered by the routers'
-// Accepting checks.
-type dsim struct {
-	cfg Config
-	cal *sim.Calendar
-
-	members     []member
-	prefillPool []*serve.Instance
-	prefillIdx  []int // pool position → member index
-	decodePool  []*serve.Instance
-	decodeIdx   []int
-
-	prefillRouter, decodeRouter *cluster.Router
-	admit                       *cluster.TokenBucket
-	// prefillRec / decodeRec record per-pool routing decisions for
-	// counterfactual scoring; nil when Config.CounterfactualK is zero.
-	prefillRec, decodeRec *cluster.DecisionRecorder
-
-	bytesPerTok float64
-	// links maps a (src,dst) member pair to its busy-until instant
-	// (FIFO per link); linkSlow carries degraded-link fault divisors.
-	links    map[[2]int]sim.Time
-	linkSlow map[[2]int]float64
-
-	reqs        []serve.Request
-	lastArrival sim.Time
-
-	rejected, unroutable int
-	// placed counts fresh front-door placements only (requeues
-	// increment the hosting instance's own routed count instead), so
-	// the front-door ledger survives churn.
-	placed                   int
-	transferDrops, transfers int
-	// pendingTransfers counts caches on the wire or queued for it —
-	// the transfer-queue autoscale signal.
-	pendingTransfers               int
-	bytesMoved                     float64
-	wireTotal, stallTotal, wireMax sim.Time
-	simErr                         error
-
-	// chaos is nil for a static fleet, keeping static reports
-	// bit-identical to the pre-refactor path.
-	chaos        *cluster.ChaosStats
-	pendingJoins int
-	lastScale    sim.Time
-	scaled       bool
-	// Resolved autoscale knobs (defaults applied at setup).
-	asInterval, asCooldown, asSpinUp sim.Time
-	asWindow                         int
-}
-
-func (d *dsim) fail(err error) {
-	if d.simErr == nil {
-		d.simErr = err
-	}
-}
-
-func (d *dsim) emit(now sim.Time, t serve.EventType, req serve.Request, instance, link string) {
-	if d.cfg.Observer == nil {
-		return
-	}
-	d.cfg.Observer(serve.Event{
-		Time: now, Type: t,
-		RequestID: req.ID, SessionID: req.SessionID,
-		Instance: instance, Link: link,
-	})
-}
-
-func (d *dsim) emitFleet(e serve.Event) {
-	if d.cfg.Observer != nil {
-		d.cfg.Observer(e)
-	}
-}
-
-// addMember constructs an instance on the shared calendar and slots it
-// into the membership view and its role pools.
-func (d *dsim) addMember(icfg serve.Config, role Role, managed bool) (*serve.Instance, error) {
-	if icfg.TTFTSLO == 0 {
-		icfg.TTFTSLO = d.cfg.TTFTSLO
-	}
-	idx := len(d.members)
-	name := fmt.Sprintf("%s/%s#%d", icfg.Platform.Name, role, idx)
-	if d.cfg.Observer != nil {
-		icfg.Observer = cluster.StampInstance(name, d.cfg.Observer, icfg.Observer)
-	}
-	in, err := serve.NewInstance(name, icfg, d.cal)
-	if err != nil {
-		return nil, err
-	}
-	d.members = append(d.members, member{in: in, role: role, managed: managed})
-	if role != RoleDecode {
-		d.prefillPool = append(d.prefillPool, in)
-		d.prefillIdx = append(d.prefillIdx, idx)
-	}
-	if role != RolePrefill {
-		d.decodePool = append(d.decodePool, in)
-		d.decodeIdx = append(d.decodeIdx, idx)
-	}
-	return in, nil
-}
-
-// wireTime prices one transfer, degraded-link faults applied.
-func (d *dsim) wireTime(src, dst int, bytes float64) sim.Time {
-	wire := d.cfg.Transfer.Time(d.members[src].in.Platform(), d.members[dst].in.Platform(), bytes)
-	if f, ok := d.linkSlow[[2]int{src, dst}]; ok {
-		wire = sim.Time(float64(wire) * f)
-	}
-	return wire
-}
-
-// ship moves one handoff's cache from src to dst: the transfer starts
-// when the (src,dst) link frees (FIFO per link) and occupies it for the
-// full wire time; the request lands after the exposed tail — with
-// overlap, decode starts before the last bytes arrive.
-func (d *dsim) ship(now sim.Time, src, dst int, h serve.Handoff, bytes float64) {
-	dstIn := d.members[dst].in
-	wire := d.wireTime(src, dst, bytes)
-	key := [2]int{src, dst}
-	start := now
-	if d.links[key] > start {
-		start = d.links[key]
-	}
-	done := start + wire
-	d.links[key] = done
-	land := start + d.cfg.Transfer.Exposed(wire)
-	d.transfers++
-	d.pendingTransfers++
-	d.bytesMoved += bytes
-	d.wireTotal += wire
-	d.stallTotal += land - now
-	if wire > d.wireMax {
-		d.wireMax = wire
-	}
-	link := d.members[src].in.Name() + "→" + dstIn.Name()
-	srcName := d.members[src].in.Name()
-	d.cal.Schedule(start, func(at sim.Time) {
-		d.emit(at, serve.EventKVTransferStart, h.Req, srcName, link)
-	})
-	d.cal.Schedule(land, func(at sim.Time) { d.land(at, src, dst, h, link) })
-}
-
-// land completes one transfer: the request resumes on its destination,
-// or — when the destination died while the cache was on the wire — the
-// still-staged cache re-ships from the source to a freshly picked
-// decode instance (a reported drop when none remains; the bytes are
-// re-sized against the new destination's cache).
-func (d *dsim) land(at sim.Time, src, dst int, h serve.Handoff, link string) {
-	if d.simErr != nil {
-		return
-	}
-	d.pendingTransfers--
-	dstIn := d.members[dst].in
-	if dstIn.State() == serve.StateStopped {
-		hr := h.Req
-		hr.PromptLen, hr.OutputLen = h.PromptLen, h.OutputLen
-		nd := d.pickDecode(at, src, h, hr)
-		if nd < 0 {
-			d.transferDrops++
-			d.emit(at, serve.EventUnroutable, h.Req, d.members[src].in.Name(), "")
-			return
-		}
-		if d.decodeRec != nil {
-			d.decodeRec.Record(at, hr, d.decodePool, nd, true, d.linkWait(at, src, d.decodeIdx[nd]))
-		}
-		d.ship(at, src, d.decodeIdx[nd], h, d.shipBytes(d.decodeIdx[nd], h))
-		return
-	}
-	d.emit(at, serve.EventKVTransferDone, h.Req, dstIn.Name(), link)
-	if err := dstIn.Resume(at, h); err != nil {
-		// Pick only offers instances that fit, draining destinations
-		// still honor committed transfers, and dead ones re-route
-		// above, so Resume cannot refuse; treat a refusal as the bug it
-		// would be.
-		d.fail(fmt.Errorf("disagg: %s refused resumed request %d: %w", dstIn.Name(), h.Req.ID, err))
-	}
-}
-
-// handoff places one completed prefill on the decode pool.
-func (d *dsim) handoff(now sim.Time, src int, h serve.Handoff) {
-	if d.simErr != nil {
-		return
-	}
-	hr := h.Req
-	hr.PromptLen, hr.OutputLen = h.PromptLen, h.OutputLen
-	p := d.pickDecode(now, src, h, hr)
-	if p < 0 {
-		// No decode instance can ever hold this request: the prefill
-		// work is lost and the drop is reported in the ledger.
-		d.transferDrops++
-		d.emit(now, serve.EventUnroutable, h.Req, d.members[src].in.Name(), "")
-		return
-	}
-	if d.decodeRec != nil {
-		d.decodeRec.Record(now, hr, d.decodePool, p, false, d.linkWait(now, src, d.decodeIdx[p]))
-	}
-	d.ship(now, src, d.decodeIdx[p], h, d.shipBytes(d.decodeIdx[p], h))
-}
-
-// shipBytes sizes one handoff's transfer to a destination member:
-// leading prompt blocks the destination's prefix cache already holds
-// device-resident never cross the wire — only the uncached tail ships.
-// On a cacheless fleet the overlap is always zero and every handoff
-// ships its full KV footprint, exactly the pre-cache behavior.
-//
-// The overlap is frozen at ship time: blocks counted as cached here may
-// be evicted before the transfer lands, in which case Acquire
-// re-materializes them as misses without the wire ever being charged —
-// an optimistic approximation that slightly understates transfer bytes
-// under destination cache churn.
-func (d *dsim) shipBytes(dst int, h serve.Handoff) float64 {
-	hr := h.Req
-	hr.PromptLen, hr.OutputLen = h.PromptLen, h.OutputLen
-	kv := h.KVLen
-	if cached := d.members[dst].in.CachedPrefixTokens(hr); cached > 0 {
-		kv -= cached
-		if kv < 0 {
-			kv = 0
-		}
-	}
-	return float64(kv) * d.bytesPerTok
-}
-
-// pickDecode places one handoff on the decode pool: DecodePolicy's
-// pick by default, or — with Config.LinkAwareDecode — the fitting
-// instance with the earliest projected landing (link FIFO backlog plus
-// the exposed wire time for the bytes this destination actually
-// needs), ties broken by KV pressure then lowest index. Returns the
-// decode-pool index, or -1 when no instance can ever hold the request.
-func (d *dsim) pickDecode(now sim.Time, src int, h serve.Handoff, hr serve.Request) int {
-	if !d.cfg.LinkAwareDecode {
-		return d.decodeRouter.Pick(hr, d.decodePool)
-	}
-	best := -1
-	var bestLand sim.Time
-	var bestKV float64
-	for i, in := range d.decodePool {
-		if !in.Accepting() || !in.Fits(hr) {
-			continue
-		}
-		dst := d.decodeIdx[i]
-		start := now
-		if busy := d.links[[2]int{src, dst}]; busy > start {
-			start = busy
-		}
-		land := start + d.cfg.Transfer.Exposed(d.wireTime(src, dst, d.shipBytes(dst, h)))
-		kv := in.KVPressure()
-		if best < 0 || land < bestLand || (land == bestLand && kv < bestKV) {
-			best, bestLand, bestKV = i, land, kv
-		}
-	}
-	return best
-}
-
-// linkWait reports the (src,dst) link's FIFO backlog at now — how long
-// a cache shipped this instant would wait before its wire time starts.
-// This is the link-occupancy signal a decode decision record carries
-// (the transfer-aware-placement follow-up's observability half).
-func (d *dsim) linkWait(now sim.Time, src, dst int) sim.Time {
-	if busy := d.links[[2]int{src, dst}]; busy > now {
-		return busy - now
-	}
-	return 0
-}
-
-// route places one front-door arrival on the prefill pool.
-func (d *dsim) route(now sim.Time, req serve.Request) {
-	if d.simErr != nil {
-		return
-	}
-	if d.admit != nil && !d.admit.Allow(now) {
-		d.rejected++
-		d.emit(now, serve.EventRejected, req, "", "")
-		return
-	}
-	p := d.prefillRouter.Pick(req, d.prefillPool)
-	if p < 0 {
-		d.unroutable++
-		d.emit(now, serve.EventUnroutable, req, "", "")
-		return
-	}
-	if d.prefillRec != nil {
-		d.prefillRec.Record(now, req, d.prefillPool, p, false, 0)
-	}
-	src := d.prefillIdx[p]
-	m := d.members[src]
-	d.placed++
-	d.emit(now, serve.EventRouted, req, m.in.Name(), "")
-	var err error
-	if m.role == RoleBoth {
-		err = m.in.Accept(now, req)
-	} else {
-		err = m.in.AcceptPrefill(now, req, func(at sim.Time, h serve.Handoff) {
-			d.handoff(at, src, h)
-		})
-	}
-	if err != nil {
-		d.fail(fmt.Errorf("disagg: %s refused routed request %d: %w", m.in.Name(), req.ID, err))
-	}
-}
-
-// Simulate runs the disaggregated fleet over the request stream and
-// returns fleet statistics with an exactly reconciled ledger. The whole
-// simulation — autoscaling and fault injection included — is
-// deterministic for a fixed stream and config.
-func Simulate(cfg Config, requests []serve.Request) (*Stats, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(requests) == 0 {
-		return nil, fmt.Errorf("disagg: no requests")
-	}
-	reqs := make([]serve.Request, len(requests))
-	copy(reqs, requests)
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
-
-	d := &dsim{
-		cfg:         cfg,
-		cal:         sim.NewCalendar(),
-		bytesPerTok: serve.KVBytesPerToken(cfg.Base.Model),
-		links:       make(map[[2]int]sim.Time),
-		linkSlow:    make(map[[2]int]float64),
-		reqs:        reqs,
-		lastArrival: reqs[len(reqs)-1].Arrival,
-	}
-	for _, g := range cfg.Groups {
-		for k := 0; k < g.Count; k++ {
-			icfg := cfg.Base
-			icfg.Platform = g.Platform
-			if _, err := d.addMember(icfg, g.Role, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	d.prefillRouter = cluster.NewRouter(cfg.PrefillPolicy, cfg.ShortPrompt)
-	d.decodeRouter = cluster.NewRouter(cfg.DecodePolicy, cfg.ShortPrompt)
-	if cfg.CounterfactualK > 0 {
-		d.prefillRec = cluster.NewDecisionRecorder(cfg.PrefillPolicy, cfg.ShortPrompt, cfg.CounterfactualK)
-		d.decodeRec = cluster.NewDecisionRecorder(cfg.DecodePolicy, cfg.ShortPrompt, cfg.CounterfactualK)
-	}
-	if cfg.AdmitRatePerSec > 0 {
-		d.admit = cluster.NewTokenBucket(cfg.AdmitRatePerSec, cfg.AdmitBurst)
-	}
-	if cfg.Autoscale != nil || cfg.Faults != nil {
-		d.chaos = &cluster.ChaosStats{}
-		d.sampleFleet(0)
-	}
-	if cfg.Autoscale != nil {
-		if err := d.setupAutoscale(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Faults != nil {
-		d.setupFaults()
-	}
-
-	for i := range reqs {
-		req := reqs[i]
-		d.cal.Schedule(req.Arrival, func(now sim.Time) { d.route(now, req) })
-	}
-	d.cal.Run()
-	if d.simErr != nil {
-		return nil, d.simErr
-	}
-	for _, m := range d.members {
-		if err := m.in.Err(); err != nil {
-			return nil, fmt.Errorf("disagg: instance %s: %w", m.in.Name(), err)
-		}
-	}
-
-	st := d.assembleStats()
-	st.Transfers = d.transfers
-	st.KVBytesMoved = d.bytesMoved
-	if d.transfers > 0 {
-		st.MeanTransfer = d.wireTotal / sim.Time(d.transfers)
-		st.MeanTransferStall = d.stallTotal / sim.Time(d.transfers)
-		st.MaxTransfer = d.wireMax
-	}
-	if err := st.reconcile(); err != nil {
-		return nil, err
-	}
-	// Cache invariants: every per-instance prefix-cache ledger — and
-	// their fleet-level sum — must balance exactly (see
-	// serve.KVCacheStats.Reconcile). Nil-safe: cacheless fleets skip.
-	for i := range st.Instances {
-		is := &st.Instances[i]
-		if err := is.Serve.KVCache.Reconcile(); err != nil {
-			return nil, fmt.Errorf("disagg: %s: %w", is.Name, err)
-		}
-	}
-	if err := st.KVCache.Reconcile(); err != nil {
-		return nil, fmt.Errorf("disagg: %w", err)
-	}
-	if c := st.Chaos; c != nil {
-		// Churn invariants: every crash eviction is requeued or dropped,
-		// and every fresh placement still settles exactly once —
-		// completed, abandoned, dropped at transfer, or dropped at
-		// requeue.
-		if c.Killed != c.Requeued+c.Dropped {
-			return nil, fmt.Errorf("disagg: churn accounting broken: killed %d != requeued %d + dropped %d",
-				c.Killed, c.Requeued, c.Dropped)
-		}
-		if st.Routed != st.Completed+st.Abandoned+st.TransferDrops+c.Dropped {
-			return nil, fmt.Errorf("disagg: churn accounting broken: routed %d != completed %d + abandoned %d + transfer-dropped %d + dropped %d",
-				st.Routed, st.Completed, st.Abandoned, st.TransferDrops, c.Dropped)
-		}
-	}
-	return st, nil
-}
+// Stats is the disaggregated fleet report.
+type Stats = cluster.DisaggStats

@@ -41,11 +41,11 @@ func testWorkload(t *testing.T, n int) []serve.Request {
 	return reqs
 }
 
-func testConfig() Config {
-	return Config{
-		Groups: []Group{
-			{Platform: hw.GH200(), Count: 1, Role: RolePrefill},
-			{Platform: hw.IntelH100(), Count: 2, Role: RoleDecode},
+func testConfig() cluster.DisaggConfig {
+	return cluster.DisaggConfig{
+		Groups: []cluster.Group{
+			{Platform: hw.GH200(), Count: 1, Role: cluster.RolePrefill},
+			{Platform: hw.IntelH100(), Count: 2, Role: cluster.RoleDecode},
 		},
 		Base:          testBase(),
 		PrefillPolicy: cluster.LeastQueue,
@@ -59,7 +59,7 @@ func testConfig() Config {
 // hop) must beat a mixed pair, which must beat a discrete→discrete
 // PCIe transfer that store-and-forwards through both hosts.
 func TestTransferTimeInterconnectOrdering(t *testing.T) {
-	var tm TransferModel
+	var tm cluster.TransferModel
 	gh, intel := hw.GH200(), hw.IntelH100()
 	const bytes = 256 << 20 // a 256 MB cache
 
@@ -79,19 +79,19 @@ func TestTransferTimeInterconnectOrdering(t *testing.T) {
 	// Discrete pair is gated by the slower PCIe link and pays the
 	// default host-hop multiplier once per endpoint.
 	wantLC := sim.FromNs(2*intel.IC.LatencyNs +
-		DefaultHostHopMultiplier*DefaultHostHopMultiplier*bytes/intel.IC.BandwidthGBps)
+		cluster.DefaultHostHopMultiplier*cluster.DefaultHostHopMultiplier*bytes/intel.IC.BandwidthGBps)
 	if lc != wantLC {
 		t.Errorf("discrete transfer = %v, want %v", lc, wantLC)
 	}
 
 	// The bandwidth override replaces the link rate but keeps the
 	// endpoint topology (latency + hops).
-	fat := TransferModel{BandwidthGBps: 900}
+	fat := cluster.TransferModel{BandwidthGBps: 900}
 	if got, want := fat.Time(gh, gh, bytes), sim.FromNs(2*gh.IC.LatencyNs+bytes/900.0); got != want {
 		t.Errorf("override transfer = %v, want %v", got, want)
 	}
 	// A unit multiplier erases the discrete penalty entirely.
-	flat := TransferModel{HostHopMultiplier: 1}
+	flat := cluster.TransferModel{HostHopMultiplier: 1}
 	if got, want := flat.Time(intel, intel, bytes), sim.FromNs(2*intel.IC.LatencyNs+bytes/intel.IC.BandwidthGBps); got != want {
 		t.Errorf("flat transfer = %v, want %v", got, want)
 	}
@@ -117,11 +117,11 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 	}
 
 	cfg := testConfig()
-	cfg.Groups = []Group{
-		{Platform: unified, Count: 1, Role: RolePrefill},
-		{Platform: hw.IntelH100(), Count: 1, Role: RoleDecode},
+	cfg.Groups = []cluster.Group{
+		{Platform: unified, Count: 1, Role: cluster.RolePrefill},
+		{Platform: hw.IntelH100(), Count: 1, Role: cluster.RoleDecode},
 	}
-	_, err := Simulate(cfg, testWorkload(t, 4))
+	_, err := cluster.SimulateDisagg(cfg, testWorkload(t, 4))
 	if err == nil {
 		t.Fatal("fleet with an unpriceable transfer endpoint should be rejected")
 	}
@@ -131,7 +131,7 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 
 	// The override restores a finite price and the fleet simulates.
 	cfg.Transfer.BandwidthGBps = 100
-	st, err := Simulate(cfg, testWorkload(t, 4))
+	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 4))
 	if err != nil {
 		t.Fatalf("override should make the fleet legal: %v", err)
 	}
@@ -140,15 +140,15 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 			st.Transfers, st.MeanTransfer)
 	}
 
-	// An all-"both" fleet never hands a cache off — no RolePrefill
+	// An all-"both" fleet never hands a cache off — no cluster.RolePrefill
 	// source, no transfers — so the unpriceable link is irrelevant and
 	// the fleet stays legal without an override.
 	cfg.Transfer.BandwidthGBps = 0
-	cfg.Groups = []Group{
-		{Platform: unified, Count: 1, Role: RoleBoth},
-		{Platform: hw.IntelH100(), Count: 1, Role: RoleBoth},
+	cfg.Groups = []cluster.Group{
+		{Platform: unified, Count: 1, Role: cluster.RoleBoth},
+		{Platform: hw.IntelH100(), Count: 1, Role: cluster.RoleBoth},
 	}
-	st, err = Simulate(cfg, testWorkload(t, 4))
+	st, err = cluster.SimulateDisagg(cfg, testWorkload(t, 4))
 	if err != nil {
 		t.Fatalf("transfer-free fleet should not need a priceable link: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 // pool, and nothing is lost.
 func TestSimulateLedger(t *testing.T) {
 	reqs := testWorkload(t, 24)
-	st, err := Simulate(testConfig(), reqs)
+	st, err := cluster.SimulateDisagg(testConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestSimulateLedger(t *testing.T) {
 // TestSimulateDeterminism: same stream and config, byte-identical
 // stats.
 func TestSimulateDeterminism(t *testing.T) {
-	a, err := Simulate(testConfig(), testWorkload(t, 24))
+	a, err := cluster.SimulateDisagg(testConfig(), testWorkload(t, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(testConfig(), testWorkload(t, 24))
+	b, err := cluster.SimulateDisagg(testConfig(), testWorkload(t, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSimulateEvents(t *testing.T) {
 	var events []serve.Event
 	cfg := testConfig()
 	cfg.Observer = func(e serve.Event) { events = append(events, e) }
-	st, err := Simulate(cfg, testWorkload(t, 12))
+	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,26 +271,26 @@ func TestSimulateEvents(t *testing.T) {
 	}
 }
 
-// TestSimulateBothRolesMatchCluster: a fleet of RoleBoth groups is
+// TestSimulateBothRolesMatchCluster: a fleet of cluster.RoleBoth groups is
 // monolithic serving — it must reproduce cluster.Simulate exactly
 // (per-pool policies and the transfer model never engage).
 func TestSimulateBothRolesMatchCluster(t *testing.T) {
 	reqs := testWorkload(t, 24)
-	dcfg := Config{
-		Groups: []Group{
-			{Platform: hw.GH200(), Count: 1, Role: RoleBoth},
-			{Platform: hw.IntelH100(), Count: 1, Role: RoleBoth},
+	dcfg := cluster.DisaggConfig{
+		Groups: []cluster.Group{
+			{Platform: hw.GH200(), Count: 1, Role: cluster.RoleBoth},
+			{Platform: hw.IntelH100(), Count: 1, Role: cluster.RoleBoth},
 		},
 		Base:          testBase(),
 		PrefillPolicy: cluster.LeastQueue,
 		TTFTSLO:       500 * sim.Millisecond,
 	}
-	dst, err := Simulate(dcfg, reqs)
+	dst, err := cluster.SimulateDisagg(dcfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dst.HandedOff != 0 || dst.Transfers != 0 {
-		t.Fatalf("RoleBoth fleet handed off %d / transferred %d", dst.HandedOff, dst.Transfers)
+		t.Fatalf("cluster.RoleBoth fleet handed off %d / transferred %d", dst.HandedOff, dst.Transfers)
 	}
 
 	base := testBase()
@@ -311,7 +311,7 @@ func TestSimulateBothRolesMatchCluster(t *testing.T) {
 	if dst.P95TTFT != cst.P95TTFT || dst.P95E2E != cst.P95E2E ||
 		dst.Completed != cst.Completed || dst.Horizon != cst.Horizon ||
 		dst.TokensPerSec != cst.TokensPerSec {
-		t.Errorf("RoleBoth fleet diverged from cluster: TTFT %v vs %v, E2E %v vs %v, horizon %v vs %v",
+		t.Errorf("cluster.RoleBoth fleet diverged from cluster: TTFT %v vs %v, E2E %v vs %v, horizon %v vs %v",
 			dst.P95TTFT, cst.P95TTFT, dst.P95E2E, cst.P95E2E, dst.Horizon, cst.Horizon)
 	}
 }
@@ -324,10 +324,10 @@ func TestTransferDropReported(t *testing.T) {
 	small.Name = "Tiny+H100"
 	small.GPU.HBMGB = 4 // ~1.2 GB of KV budget after fp16 weights
 
-	cfg := Config{
-		Groups: []Group{
-			{Platform: hw.GH200(), Count: 1, Role: RolePrefill},
-			{Platform: small, Count: 1, Role: RoleDecode},
+	cfg := cluster.DisaggConfig{
+		Groups: []cluster.Group{
+			{Platform: hw.GH200(), Count: 1, Role: cluster.RolePrefill},
+			{Platform: small, Count: 1, Role: cluster.RoleDecode},
 		},
 		Base:          testBase(),
 		PrefillPolicy: cluster.LeastQueue,
@@ -337,7 +337,7 @@ func TestTransferDropReported(t *testing.T) {
 		{ID: 0, Arrival: 0, PromptLen: 256, OutputLen: 8},
 		{ID: 1, Arrival: sim.Millisecond, PromptLen: 48000, OutputLen: 8}, // ~1.6 GB of KV
 	}
-	st, err := Simulate(cfg, reqs)
+	st, err := cluster.SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,3 +270,26 @@ func TestCalendarProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkCalendar times one Schedule plus one Step (pop and fire)
+// against a steady backlog of 1024 pending events at spread-out
+// instants.
+func BenchmarkCalendar(b *testing.B) {
+	const backlog = 1024
+	c := NewCalendar()
+	fire := func(Time) {}
+	x := uint64(1)
+	next := func() Time { // a fixed LCG: deterministic, spread-out offsets
+		x = x*6364136223846793005 + 1442695040888963407
+		return c.Now() + Time(x>>44)
+	}
+	for i := 0; i < backlog; i++ {
+		c.Schedule(next(), fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Schedule(next(), fire)
+		c.Step()
+	}
+}

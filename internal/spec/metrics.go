@@ -44,12 +44,20 @@ func metricRoots(k Kind) []string {
 }
 
 // metricField finds the struct field a path segment names: the json tag
-// key where one exists, the exact Go field name otherwise.
+// key where one exists, the exact Go field name otherwise. Fields of an
+// embedded struct resolve as the outer struct's own, as in the JSON.
 func metricField(t reflect.Type, name string) (reflect.StructField, bool) {
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		if sf.PkgPath != "" {
 			continue // unexported
+		}
+		if sf.Anonymous && sf.Type.Kind() == reflect.Struct {
+			if inner, ok := metricField(sf.Type, name); ok {
+				inner.Index = append([]int{i}, inner.Index...)
+				return inner, true
+			}
+			continue
 		}
 		tag, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
 		if tag == name || (tag == "" && sf.Name == name) {

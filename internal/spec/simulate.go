@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/skipsim/skip/internal/cluster"
-	"github.com/skipsim/skip/internal/disagg"
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/kvcache"
@@ -35,7 +34,7 @@ type Report struct {
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 
 	// KindDisagg: the disaggregated-fleet statistics.
-	Disagg *disagg.Stats `json:"disagg,omitempty"`
+	Disagg *cluster.DisaggStats `json:"disagg,omitempty"`
 
 	// KindSweep: the swept field's JSON path and the ordered series,
 	// one full Report per substituted value.
@@ -226,10 +225,8 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 		rep, err = s.simulateRun()
 	case KindServe:
 		rep, err = s.simulateServe(&o)
-	case KindDisagg:
-		rep, err = s.simulateDisagg(&o)
 	default:
-		rep, err = s.simulateCluster(&o)
+		rep, err = s.simulateFleet(&o, s.Kind())
 	}
 	if err != nil {
 		return nil, err
@@ -438,7 +435,11 @@ func (s *Spec) simulateServe(o *options) (*Report, error) {
 	return rep, nil
 }
 
-func (s *Spec) simulateCluster(o *options) (*Report, error) {
+// simulateFleet runs a cluster or disagg spec. Both kinds share the
+// request stream, base config, KV cache, timeline aggregator, observer
+// chain and autoscale/fault lowering; only the disaggregation section
+// branches.
+func (s *Spec) simulateFleet(o *options, kind Kind) (*Report, error) {
 	reqs, err := s.requests()
 	if err != nil {
 		return nil, err
@@ -455,156 +456,122 @@ func (s *Spec) simulateCluster(o *options) (*Report, error) {
 		}
 	}
 	initial := 0
-	for _, g := range f.Groups {
+	platforms := make([]*hw.Platform, len(f.Groups))
+	for i, g := range f.Groups {
 		initial += g.Count
+		if platforms[i], err = hw.ByName(g.Platform); err != nil {
+			return nil, err
+		}
 	}
-	agg := s.timelineAgg(KindCluster, initial)
+	agg := s.timelineAgg(kind, initial)
 	if agg != nil {
 		base.EmitStateSamples = true
 		base.SampleWindow = s.timelineWindow()
-	}
-	groups := make([]cluster.FleetGroup, len(f.Groups))
-	for i, g := range f.Groups {
-		p, err := hw.ByName(g.Platform)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = cluster.FleetGroup{Platform: p, Count: g.Count}
-	}
-	instances, err := cluster.FleetConfigs(groups, base)
-	if err != nil {
-		return nil, err
-	}
-	router, err := cluster.ParsePolicy(f.routerName())
-	if err != nil {
-		return nil, err
 	}
 	obs := progressObserver(o.observer, len(reqs), o.progressEvery)
 	if agg != nil {
 		obs = chainObs(obs, agg.Observe)
 	}
-	ccfg := cluster.Config{
-		Instances:       instances,
-		Policy:          router,
-		ShortPrompt:     f.ShortPrompt,
-		TTFTSLO:         base.TTFTSLO,
-		AdmitRatePerSec: f.AdmitRatePerSec,
-		AdmitBurst:      f.AdmitBurst,
-		Observer:        o.countObs(obs),
-	}
-	if s.Observability != nil {
-		ccfg.CounterfactualK = s.Observability.CounterfactualK
-	}
+	obs = o.countObs(obs)
+	var autoscale *cluster.AutoscaleConfig
 	if f.Autoscale != nil {
-		ccfg.Autoscale, err = f.Autoscale.config(base)
+		autoscale, err = f.Autoscale.config(base)
 		if err != nil {
 			return nil, err
 		}
 	}
+	var faults *cluster.FaultsConfig
 	if f.Faults != nil {
-		ccfg.Faults = f.Faults.config()
+		faults = f.Faults.config()
 	}
-	st, err := cluster.Simulate(ccfg, reqs)
-	if err != nil {
-		return nil, err
+	var k int
+	if s.Observability != nil {
+		k = s.Observability.CounterfactualK
 	}
-	rep := &Report{Kind: KindCluster, Cluster: st, Offered: len(reqs)}
-	if agg != nil {
-		rep.Timeline = agg.Finish(st.Horizon)
-	}
-	return rep, nil
-}
 
-func (s *Spec) simulateDisagg(o *options) (*Report, error) {
-	reqs, err := s.requests()
-	if err != nil {
-		return nil, err
-	}
-	base, err := s.serveConfig(nil)
-	if err != nil {
-		return nil, err
-	}
-	f := s.Fleet
-	d := f.Disaggregation
-	if f.KVCache != nil {
-		base.KVCache, err = f.KVCache.config()
+	rep := &Report{Kind: kind, Offered: len(reqs)}
+	var horizon sim.Time
+	if kind == KindDisagg {
+		d := f.Disaggregation
+		groups := make([]cluster.Group, len(f.Groups))
+		for i, g := range f.Groups {
+			role, err := cluster.ParseRole(g.Role)
+			if err != nil {
+				return nil, err
+			}
+			groups[i] = cluster.Group{Platform: platforms[i], Count: g.Count, Role: role}
+		}
+		prefillRouter, err := cluster.ParsePolicy(d.prefillRouterName())
 		if err != nil {
 			return nil, err
 		}
+		decodeRouter, err := cluster.ParsePolicy(d.decodeRouterName())
+		if err != nil {
+			return nil, err
+		}
+		dcfg := cluster.DisaggConfig{
+			Groups:        groups,
+			Base:          base,
+			PrefillPolicy: prefillRouter,
+			DecodePolicy:  decodeRouter,
+			ShortPrompt:   f.ShortPrompt,
+			Transfer: cluster.TransferModel{
+				HostHopMultiplier: d.HostHopMultiplier,
+				BandwidthGBps:     d.BandwidthGBps,
+				OverlapFraction:   d.OverlapFraction,
+			},
+			LinkAwareDecode: d.LinkAwareDecode,
+			TTFTSLO:         base.TTFTSLO,
+			AdmitRatePerSec: f.AdmitRatePerSec,
+			AdmitBurst:      f.AdmitBurst,
+			Observer:        obs,
+			Autoscale:       autoscale,
+			Faults:          faults,
+			CounterfactualK: k,
+		}
+		if autoscale != nil {
+			dcfg.AutoscaleRole, err = cluster.ParseRole(f.Autoscale.roleName())
+			if err != nil {
+				return nil, err
+			}
+		}
+		rep.Disagg, err = cluster.SimulateDisagg(dcfg, reqs)
+		if err != nil {
+			return nil, err
+		}
+		horizon = rep.Disagg.Horizon
+	} else {
+		groups := make([]cluster.FleetGroup, len(f.Groups))
+		for i, g := range f.Groups {
+			groups[i] = cluster.FleetGroup{Platform: platforms[i], Count: g.Count}
+		}
+		instances, err := cluster.FleetConfigs(groups, base)
+		if err != nil {
+			return nil, err
+		}
+		router, err := cluster.ParsePolicy(f.routerName())
+		if err != nil {
+			return nil, err
+		}
+		rep.Cluster, err = cluster.Simulate(cluster.Config{
+			Instances:       instances,
+			Policy:          router,
+			ShortPrompt:     f.ShortPrompt,
+			TTFTSLO:         base.TTFTSLO,
+			AdmitRatePerSec: f.AdmitRatePerSec,
+			AdmitBurst:      f.AdmitBurst,
+			Observer:        obs,
+			Autoscale:       autoscale,
+			Faults:          faults,
+			CounterfactualK: k,
+		}, reqs)
+		if err != nil {
+			return nil, err
+		}
+		horizon = rep.Cluster.Horizon
 	}
-	initial := 0
-	for _, g := range f.Groups {
-		initial += g.Count
-	}
-	agg := s.timelineAgg(KindDisagg, initial)
 	if agg != nil {
-		base.EmitStateSamples = true
-		base.SampleWindow = s.timelineWindow()
-	}
-	groups := make([]disagg.Group, len(f.Groups))
-	for i, g := range f.Groups {
-		p, err := hw.ByName(g.Platform)
-		if err != nil {
-			return nil, err
-		}
-		role, err := disagg.ParseRole(g.Role)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = disagg.Group{Platform: p, Count: g.Count, Role: role}
-	}
-	prefillRouter, err := cluster.ParsePolicy(d.prefillRouterName())
-	if err != nil {
-		return nil, err
-	}
-	decodeRouter, err := cluster.ParsePolicy(d.decodeRouterName())
-	if err != nil {
-		return nil, err
-	}
-	obs := progressObserver(o.observer, len(reqs), o.progressEvery)
-	if agg != nil {
-		obs = chainObs(obs, agg.Observe)
-	}
-	dcfg := disagg.Config{
-		Groups:        groups,
-		Base:          base,
-		PrefillPolicy: prefillRouter,
-		DecodePolicy:  decodeRouter,
-		ShortPrompt:   f.ShortPrompt,
-		Transfer: disagg.TransferModel{
-			HostHopMultiplier: d.HostHopMultiplier,
-			BandwidthGBps:     d.BandwidthGBps,
-			OverlapFraction:   d.OverlapFraction,
-		},
-		LinkAwareDecode: d.LinkAwareDecode,
-		TTFTSLO:         base.TTFTSLO,
-		AdmitRatePerSec: f.AdmitRatePerSec,
-		AdmitBurst:      f.AdmitBurst,
-		Observer:        o.countObs(obs),
-	}
-	if s.Observability != nil {
-		dcfg.CounterfactualK = s.Observability.CounterfactualK
-	}
-	if f.Autoscale != nil {
-		dcfg.Autoscale, err = f.Autoscale.config(base)
-		if err != nil {
-			return nil, err
-		}
-		dcfg.AutoscaleRole, err = disagg.ParseRole(f.Autoscale.roleName())
-		if err != nil {
-			return nil, err
-		}
-	}
-	if f.Faults != nil {
-		dcfg.Faults = f.Faults.config()
-	}
-	st, err := disagg.Simulate(dcfg, reqs)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Kind: KindDisagg, Disagg: st, Offered: len(reqs)}
-	if agg != nil {
-		rep.Timeline = agg.Finish(st.Horizon)
+		rep.Timeline = agg.Finish(horizon)
 	}
 	return rep, nil
 }

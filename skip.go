@@ -36,7 +36,6 @@ import (
 	"github.com/skipsim/skip/internal/cluster"
 	"github.com/skipsim/skip/internal/core"
 	"github.com/skipsim/skip/internal/cuda"
-	"github.com/skipsim/skip/internal/disagg"
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/fusion"
 	"github.com/skipsim/skip/internal/hw"
@@ -444,24 +443,24 @@ func ParseFleet(spec string) ([]FleetGroup, error) { return cluster.ParseFleet(s
 // Disaggregation-layer aliases: prefill/decode disaggregated serving
 // with an interconnect-priced KV handoff between pools — the fleet-
 // scale operationalization of the paper's prefill-compute vs decode-
-// bandwidth asymmetry. See the disagg package documentation.
+// bandwidth asymmetry. See the cluster package documentation.
 type (
 	// DisaggConfig parameterizes a disaggregated fleet simulation.
-	DisaggConfig = disagg.Config
+	DisaggConfig = cluster.DisaggConfig
 	// DisaggGroup is one fleet slice with a role.
-	DisaggGroup = disagg.Group
+	DisaggGroup = cluster.Group
 	// DisaggRole assigns a group to a pool (prefill, decode, both).
-	DisaggRole = disagg.Role
+	DisaggRole = cluster.Role
 	// DisaggStats summarizes a disaggregated fleet simulation: the
 	// cross-pool request ledger, transfer economics, and pooled
 	// latencies.
-	DisaggStats = disagg.Stats
+	DisaggStats = cluster.DisaggStats
 	// DisaggInstanceStats is one instance's share of a disaggregated
 	// fleet result.
-	DisaggInstanceStats = disagg.InstanceStats
+	DisaggInstanceStats = cluster.DisaggInstanceStats
 	// KVTransferModel prices KV-cache movement between instances from
 	// the platforms' interconnects.
-	KVTransferModel = disagg.TransferModel
+	KVTransferModel = cluster.TransferModel
 	// ServeHandoff is the state of a request leaving a prefill instance
 	// to resume mid-stream on a decode instance.
 	ServeHandoff = serve.Handoff
@@ -469,21 +468,21 @@ type (
 
 // Disaggregation roles.
 const (
-	RoleBoth    = disagg.RoleBoth
-	RolePrefill = disagg.RolePrefill
-	RoleDecode  = disagg.RoleDecode
+	RoleBoth    = cluster.RoleBoth
+	RolePrefill = cluster.RolePrefill
+	RoleDecode  = cluster.RoleDecode
 )
 
 // ParseDisaggRole maps a fleet-role name ("prefill", "decode", "both",
 // or empty) to a DisaggRole.
-func ParseDisaggRole(name string) (DisaggRole, error) { return disagg.ParseRole(name) }
+func ParseDisaggRole(name string) (DisaggRole, error) { return cluster.ParseRole(name) }
 
 // SimulateDisagg runs a prefill/decode disaggregated fleet over a
 // request stream. Prefer a Spec with a fleet.disaggregation section and
 // Simulate; this imperative door exists for callers composing custom
 // platforms or per-pool configs in code.
 func SimulateDisagg(cfg DisaggConfig, requests []ServeRequest) (*DisaggStats, error) {
-	return disagg.Simulate(cfg, requests)
+	return cluster.SimulateDisagg(cfg, requests)
 }
 
 // KVBytesPerToken is a model's per-cached-token KV footprint — the
