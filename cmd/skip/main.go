@@ -11,6 +11,8 @@
 //	skip analyze    -trace f.json          profile an existing trace file
 //	skip classify   [flags]                batch sweep + transition detection
 //	skip recommend  [flags]                proximity-score fusion recommendations
+//	skip generate   [flags]                prefill + autoregressive decode
+//	skip sim        -spec f.json           serving, fleet and sweep experiments
 //	skip microbench                        Table V nullKernel microbenchmark
 //
 // Run `skip <command> -h` for per-command flags.
@@ -20,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	skip "github.com/skipsim/skip"
@@ -48,10 +51,6 @@ func main() {
 		err = cmdRecommend(args)
 	case "generate":
 		err = cmdGenerate(args)
-	case "serve":
-		err = cmdServe(args)
-	case "cluster":
-		err = cmdCluster(args)
 	case "sim":
 		err = cmdSim(args)
 	case "microbench":
@@ -80,17 +79,6 @@ commands:
   classify     sweep batch sizes, print TKLQT series and the transition
   recommend    mine proximity-score fusion recommendations from a run
   generate     simulate prefill + autoregressive decode (TTFT, TPOT)
-  serve        simulate an inference server under a request load
-               (-policy static|greedy|continuous|chunked-prefill,
-                -workload chat|agentic|summarize|mixed|fixed)
-  cluster      simulate a multi-instance heterogeneous fleet behind a
-               router (-fleet GH200:4,Intel+H100:4, -router round-robin|
-               least-queue|least-kv|session-affinity|platform-aware,
-               -admit-rate token-bucket admission); tagging fleet groups
-               with roles (-fleet GH200:2/prefill,Intel+H100:2/decode)
-               enables prefill/decode disaggregation with an
-               interconnect-priced KV handoff (-prefill-router,
-               -decode-router, -host-hop, -kv-transfer-gbps)
   sim          run a declarative experiment spec (-spec file.json): one
                JSON document selecting engine, serve, cluster, or
                disaggregated simulation, with scenario, arrival-process,
@@ -103,8 +91,9 @@ commands:
                -progress / -cpuprofile measure the simulator itself
   microbench   nullKernel launch-overhead microbenchmark (Table V)
 
-run, generate, serve, and cluster are thin adapters that translate their
-flags into the same experiment Spec that 'skip sim' loads from disk.`)
+run and generate translate their flags into the same experiment Spec
+that 'skip sim' loads from disk. Serving and fleet simulations run only
+from a spec: start from examples/specs/.`)
 }
 
 func cmdPlatforms() error {
@@ -265,9 +254,13 @@ func cmdClassify(args []string) error {
 	if err != nil {
 		return err
 	}
+	sizes, err := parseBatches(*batches)
+	if err != nil {
+		return err
+	}
 	var series []skip.SeriesPoint
 	fmt.Printf("%-8s %14s %14s %14s  %s\n", "batch", "TTFT", "TKLQT", "GPU idle", "class")
-	for _, bs := range parseBatches(*batches) {
+	for _, bs := range sizes {
 		res, err := skip.Run(*rf.platform, *rf.model, bs, *rf.seq, mode)
 		if err != nil {
 			return err
@@ -337,24 +330,18 @@ func cmdMicrobench() error {
 	return nil
 }
 
-func parseBatches(s string) []int64 {
+// parseBatches parses classify's -batches list: comma-separated
+// positive batch sizes.
+func parseBatches(s string) ([]int64, error) {
 	var out []int64
-	var cur int64
-	ok := false
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if ok {
-				out = append(out, cur)
-			}
-			cur, ok = 0, false
-			continue
+	for _, field := range strings.Split(s, ",") {
+		bs, err := strconv.ParseInt(strings.TrimSpace(field), 10, 64)
+		if err != nil || bs <= 0 {
+			return nil, fmt.Errorf("classify: -batches: %q is not a positive batch size", field)
 		}
-		if s[i] >= '0' && s[i] <= '9' {
-			cur = cur*10 + int64(s[i]-'0')
-			ok = true
-		}
+		out = append(out, bs)
 	}
-	return out
+	return out, nil
 }
 
 func cmdGenerate(args []string) error {
@@ -379,73 +366,4 @@ func cmdGenerate(args []string) error {
 		fmt.Printf("trace written to %s\n", *rf.out)
 	}
 	return nil
-}
-
-func cmdServe(args []string) error {
-	rf := newRunFlags("serve")
-	rate := rf.fs.Float64("rate", 20, "Poisson arrival rate (requests/second)")
-	n := rf.fs.Int("requests", 60, "number of requests to simulate")
-	policyName := rf.fs.String("policy", "continuous", "batching policy: static|greedy|continuous|chunked-prefill")
-	workload := rf.fs.String("workload", "chat", "request stream: chat|agentic|summarize|mixed|fixed (fixed: -seq prompts, -out-tokens outputs) or trace:file.csv")
-	maxBatch := rf.fs.Int("max-batch", 32, "greedy/continuous: maximum (running) batch size")
-	staticBS := rf.fs.Int("static-batch", 8, "static: target batch size")
-	outTokens := rf.fs.Int64("out-tokens", 64, "fixed workload: output tokens per request")
-	chunk := rf.fs.Int64("chunk", 512, "chunked-prefill: prefill chunk size (tokens)")
-	kvUtil := rf.fs.Float64("kv-util", 0.9, "fraction of GPU HBM for weights + KV cache")
-	sloMs := rf.fs.Float64("slo-ttft-ms", 0, "TTFT SLO for goodput accounting (0: off)")
-	abandonMs := rf.fs.Float64("abandon-ms", 0, "drop requests still queued after this long (0: never)")
-	seed := rf.fs.Int64("seed", 1, "workload stream seed")
-	if err := rf.fs.Parse(args); err != nil {
-		return err
-	}
-	// These flags are explicit where the spec fields are optional: a 0
-	// would silently mean "the default" (0.9 / 512 / 32) rather than
-	// the impossible value the user typed.
-	if *kvUtil <= 0 || *kvUtil > 1 {
-		return fmt.Errorf("-kv-util must be in (0,1], got %g", *kvUtil)
-	}
-	if *rf.seq <= 0 {
-		return fmt.Errorf("-seq must be positive, got %d", *rf.seq)
-	}
-	if *maxBatch <= 0 {
-		return fmt.Errorf("-max-batch must be positive, got %d", *maxBatch)
-	}
-	sp := &skip.Spec{
-		Platform: *rf.platform,
-		Model:    *rf.model,
-		Mode:     *rf.mode,
-		Workload: workloadSpec(*workload, *n, *rate, *seed),
-		Serve: &skip.ServeSpec{
-			Policy:              *policyName,
-			MaxBatch:            *maxBatch,
-			BatchSize:           *staticBS,
-			MaxWaitMs:           100,
-			Seq:                 *rf.seq,
-			DefaultOutputTokens: *outTokens,
-			PrefillChunk:        *chunk,
-			KVMemoryUtil:        *kvUtil,
-			TTFTSLOMs:           *sloMs,
-			AbandonAfterMs:      *abandonMs,
-		},
-	}
-	rep, err := skip.Simulate(sp)
-	if err != nil {
-		return err
-	}
-	printReport(sp, rep)
-	return nil
-}
-
-// workloadSpec maps the -workload flag to a Spec workload section:
-// scenario names, "fixed" (bare Poisson arrivals with config-default
-// lengths), or "trace:file.csv" for request-trace replay.
-func workloadSpec(workload string, n int, rate float64, seed int64) *skip.WorkloadSpec {
-	switch {
-	case workload == "fixed":
-		return &skip.WorkloadSpec{Requests: n, RatePerSec: rate, Seed: seed}
-	case strings.HasPrefix(workload, "trace:"):
-		return &skip.WorkloadSpec{TraceFile: strings.TrimPrefix(workload, "trace:")}
-	default:
-		return &skip.WorkloadSpec{Scenario: workload, Requests: n, RatePerSec: rate, Seed: seed}
-	}
 }

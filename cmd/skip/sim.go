@@ -16,9 +16,9 @@ import (
 )
 
 // cmdSim runs a declarative experiment spec: `skip sim -spec
-// experiment.json`. The run/serve/cluster subcommands build the same
-// Spec from flags; sim loads it from disk, so a spec file is the
-// complete, shareable description of an experiment.
+// experiment.json`. It is the only command that runs serving, fleet and
+// sweep experiments; run and generate build the same Spec from flags.
+// A spec file is the complete, shareable description of an experiment.
 func cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "experiment spec file (JSON; see `skip sim -h` and README)")
@@ -55,6 +55,11 @@ func cmdSim(args []string) error {
 	// mutually exclusive with serve/fleet, so sp.Run identifies a
 	// run-kind sweep too).
 	isRun := sp.Kind() == skip.KindRun || sp.Run != nil
+	// Only an unswept run report carries a profiler trace; reject -o
+	// before spending a simulation on it.
+	if *out != "" && sp.Kind() != skip.KindRun {
+		return fmt.Errorf("sim: -o needs a run spec (serve, fleet and sweep reports carry no trace)")
+	}
 	// Every event consumer shares one observer; with -json, stdout must
 	// stay one parseable document, so status and streamed events move to
 	// stderr.
@@ -195,11 +200,7 @@ func cmdSim(args []string) error {
 		printProfile(rep.Profile)
 	}
 	if *out != "" {
-		tr := traceOf(rep)
-		if tr == nil {
-			return fmt.Errorf("sim: -o needs a run spec (serve/cluster reports carry no trace)")
-		}
-		if err := tr.SaveFile(*out); err != nil {
+		if err := traceOf(rep).SaveFile(*out); err != nil {
 			return err
 		}
 		fmt.Fprintf(statusOut, "trace written to %s\n", *out)
@@ -207,18 +208,16 @@ func cmdSim(args []string) error {
 	return nil
 }
 
+// traceOf returns a run report's profiler trace.
 func traceOf(rep *skip.Report) *skip.Trace {
-	switch {
-	case rep.Run != nil:
-		return rep.Run.Trace
-	case rep.Generate != nil:
+	if rep.Generate != nil {
 		return rep.Generate.Trace
 	}
-	return nil
+	return rep.Run.Trace
 }
 
-// printReport renders a unified Report; every front door (sim, run,
-// generate, serve, cluster) funnels through it.
+// printReport renders a unified Report; the sim, run and generate
+// commands all funnel through it.
 func printReport(sp *skip.Spec, rep *skip.Report) {
 	switch rep.Kind {
 	case skip.KindRun:

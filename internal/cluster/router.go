@@ -71,7 +71,7 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy maps a CLI name to a routing policy.
+// ParsePolicy maps a fleet.router name to a routing policy.
 func ParsePolicy(name string) (Policy, error) {
 	switch name {
 	case "round-robin", "rr":

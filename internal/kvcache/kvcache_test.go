@@ -359,3 +359,37 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatalf("replay diverged: %+v/%d/%d vs %+v/%d/%d", s1, d1, h1, s2, d2, h2)
 	}
 }
+
+// BenchmarkKVCacheAcquireRelease times one request's cache round trip —
+// Peek, Acquire, then Release — over a warmed LRU cache with a host
+// tier. Requests pick one of 64 sessions with 31-block prompts, more
+// than device plus host can hold, so the steady state mixes hits,
+// restores, misses, evictions and spills.
+func BenchmarkKVCacheAcquireRelease(b *testing.B) {
+	const sessions, prompt = 64, 1024
+	c, err := New(Config{DeviceBlocks: 1024, HostSpillBlocks: 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := uint64(1)
+	session := func() int64 { // a fixed LCG: a deterministic session mix
+		x = x*6364136223846793005 + 1442695040888963407
+		return int64(x>>33)%sessions + 1
+	}
+	round := func() {
+		s := session()
+		peeked = c.Peek(s, prompt)
+		c.Release(s, c.Acquire(s, prompt, false).Pinned)
+	}
+	for i := 0; i < 4*sessions; i++ {
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// peeked keeps the benchmark's Peek results live.
+var peeked int64

@@ -143,3 +143,21 @@ func TestBucketRoundTrip(t *testing.T) {
 	}
 	check(1<<63 - 1)
 }
+
+// BenchmarkHistogramRecord times one Record of a latency-like sample:
+// a 1000–1999 ns mantissa scaled by 2^0…2^19, so samples spread
+// log-uniformly from 1µs to ~1s of virtual time.
+func BenchmarkHistogramRecord(b *testing.B) {
+	var h Histogram
+	r := lcg(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := r.next()
+		h.Record(int64(1000+(v>>40)%1000) << (v % 20))
+	}
+	recorded = h.Count()
+}
+
+// recorded keeps the benchmark's histogram live.
+var recorded uint64

@@ -86,7 +86,7 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy maps a CLI name to a Policy.
+// ParsePolicy maps a serve.policy name to a Policy.
 func ParsePolicy(name string) (Policy, error) {
 	switch name {
 	case "static":

@@ -83,7 +83,7 @@ func (s Scenario) String() string {
 	}
 }
 
-// ParseScenario maps a CLI name to a Scenario.
+// ParseScenario maps a workload.scenario name to a Scenario.
 func ParseScenario(name string) (Scenario, error) {
 	switch name {
 	case "chat":

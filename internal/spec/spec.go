@@ -6,10 +6,10 @@
 // Simulate dispatches it to the engine, serving, or cluster layer based
 // on which sections are present.
 //
-// The Spec replaces three parallel entry points (skip.Run, skip.Serve,
-// skip.SimulateCluster), each with its own config plumbing: a CLI
-// subcommand, a bench experiment, and a library caller can now share
-// one document, round-trippable via Load/Save, and consume one Report.
+// Simulate is the only way to run a serving or fleet simulation, in the
+// library (skip.Simulate) and on the command line (skip sim -spec): a
+// CLI run, a bench experiment, and a library caller share one document,
+// round-trippable via Load/Save, and consume one Report.
 package spec
 
 import (

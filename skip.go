@@ -14,15 +14,19 @@
 //     transition and crossover detection.
 //   - RecommendFusion: the proximity-score kernel-fusion recommender.
 //
-// The declarative entry point is a Spec: one JSON-serializable document
-// describing platform/model/mode, the workload (scenario generators,
-// arrival processes, or a logged request trace), the serving
-// configuration, and optionally a fleet. Simulate dispatches it to the
-// right layer and returns a unified Report:
+// Serving and fleet simulations have one entry point, Simulate over a
+// Spec: one JSON-serializable document describing platform/model/mode,
+// the workload (scenario generators, arrival processes, or a logged
+// request trace), the serving configuration, and optionally a fleet.
+// Simulate dispatches it to the right layer and returns a unified
+// Report:
 //
 //	sp, err := skip.LoadSpec("experiment.json")
 //	rep, err := skip.Simulate(sp, skip.WithObserver(func(e skip.Event) { … }))
 //	fmt.Println(rep.Kind, rep.Serve.P95TTFT)
+//
+// The serving and fleet names the package exports type that Report's
+// fields and name the policies a spec selects.
 //
 // Quick start (imperative single run):
 //
@@ -39,7 +43,6 @@ import (
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/fusion"
 	"github.com/skipsim/skip/internal/hw"
-	"github.com/skipsim/skip/internal/kvcache"
 	"github.com/skipsim/skip/internal/metrics"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/serve"
@@ -251,30 +254,23 @@ func Attribute(tr *Trace) (*Attribution, error) { return core.Attribute(tr) }
 // hardware studies; SavePlatformFile on a Platform writes one.
 func LoadPlatformFile(path string) (*Platform, error) { return hw.LoadPlatformFile(path) }
 
-// Serving-layer aliases: simulate an inference server with a batching
-// policy over the platform simulator (paper §II-A's latency/throughput
-// trade-off). The continuous policies run a discrete-event,
-// iteration-level (Orca-style) scheduler with a KV-cache capacity
-// model; see the serve package documentation.
+// Serving-layer names: the types of a serve Report (Report.Serve) and
+// the batching policies a spec's serve.policy selects. A serving run is
+// a Spec with workload and serve sections, run by Simulate; the
+// continuous policies run a discrete-event, iteration-level
+// (Orca-style) scheduler with a KV-cache capacity model (see the serve
+// package documentation).
 type (
-	// ServeConfig parameterizes a serving simulation.
-	ServeConfig = serve.Config
 	// ServeStats summarizes request latencies, throughput, goodput, and
 	// KV-cache occupancy.
 	ServeStats = serve.Stats
-	// ServeRequest is one arriving inference request (with per-request
-	// prompt and output lengths).
-	ServeRequest = serve.Request
 	// ServePolicy selects the batching policy.
 	ServePolicy = serve.Policy
-	// ServeWorkload generates deterministic scenario request streams.
-	ServeWorkload = serve.Workload
-	// ServeScenario names a workload shape (chat, agentic, …).
-	ServeScenario = serve.Scenario
-	// ServeLengthDist is a clamped lognormal token-length distribution.
-	ServeLengthDist = serve.LengthDist
 	// ServeSample is one (time, value) point of a server state series.
 	ServeSample = serve.SamplePoint
+	// KVCacheStats is the reconciled prefix-cache ledger a report
+	// carries when the spec has a fleet.kv_cache section.
+	KVCacheStats = serve.KVCacheStats
 )
 
 // Batching policies.
@@ -285,103 +281,33 @@ const (
 	ChunkedPrefill  = serve.ChunkedPrefill
 )
 
-// Workload scenarios.
-const (
-	ScenarioChat      = serve.ScenarioChat
-	ScenarioAgentic   = serve.ScenarioAgentic
-	ScenarioSummarize = serve.ScenarioSummarize
-	ScenarioMixed     = serve.ScenarioMixed
-)
-
-// Serve simulates an inference server over a request stream.
-//
-// Deprecated: build a Spec with a workload and serve section and call
-// Simulate; it shares this code path and adds validation, event
-// streaming, and JSON round-tripping. Serve remains as a thin wrapper
-// for imperative callers.
-func Serve(cfg ServeConfig, requests []ServeRequest) (*ServeStats, error) {
-	return serve.Simulate(cfg, requests)
-}
-
-// ParseServePolicy maps a CLI name ("continuous", "static", …) to a
-// policy.
+// ParseServePolicy maps a serve.policy name ("continuous", "static", …)
+// to a policy.
 func ParseServePolicy(name string) (ServePolicy, error) { return serve.ParsePolicy(name) }
 
-// ParseServeScenario maps a CLI name ("chat", "agentic", …) to a
-// workload scenario.
-func ParseServeScenario(name string) (ServeScenario, error) { return serve.ParseScenario(name) }
-
-// PoissonArrivals generates a deterministic Poisson request stream.
-func PoissonArrivals(n int, ratePerSec float64, seed int64) ([]ServeRequest, error) {
-	return serve.PoissonArrivals(n, ratePerSec, seed)
-}
-
-// UniformArrivals generates a fixed-interval request stream. Like
-// PoissonArrivals, it fails on a non-positive count or interval.
-func UniformArrivals(n int, interval Time) ([]ServeRequest, error) {
-	return serve.UniformArrivals(n, interval)
-}
-
-// GenerateWorkload produces a scenario's request stream (chat, agentic
-// multi-turn, long-context summarization, or a mix), deterministic for
-// a fixed seed.
-func GenerateWorkload(w ServeWorkload) ([]ServeRequest, error) { return w.Generate() }
-
-// Cluster-layer aliases: simulate a multi-instance, possibly
-// heterogeneous fleet behind a front-end router with admission control
-// — the fleet-scale extension of the paper's platform comparison. See
-// the cluster package documentation.
+// Fleet-layer names: the types of a fleet Report (Report.Cluster for a
+// monolithic fleet, Report.Disagg for a prefill/decode disaggregated
+// one) and the routing policies a spec's fleet.router selects. A fleet
+// run is a Spec with workload and fleet sections, run by Simulate — the
+// fleet-scale extension of the paper's platform comparison. See the
+// cluster package documentation.
 type (
-	// ClusterConfig parameterizes a fleet simulation: per-instance
-	// serving configs, routing policy, and admission control.
-	ClusterConfig = cluster.Config
 	// ClusterStats summarizes fleet-level latencies, goodput, the
 	// request ledger, load imbalance, and per-instance breakdowns.
 	ClusterStats = cluster.Stats
 	// ClusterInstanceStats is one instance's share of a fleet result.
 	ClusterInstanceStats = cluster.InstanceStats
-	// RouterPolicy selects how the front-end places requests.
-	RouterPolicy = cluster.Policy
-	// FleetGroup is one homogeneous slice of a fleet spec.
-	FleetGroup = cluster.FleetGroup
-	// AutoscaleConfig parameterizes the fleet autoscale controller.
-	AutoscaleConfig = cluster.AutoscaleConfig
-	// ScaleSignal selects the autoscale load signal.
-	ScaleSignal = cluster.ScaleSignal
-	// FaultsConfig parameterizes fault injection.
-	FaultsConfig = cluster.FaultsConfig
-	// Fault is one scheduled fault injection.
-	Fault = cluster.Fault
-	// FaultKind classifies a fault (crash, slow-node, link-degraded).
-	FaultKind = cluster.FaultKind
+	// DisaggStats summarizes a disaggregated fleet simulation: the
+	// cross-pool request ledger, transfer economics, and pooled
+	// latencies.
+	DisaggStats = cluster.DisaggStats
+	// DisaggInstanceStats is one instance's share of a disaggregated
+	// fleet result.
+	DisaggInstanceStats = cluster.DisaggInstanceStats
 	// ChaosStats is the churn ledger of a dynamic fleet.
 	ChaosStats = cluster.ChaosStats
-	// InstanceState is a serving instance's lifecycle state.
-	InstanceState = serve.InstanceState
-	// EvictedRequest is one in-flight request a killed instance pushed
-	// out for the fleet layer to requeue.
-	EvictedRequest = serve.Evicted
-)
-
-// Autoscale signals.
-const (
-	SignalQueueDepth    = cluster.SignalQueueDepth
-	SignalSLOAttainment = cluster.SignalSLOAttainment
-	SignalTransferQueue = cluster.SignalTransferQueue
-)
-
-// Fault kinds.
-const (
-	FaultCrash       = cluster.FaultCrash
-	FaultSlowNode    = cluster.FaultSlowNode
-	FaultLinkDegrade = cluster.FaultLinkDegrade
-)
-
-// Instance lifecycle states.
-const (
-	StateActive   = serve.StateActive
-	StateDraining = serve.StateDraining
-	StateStopped  = serve.StateStopped
+	// RouterPolicy selects how the front-end places requests.
+	RouterPolicy = cluster.Policy
 )
 
 // Routing policies.
@@ -394,108 +320,12 @@ const (
 	RouterPrefixAffinity  = cluster.PrefixAffinity
 )
 
-// KV-cache aliases: the block-level prefix cache instances attach when
-// a fleet.kv_cache section (or ServeConfig.KVCache) is present. See the
-// kvcache package documentation for the block, hashing, and eviction
-// model.
-type (
-	// KVCacheConfig dimensions an instance's prefix cache (block
-	// granularity, device and host-spill tiers, eviction policy).
-	KVCacheConfig = serve.KVCacheConfig
-	// KVCacheStats is the reconciled cache ledger a report carries.
-	KVCacheStats = serve.KVCacheStats
-	// KVCachePolicy selects the block eviction policy.
-	KVCachePolicy = kvcache.Policy
-)
-
-// KV-cache eviction policies.
-const (
-	KVCacheLRU  = kvcache.LRU
-	KVCacheFIFO = kvcache.FIFO
-)
-
-// ParseKVCachePolicy maps a policy name ("lru", "fifo") to a
-// KVCachePolicy.
-func ParseKVCachePolicy(name string) (KVCachePolicy, error) { return kvcache.ParsePolicy(name) }
-
-// SimulateCluster runs a fleet simulation over a request stream.
-//
-// Deprecated: build a Spec with a workload and fleet section and call
-// Simulate; it shares this code path and adds validation, event
-// streaming, and JSON round-tripping. SimulateCluster remains as a thin
-// wrapper for imperative callers.
-func SimulateCluster(cfg ClusterConfig, requests []ServeRequest) (*ClusterStats, error) {
-	return cluster.Simulate(cfg, requests)
-}
-
-// ParseRouterPolicy maps a CLI name ("round-robin", "least-kv", …) to
-// a routing policy.
+// ParseRouterPolicy maps a fleet.router name ("round-robin",
+// "least-kv", …) to a routing policy.
 func ParseRouterPolicy(name string) (RouterPolicy, error) { return cluster.ParsePolicy(name) }
 
 // RouterPolicies lists the routing policies in presentation order.
 func RouterPolicies() []RouterPolicy { return cluster.Policies() }
-
-// ParseFleet parses a fleet spec like "GH200:4,Intel+H100:4" (or, with
-// disaggregation roles, "GH200:2/prefill,Intel+H100:6/decode") against
-// the platform catalog.
-func ParseFleet(spec string) ([]FleetGroup, error) { return cluster.ParseFleet(spec) }
-
-// Disaggregation-layer aliases: prefill/decode disaggregated serving
-// with an interconnect-priced KV handoff between pools — the fleet-
-// scale operationalization of the paper's prefill-compute vs decode-
-// bandwidth asymmetry. See the cluster package documentation.
-type (
-	// DisaggConfig parameterizes a disaggregated fleet simulation.
-	DisaggConfig = cluster.DisaggConfig
-	// DisaggGroup is one fleet slice with a role.
-	DisaggGroup = cluster.Group
-	// DisaggRole assigns a group to a pool (prefill, decode, both).
-	DisaggRole = cluster.Role
-	// DisaggStats summarizes a disaggregated fleet simulation: the
-	// cross-pool request ledger, transfer economics, and pooled
-	// latencies.
-	DisaggStats = cluster.DisaggStats
-	// DisaggInstanceStats is one instance's share of a disaggregated
-	// fleet result.
-	DisaggInstanceStats = cluster.DisaggInstanceStats
-	// KVTransferModel prices KV-cache movement between instances from
-	// the platforms' interconnects.
-	KVTransferModel = cluster.TransferModel
-	// ServeHandoff is the state of a request leaving a prefill instance
-	// to resume mid-stream on a decode instance.
-	ServeHandoff = serve.Handoff
-)
-
-// Disaggregation roles.
-const (
-	RoleBoth    = cluster.RoleBoth
-	RolePrefill = cluster.RolePrefill
-	RoleDecode  = cluster.RoleDecode
-)
-
-// ParseDisaggRole maps a fleet-role name ("prefill", "decode", "both",
-// or empty) to a DisaggRole.
-func ParseDisaggRole(name string) (DisaggRole, error) { return cluster.ParseRole(name) }
-
-// SimulateDisagg runs a prefill/decode disaggregated fleet over a
-// request stream. Prefer a Spec with a fleet.disaggregation section and
-// Simulate; this imperative door exists for callers composing custom
-// platforms or per-pool configs in code.
-func SimulateDisagg(cfg DisaggConfig, requests []ServeRequest) (*DisaggStats, error) {
-	return cluster.SimulateDisagg(cfg, requests)
-}
-
-// KVBytesPerToken is a model's per-cached-token KV footprint — the
-// quantity the disaggregation transfer model multiplies by a handoff's
-// cache extent.
-func KVBytesPerToken(m *Model) float64 { return serve.KVBytesPerToken(m) }
-
-// FleetConfigs expands fleet groups over a base serving config, one
-// config per instance with the group's platform substituted. Groups
-// with a nil platform or non-positive count are rejected.
-func FleetConfigs(groups []FleetGroup, base ServeConfig) ([]ServeConfig, error) {
-	return cluster.FleetConfigs(groups, base)
-}
 
 // Spec API: the declarative, JSON-serializable entry point. One Spec
 // document selects the simulation layer by which sections are present —
@@ -586,7 +416,8 @@ const (
 )
 
 // Simulate validates the spec and runs it on the matching layer —
-// engine, serving instance, or cluster — returning a unified Report; a
+// engine, serving instance, or fleet — returning a unified Report. It is
+// the only function that runs a serving or fleet simulation; a
 // spec with a sweep section runs once per swept value (concurrently on
 // a bounded worker pool) and returns the ordered series. Deterministic
 // for a fixed spec at any worker count: the CLI, bench experiments, and
@@ -715,7 +546,3 @@ func NewTimelineBuilder() *TimelineBuilder { return serve.NewTimelineBuilder() }
 // ParseMode maps a mode name ("eager", "flash", "compile-default", …)
 // to an execution Mode.
 func ParseMode(name string) (Mode, error) { return engine.ParseMode(name) }
-
-// LoadRequestTrace reads a request-trace CSV file (columns arrival_ms,
-// prompt_tokens, output_tokens, session_id) for trace-replay workloads.
-func LoadRequestTrace(path string) ([]ServeRequest, error) { return serve.LoadTraceFile(path) }

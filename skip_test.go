@@ -175,41 +175,38 @@ func TestSweepHelpersThroughPublicAPI(t *testing.T) {
 }
 
 // TestPublicClusterPipeline drives the fleet simulator end to end
-// through the exported API: fleet spec parsing, workload generation,
-// routing, and the fleet-level request ledger.
+// through the exported API: one fleet spec per routing policy over a
+// heterogeneous two-instance fleet, checking the fleet-level request
+// ledger.
 func TestPublicClusterPipeline(t *testing.T) {
-	groups, err := skip.ParseFleet("GH200:1,Intel+H100:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := skip.ModelByName("gpt2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requests, err := skip.GenerateWorkload(skip.ServeWorkload{
-		Scenario: skip.ScenarioChat, N: 12, RatePerSec: 100, Seed: 5,
-		Prompt: skip.ServeLengthDist{Mean: 48, Sigma: 0.5, Min: 16, Max: 96},
-		Output: skip.ServeLengthDist{Mean: 4, Sigma: 0.5, Min: 2, Max: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := skip.ServeConfig{
-		Model: model, Seq: 64, Mode: skip.ModeEager,
-		Policy: skip.ContinuousBatch, MaxBatch: 8,
-	}
-	instances, err := skip.FleetConfigs(groups, base)
-	if err != nil {
-		t.Fatal(err)
+	fleetSpec := func(router string) *skip.Spec {
+		return &skip.Spec{
+			Model: "gpt2",
+			Mode:  "eager",
+			Workload: &skip.WorkloadSpec{
+				Scenario: "chat", Requests: 12, RatePerSec: 100, Seed: 5,
+				Prompt: &skip.LengthDistSpec{Mean: 48, Sigma: 0.5, Min: 16, Max: 96},
+				Output: &skip.LengthDistSpec{Mean: 4, Sigma: 0.5, Min: 2, Max: 8},
+			},
+			Serve: &skip.ServeSpec{Policy: "continuous", Seq: 64, MaxBatch: 8},
+			Fleet: &skip.FleetSpec{
+				Groups: []skip.FleetGroupSpec{
+					{Platform: skip.GH200, Count: 1},
+					{Platform: skip.IntelH100, Count: 1},
+				},
+				Router: router,
+			},
+		}
 	}
 	for _, policy := range skip.RouterPolicies() {
-		stats, err := skip.SimulateCluster(skip.ClusterConfig{
-			Instances: instances,
-			Policy:    policy,
-		}, requests)
+		rep, err := skip.Simulate(fleetSpec(policy.String()))
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
+		if rep.Kind != skip.KindCluster {
+			t.Fatalf("%v: kind = %v, want cluster", policy, rep.Kind)
+		}
+		stats := rep.Cluster
 		if stats.Completed != 12 || stats.Offered != stats.Routed {
 			t.Errorf("%v: ledger %+v", policy, stats)
 		}
@@ -220,8 +217,10 @@ func TestPublicClusterPipeline(t *testing.T) {
 	if _, err := skip.ParseRouterPolicy("least-kv"); err != nil {
 		t.Error(err)
 	}
-	if _, err := skip.ParseFleet("GH200"); err == nil {
-		t.Error("malformed fleet spec should fail")
+	bad := fleetSpec("least-kv")
+	bad.Fleet.Groups[0].Count = 0
+	if _, err := skip.Simulate(bad); err == nil {
+		t.Error("a fleet group without instances should fail")
 	}
 }
 
