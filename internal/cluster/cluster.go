@@ -373,10 +373,9 @@ func (f *fleetSim) run() error {
 	if f.cfg.Faults != nil {
 		f.setupFaults()
 	}
-	for i := range f.reqs {
-		req := f.reqs[i]
-		f.cal.Schedule(req.Arrival, func(now sim.Time) { f.route(now, req) })
-	}
+	f.cal.Stream(len(f.reqs),
+		func(i int) sim.Time { return f.reqs[i].Arrival },
+		func(now sim.Time, i int) { f.route(now, f.reqs[i]) })
 	f.cal.Run()
 	if f.err != nil {
 		return f.err

@@ -3,7 +3,10 @@
 // turns the observer event stream into per-interval time series, and
 // the simulator self-profiling report. Everything here is exact-count
 // streaming state — no per-sample storage — so a 10M-request replay
-// pays a fixed memory cost per window, not per request.
+// pays a fixed memory cost per window, not per request. Histograms are
+// sparse: a window pays only for the value magnitudes its samples
+// touch (one 32-bucket row per power of two), not for the whole int64
+// range.
 package metrics
 
 import "math/bits"
@@ -13,23 +16,29 @@ import "math/bits"
 // magnitude splits into 32 sub-buckets, so the relative quantization
 // error is bounded by 1/32 (halved again by midpoint representatives).
 // The bucket count covers all of int64, so Record never range-checks.
+// Buckets are stored in rows of subBuckets, one row per magnitude
+// (bucketIndex / subBuckets), allocated on first touch.
 const (
 	subBucketBits  = 5
 	subBuckets     = 1 << subBucketBits // 32
 	histBucketsLen = (64 - subBucketBits - 1 + 1) * subBuckets
+	histRows       = histBucketsLen / subBuckets
 )
 
 // Histogram is a streaming log-bucketed histogram over non-negative
 // int64 samples (virtual nanoseconds, token counts, ...). The zero
 // value is ready to use. It answers count, exact mean and max, and
 // nearest-rank quantiles within ~±1.6% relative error, without storing
-// samples — and two histograms merge by adding their bucket arrays, so
-// per-instance and fleet-level views share one recording pass.
+// samples — and two histograms merge by adding their bucket counts, so
+// per-instance and fleet-level views share one recording pass. Only
+// touched rows are allocated; a nil row holds zero counts. A copied
+// Histogram value shares its rows with the original; Merge into a zero
+// value makes an independent copy.
 type Histogram struct {
-	counts [histBucketsLen]uint64
-	count  uint64
-	sum    int64
-	max    int64
+	rows  [histRows]*[subBuckets]uint64
+	count uint64
+	sum   int64
+	max   int64
 }
 
 // bucketIndex maps a non-negative value to its bucket.
@@ -60,7 +69,13 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketIndex(v)]++
+	idx := bucketIndex(v)
+	row := h.rows[idx/subBuckets]
+	if row == nil {
+		row = new([subBuckets]uint64)
+		h.rows[idx/subBuckets] = row
+	}
+	row[idx%subBuckets]++
 	h.count++
 	h.sum += v
 	if v > h.max {
@@ -101,23 +116,38 @@ func (h *Histogram) Quantile(p float64) int64 {
 		rank = h.count
 	}
 	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			return bucketValue(i)
+	for r, row := range h.rows {
+		if row == nil {
+			continue
+		}
+		for i, c := range row {
+			cum += c
+			if cum >= rank {
+				return bucketValue(r*subBuckets + i)
+			}
 		}
 	}
 	return h.max
 }
 
 // Merge adds other's samples into h. Count, sum, and max stay exact;
-// bucket counts add element-wise.
+// bucket counts add element-wise over other's touched rows.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for r, src := range other.rows {
+		if src == nil {
+			continue
+		}
+		dst := h.rows[r]
+		if dst == nil {
+			dst = new([subBuckets]uint64)
+			h.rows[r] = dst
+		}
+		for i, c := range src {
+			dst[i] += c
+		}
 	}
 	h.count += other.count
 	h.sum += other.sum

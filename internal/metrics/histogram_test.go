@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 
 	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
@@ -142,6 +145,152 @@ func TestBucketRoundTrip(t *testing.T) {
 		check(int64(r.next() >> 1)) // any non-negative int64
 	}
 	check(1<<63 - 1)
+}
+
+// denseHist is the reference histogram: the same bucket layout and
+// nearest-rank rule as Histogram, over one dense array of every bucket.
+type denseHist struct {
+	counts [histBucketsLen]uint64
+	count  uint64
+	sum    int64
+	max    int64
+}
+
+func (h *denseHist) record(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.counts[bucketIndex(v)]++
+	h.count++
+	h.sum += v
+	if v > h.max {
+		h.max = v
+	}
+}
+
+func (h *denseHist) merge(o *denseHist) {
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+	h.count += o.count
+	h.sum += o.sum
+	if o.max > h.max {
+		h.max = o.max
+	}
+}
+
+func (h *denseHist) quantile(p float64) int64 {
+	if h.count == 0 {
+		return 0
+	}
+	rank := uint64(float64(h.count) * p / 100)
+	if float64(rank) < float64(h.count)*p/100 {
+		rank++
+	}
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > h.count {
+		rank = h.count
+	}
+	var cum uint64
+	for i, c := range h.counts {
+		cum += c
+		if cum >= rank {
+			return bucketValue(i)
+		}
+	}
+	return h.max
+}
+
+// sameAsDense checks h against the dense reference bucket for bucket,
+// then on every summary the timeline reads.
+func sameAsDense(t *testing.T, label string, h *Histogram, d *denseHist) {
+	t.Helper()
+	for i := 0; i < histBucketsLen; i++ {
+		var got uint64
+		if row := h.rows[i/subBuckets]; row != nil {
+			got = row[i%subBuckets]
+		}
+		if got != d.counts[i] {
+			t.Fatalf("%s: bucket %d holds %d, dense %d", label, i, got, d.counts[i])
+		}
+	}
+	if h.Count() != d.count || h.Max() != d.max {
+		t.Fatalf("%s: count/max (%d, %d), dense (%d, %d)", label, h.Count(), h.Max(), d.count, d.max)
+	}
+	var dmean float64
+	if d.count > 0 {
+		dmean = float64(d.sum) / float64(d.count)
+	}
+	if h.Mean() != dmean {
+		t.Fatalf("%s: mean %v, dense %v", label, h.Mean(), dmean)
+	}
+	for _, p := range []float64{0.1, 1, 50, 90, 99, 99.9, 100} {
+		if got, want := h.Quantile(p), d.quantile(p); got != want {
+			t.Fatalf("%s: p%v = %d, dense %d", label, p, got, want)
+		}
+	}
+}
+
+// TestSparseMatchesDense: the sparse rows must hold exactly what the
+// dense layout would, over random and extreme samples (the unit/log
+// boundary at 31/32, zero, the int64 maximum) and across chained
+// merges that include empty and zero-value operands.
+func TestSparseMatchesDense(t *testing.T) {
+	var r lcg = 7
+	sample := func(i int) int64 {
+		switch i % 11 {
+		case 0:
+			return 0
+		case 1:
+			return 31
+		case 2:
+			return 32
+		case 3:
+			return math.MaxInt64
+		case 4:
+			return -int64(r.next() % 100) // clamps to zero
+		case 5:
+			return int64(r.next() >> 1) // anywhere in int64
+		default:
+			return int64(r.next()%1000+1) << (r.next() % 40)
+		}
+	}
+	const parts = 6
+	var hs [parts]Histogram
+	var ds [parts]denseHist
+	for p := 0; p < parts; p++ {
+		if p == 2 {
+			continue // one part stays empty
+		}
+		for i := 0; i < 500*(p+1); i++ {
+			v := sample(i + p)
+			hs[p].Record(v)
+			ds[p].record(v)
+		}
+		sameAsDense(t, fmt.Sprintf("part %d", p), &hs[p], &ds[p])
+	}
+
+	var acc Histogram
+	var dacc denseHist
+	acc.Merge(nil)
+	acc.Merge(&Histogram{})
+	sameAsDense(t, "zero value after empty merges", &acc, &dacc)
+	for p := 0; p < parts; p++ {
+		acc.Merge(&hs[p])
+		dacc.merge(&ds[p])
+		sameAsDense(t, fmt.Sprintf("chained merge through part %d", p), &acc, &dacc)
+	}
+	var into Histogram
+	into.Merge(&acc)
+	sameAsDense(t, "merge into a zero value", &into, &dacc)
+	acc.Record(5) // a merged copy must not share rows with its source
+	sameAsDense(t, "merged copy after its source records", &into, &dacc)
+
+	if size := unsafe.Sizeof(Histogram{}); size > 1024 {
+		t.Errorf("Histogram is %d bytes, want at most 1 KiB", size)
+	}
 }
 
 // BenchmarkHistogramRecord times one Record of a latency-like sample:

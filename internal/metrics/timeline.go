@@ -285,8 +285,9 @@ func (a *Aggregator) stateSample(e serve.Event) {
 
 // dropInstanceState removes a departed instance's contribution to the
 // fleet queue and KV levels: its waiting requests were requeued (or
-// dropped) and its KV is gone. Its cumulative cache counters stay in
-// the fleet total — that history happened.
+// dropped) and its KV is gone, so its own scope's levels fall to zero
+// too. Its cumulative cache counters stay in the fleet total — that
+// history happened.
 func (a *Aggregator) dropInstanceState(t sim.Time, instance string) {
 	if _, ok := a.instQueue[instance]; !ok {
 		return
@@ -301,6 +302,10 @@ func (a *Aggregator) dropInstanceState(t sim.Time, instance string) {
 		level = a.kvSum / float64(len(a.instKV))
 	}
 	a.fleet.kv.set(t, a.cfg.Interval, level)
+	if s := a.instances[instance]; s != nil {
+		s.queue.set(t, a.cfg.Interval, 0)
+		s.kv.set(t, a.cfg.Interval, 0)
+	}
 }
 
 // windowSeconds is window w's true duration in seconds (the last
@@ -371,22 +376,21 @@ func fold(c windowCounts, n int) []int64 {
 	return out
 }
 
-// foldHists folds per-raw-window histograms to n windows.
+// foldHists folds per-raw-window histograms to n windows. Windows
+// below n pass through by pointer; a tail past n merges into a copy of
+// window n-1, so the aggregator's own histograms are never mutated.
 func foldHists(hs []*Histogram, n int) []*Histogram {
 	out := make([]*Histogram, n)
-	for w, h := range hs {
-		if h == nil {
-			continue
-		}
-		i := w
-		if i >= n {
-			i = n - 1
-		}
-		if out[i] == nil {
-			out[i] = &Histogram{}
-		}
-		out[i].Merge(h)
+	copy(out, hs)
+	if len(hs) <= n {
+		return out
 	}
+	last := &Histogram{}
+	last.Merge(out[n-1])
+	for _, h := range hs[n:] {
+		last.Merge(h)
+	}
+	out[n-1] = last
 	return out
 }
 

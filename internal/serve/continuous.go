@@ -242,14 +242,17 @@ func simulateContinuous(cfg Config, reqs []Request) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
+	crs := make([]*contRequest, len(reqs))
 	for i := range reqs {
 		cr, err := s.newRequest(reqs[i])
 		if err != nil {
 			return nil, err
 		}
-		s.cal.Schedule(cr.req.Arrival, func(now sim.Time) { s.arrive(now, cr) })
+		crs[i] = cr
 	}
-
+	s.cal.Stream(len(crs),
+		func(i int) sim.Time { return crs[i].req.Arrival },
+		func(now sim.Time, i int) { s.arrive(now, crs[i]) })
 	s.cal.Run()
 	if s.err != nil {
 		return nil, s.err

@@ -297,3 +297,66 @@ func TestContinuousGoodput(t *testing.T) {
 			loose.SLOAttainment, loose.Goodput, loose.Throughput)
 	}
 }
+
+// BenchmarkSchedulerIteration times one scheduling round of the
+// continuous batcher: a finish (16 decode tokens emitted, state
+// sampled) plus the kick that plans and schedules the next iteration,
+// over a warm shared step oracle. The batch is llama-3.2-1B decoding
+// 16 requests of 512-token prompts on GH200; each round starts from
+// the same batch state, so every lookup hits one warm oracle entry.
+func BenchmarkSchedulerIteration(b *testing.B) {
+	cfg := Config{
+		Platform: hw.GH200(), Model: models.Llama32_1B(), Seq: 512, Mode: engine.Eager,
+		Policy: ContinuousBatch, MaxBatch: 16, LatencyBucket: 64,
+	}
+	cal := sim.NewCalendar()
+	s, err := newContSim(cfg, cal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < cfg.MaxBatch; i++ {
+		cr, err := s.newRequest(Request{ID: i, PromptLen: 512, OutputLen: 256})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.arrive(0, cr)
+	}
+	// Run through the batched prefill: every request has its first
+	// token and the next (decode) iteration is in flight.
+	decoding := func() int {
+		n := 0
+		for _, r := range s.running {
+			if r.hasFirst {
+				n++
+			}
+		}
+		return n
+	}
+	for decoding() < cfg.MaxBatch {
+		if !cal.Step() {
+			b.Fatal("calendar drained before every request started decoding")
+		}
+	}
+	gens := make([]int64, len(s.running))
+	kvs := make([]float64, len(s.running))
+	for i, r := range s.running {
+		gens[i], kvs[i] = r.generated, r.kvBytes
+	}
+	kvUsed := s.kvUsed
+	round := func() {
+		for i, r := range s.running {
+			r.generated, r.kvBytes = gens[i], kvs[i]
+		}
+		s.kvUsed = kvUsed
+		cal.Step() // finish the in-flight iteration, kick the next
+	}
+	round() // warm the oracle entry every timed round hits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	if s.err != nil || len(s.running) != cfg.MaxBatch {
+		b.Fatalf("batch changed under the benchmark: err %v, %d running", s.err, len(s.running))
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -268,6 +269,291 @@ func TestCalendarProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refCal is the naive reference calendar: a flat pending list scanned
+// for the least (At, seq) on every step. A stream is its n entries
+// scheduled one by one, which is what Calendar.Stream must be
+// indistinguishable from.
+type refCal struct {
+	now     Time
+	seq     uint64
+	pending []*refEvent
+}
+
+type refEvent struct {
+	at   Time
+	seq  uint64
+	fire func(now Time)
+}
+
+func (r *refCal) schedule(at Time, fire func(now Time)) *refEvent {
+	if at < r.now {
+		at = r.now
+	}
+	e := &refEvent{at: at, seq: r.seq, fire: fire}
+	r.seq++
+	r.pending = append(r.pending, e)
+	return e
+}
+
+func (r *refCal) cancel(e *refEvent) bool {
+	for i, p := range r.pending {
+		if p == e {
+			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// next returns the index of the least pending event, or -1.
+func (r *refCal) next() int {
+	best := -1
+	for i, e := range r.pending {
+		if best < 0 || e.at < r.pending[best].at ||
+			(e.at == r.pending[best].at && e.seq < r.pending[best].seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refCal) step() bool {
+	i := r.next()
+	if i < 0 {
+		return false
+	}
+	e := r.pending[i]
+	r.pending = append(r.pending[:i], r.pending[i+1:]...)
+	r.now = e.at
+	e.fire(r.now)
+	return true
+}
+
+func (r *refCal) runUntil(deadline Time) Time {
+	for i := r.next(); i >= 0 && r.pending[i].at <= deadline; i = r.next() {
+		r.step()
+	}
+	if r.now < deadline {
+		r.now = deadline
+	}
+	return r.now
+}
+
+// calOp is one randomly drawn calendar operation: a is its raw random
+// parameter and deltas a stream's inter-entry gaps.
+type calOp struct {
+	kind   int
+	a      int64
+	deltas []Time
+}
+
+const (
+	opSchedule = iota
+	opCancel
+	opStream
+	opRunUntil
+	opStep
+	numOps
+)
+
+// firing is one fired entry: its id and the time it fired at.
+type firing struct {
+	id int
+	at Time
+}
+
+// calDriver plays an op list against one calendar through three hooks,
+// so the real Calendar and the reference run identical programs. Every
+// fired entry records itself; some schedule a child at now (a same-time
+// event from inside a callback) or a little later.
+type calDriver struct {
+	schedule func(at Time, fire func(now Time)) (cancel func() bool)
+	stream   func(times []Time, fire func(now Time, i int))
+	runUntil func(deadline Time) Time
+	step     func() bool
+	now      func() Time
+	length   func() int
+
+	fired      []firing
+	nextID     int
+	cancels    []func() bool
+	streamLeft int
+	log        []int64 // op results and the pending count after each op
+}
+
+func (d *calDriver) fire(id int) func(now Time) {
+	return func(now Time) {
+		d.fired = append(d.fired, firing{id, now})
+		switch {
+		case id%4 == 0:
+			d.add(now)
+		case id%6 == 1:
+			d.add(now + Time(id%3))
+		}
+	}
+}
+
+func (d *calDriver) add(at Time) {
+	id := d.nextID
+	d.nextID++
+	d.cancels = append(d.cancels, d.schedule(at, d.fire(id)))
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (d *calDriver) play(ops []calOp) {
+	for _, op := range ops {
+		switch op.kind {
+		case opSchedule:
+			d.add(d.now() + Time(op.a%15) - 3) // some land in the past and clamp
+		case opCancel:
+			if len(d.cancels) > 0 {
+				ok := d.cancels[op.a%int64(len(d.cancels))]()
+				d.log = append(d.log, boolInt(ok))
+			}
+		case opStream:
+			if d.streamLeft > 0 {
+				continue
+			}
+			times := make([]Time, len(op.deltas))
+			at := d.now() + Time(op.a%6) - 2 // the first entries may clamp
+			for i, dt := range op.deltas {
+				at += dt
+				times[i] = at
+			}
+			first := d.nextID
+			d.nextID += len(times)
+			d.streamLeft = len(times)
+			d.stream(times, func(now Time, i int) {
+				d.streamLeft--
+				d.fire(first + i)(now)
+			})
+		case opRunUntil:
+			d.log = append(d.log, int64(d.runUntil(d.now()+Time(op.a%10))))
+		case opStep:
+			d.log = append(d.log, boolInt(d.step()))
+		}
+		d.log = append(d.log, int64(d.length()))
+	}
+	for d.step() {
+	}
+}
+
+// TestCalendarMatchesReference: random interleavings of Schedule,
+// Cancel, Stream, Step and RunUntil — with times drawn from a narrow
+// range so equal-time ties are common, callbacks that schedule at now,
+// streams installed behind setup-time events at the same instants, and
+// stream entries left past RunUntil deadlines — must fire the same
+// entries at the same times as the naive (At, seq)-sorted reference.
+func TestCalendarMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]calOp, 30+rng.Intn(60))
+		for i := range ops {
+			op := calOp{kind: rng.Intn(numOps), a: rng.Int63()}
+			if op.kind == opStream {
+				op.deltas = make([]Time, rng.Intn(8))
+				for j := range op.deltas {
+					op.deltas[j] = Time(rng.Intn(3))
+				}
+			}
+			ops[i] = op
+		}
+
+		c := NewCalendar()
+		real := &calDriver{
+			schedule: func(at Time, fire func(Time)) func() bool {
+				e := c.Schedule(at, fire)
+				return func() bool { return c.Cancel(e) }
+			},
+			stream: func(times []Time, fire func(Time, int)) {
+				c.Stream(len(times), func(i int) Time { return times[i] }, fire)
+			},
+			runUntil: c.RunUntil,
+			step:     c.Step,
+			now:      c.Now,
+			length:   c.Len,
+		}
+		r := &refCal{}
+		ref := &calDriver{
+			schedule: func(at Time, fire func(Time)) func() bool {
+				e := r.schedule(at, fire)
+				return func() bool { return r.cancel(e) }
+			},
+			stream: func(times []Time, fire func(Time, int)) {
+				for i, at := range times {
+					i := i
+					r.schedule(at, func(now Time) { fire(now, i) })
+				}
+			},
+			runUntil: r.runUntil,
+			step:     r.step,
+			now:      func() Time { return r.now },
+			length:   func() int { return len(r.pending) },
+		}
+
+		real.play(ops)
+		ref.play(ops)
+		if len(real.fired) != len(ref.fired) {
+			t.Fatalf("seed %d: calendar fired %d entries, reference %d", seed, len(real.fired), len(ref.fired))
+		}
+		for i := range real.fired {
+			if real.fired[i] != ref.fired[i] {
+				t.Fatalf("seed %d: firing %d is %+v, reference %+v", seed, i, real.fired[i], ref.fired[i])
+			}
+		}
+		if len(real.log) != len(ref.log) {
+			t.Fatalf("seed %d: op log lengths %d vs %d", seed, len(real.log), len(ref.log))
+		}
+		for i := range real.log {
+			if real.log[i] != ref.log[i] {
+				t.Fatalf("seed %d: op result %d is %d, reference %d", seed, i, real.log[i], ref.log[i])
+			}
+		}
+		if c.Now() != r.now || c.Len() != 0 {
+			t.Fatalf("seed %d: drained at %d with %d pending, reference at %d", seed, c.Now(), c.Len(), r.now)
+		}
+	}
+}
+
+// TestCalendarStreamTies pins the stream tie rule on a hand-built case:
+// a setup-time event at the stream's first instant fires before it, an
+// event its own callback schedules at now fires after every same-time
+// entry, and an entry past a RunUntil deadline stays pending.
+func TestCalendarStreamTies(t *testing.T) {
+	c := NewCalendar()
+	var order []string
+	c.Schedule(10, func(Time) { order = append(order, "setup@10") })
+	times := []Time{10, 10, 30}
+	c.Stream(len(times), func(i int) Time { return times[i] }, func(now Time, i int) {
+		order = append(order, fmt.Sprintf("arrival%d@%d", i, now))
+		if i == 0 {
+			c.Schedule(now, func(Time) { order = append(order, "kick@10") })
+		}
+	})
+	c.Schedule(10, func(Time) { order = append(order, "late@10") })
+	if c.Len() != 5 {
+		t.Fatalf("Len = %d, want 5 (two events, three stream entries)", c.Len())
+	}
+	c.RunUntil(20)
+	want := "[setup@10 arrival0@10 arrival1@10 late@10 kick@10]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+	if c.Len() != 1 || c.Now() != 20 {
+		t.Fatalf("after RunUntil(20): Len = %d, Now = %d; want 1 and 20", c.Len(), c.Now())
+	}
+	c.Run()
+	if order[len(order)-1] != "arrival2@30" {
+		t.Fatalf("last firing %s, want arrival2@30", order[len(order)-1])
 	}
 }
 

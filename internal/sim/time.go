@@ -9,6 +9,14 @@
 // is a single CPU thread feeding FIFO GPU streams, so forward timestamping
 // over timelines reproduces precisely the schedule a general
 // discrete-event engine would produce, at a fraction of the cost.
+//
+// The Calendar orders pending events by (time, insertion sequence), so
+// same-instant events fire in the order they were scheduled. A request
+// stream's arrivals enter as one cursor (Calendar.Stream) rather than
+// one event each; the cursor reserves its entries' sequence numbers
+// when it is installed, so an arrival still wins a same-instant tie
+// against every event scheduled after setup and loses to setup-time
+// events scheduled before it (an autoscale tick, a fault).
 package sim
 
 import "fmt"

@@ -3,6 +3,8 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -90,6 +92,40 @@ func TestTimelineDeterministic(t *testing.T) {
 			if len(s.Values) != tl.Windows {
 				t.Errorf("instance %s series %q has %d values, want %d", in.Instance, s.Name, len(s.Values), tl.Windows)
 			}
+		}
+	}
+}
+
+// TestTimelineInstanceQueueSumsToFleet: the per-instance queue_depth
+// series must sum to the fleet series in every window. A crashed
+// instance's waiting requests leave with it, so its own level has to
+// fall to zero at the gone event, exactly as its share of the fleet sum
+// does.
+func TestTimelineInstanceQueueSumsToFleet(t *testing.T) {
+	s, err := Load(filepath.Join("..", "..", "examples", "specs", "timeline_chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Simulate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cluster.Chaos == nil || rep.Cluster.Chaos.Crashes == 0 {
+		t.Fatal("timeline_chaos.json ran without a crash; the test needs one")
+	}
+	tl := rep.Timeline
+	fleet := tl.Series("queue_depth")
+	for w := 0; w < tl.Windows; w++ {
+		var sum float64
+		for _, inst := range tl.Instances {
+			for _, ser := range inst.Series {
+				if ser.Name == "queue_depth" {
+					sum += ser.Values[w]
+				}
+			}
+		}
+		if d := math.Abs(sum - fleet[w]); d > 1e-9*math.Max(1, math.Abs(fleet[w])) {
+			t.Errorf("window %d: per-instance queue_depth sums to %v, fleet series %v", w, sum, fleet[w])
 		}
 	}
 }
