@@ -1,0 +1,18 @@
+//go:build !race
+
+package serve
+
+import "testing"
+
+// TestSchedulerIterationAllocs: one warm finish plus kick (see
+// warmIteration) allocates nothing: the calendar recycles the
+// iteration's event, the batch slice is reused, and the state series
+// grows by whole chunks, far less than once per round. The race
+// detector's instrumentation allocates, hence the build tag.
+func TestSchedulerIterationAllocs(t *testing.T) {
+	round, check := warmIteration(t)
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("a warm finish plus kick allocates %.1f times, want 0", allocs)
+	}
+	check()
+}

@@ -53,7 +53,7 @@ type contRequest struct {
 	kvBytes   float64
 	firstTok  sim.Time // time of first output token (TTFT anchor)
 	hasFirst  bool
-	abandonEv *sim.Event
+	abandonEv sim.Handle
 	// handoff, when set, marks a prefill-only request: the moment its
 	// prefill completes (first token emitted), the request leaves this
 	// instance — KV released — and the callback receives the handoff
@@ -115,8 +115,7 @@ type contSim struct {
 	totalBatch         int
 	tokensOut          int64
 	lastCompletion     sim.Time
-	queueSeries        []SamplePoint
-	kvSeries           []SamplePoint
+	series             stateSeries // the QueueDepth / KVOccupancy points
 	maxQueue           int
 	peakKV             float64
 	kvIntegral         float64 // ∫ kvFrac dt
@@ -136,6 +135,9 @@ type contSim struct {
 	// reused across iterations.
 	batch  []*contRequest
 	finish func(end sim.Time)
+	// kickFn is the deferred scheduling decision an idle arrival
+	// schedules (see arrive), bound once like finish.
+	kickFn func(now sim.Time)
 }
 
 // newContSim builds a continuous-batching simulator on the given
@@ -163,6 +165,10 @@ func newContSim(cfg Config, cal *sim.Calendar) (*contSim, error) {
 		bytesPerTok: kvBytesPerToken(cfg.Model),
 	}
 	s.finish = s.finishIteration
+	s.kickFn = func(now sim.Time) {
+		s.kickPending = false
+		s.kick(now)
+	}
 	s.capacity = cfg.KVCapacityBytes
 	if s.capacity <= 0 {
 		hbm := float64(cfg.Platform.GPU.HBMGB) * 1e9
@@ -281,10 +287,7 @@ func (s *contSim) arrive(now sim.Time, cr *contRequest) {
 	// servers coalesce a scheduling tick's arrivals the same way).
 	if !s.kickPending {
 		s.kickPending = true
-		s.cal.Schedule(now, func(at sim.Time) {
-			s.kickPending = false
-			s.kick(at)
-		})
+		s.cal.Schedule(now, s.kickFn)
 	}
 }
 
@@ -334,10 +337,8 @@ func (s *contSim) admit(now sim.Time) {
 			return
 		}
 		s.waiting = s.waiting[1:]
-		if head.abandonEv != nil {
-			s.cal.Cancel(head.abandonEv)
-			head.abandonEv = nil
-		}
+		s.cal.Cancel(head.abandonEv)
+		head.abandonEv = sim.Handle{}
 		if s.cache != nil && head.req.SessionID != 0 {
 			g := s.cache.Acquire(head.req.SessionID, head.promptLen, head.resumed)
 			head.pinned = g.Pinned
@@ -668,8 +669,7 @@ func (s *contSim) sample(now sim.Time) {
 		s.lastSampleT = now
 	}
 	if s.cfg.SampleWindow <= 0 {
-		s.queueSeries = append(s.queueSeries, SamplePoint{T: now, V: float64(len(s.waiting))})
-		s.kvSeries = append(s.kvSeries, SamplePoint{T: now, V: frac})
+		s.series.add(now, float64(len(s.waiting)), frac)
 	}
 	s.lastKVFrac = frac
 	s.lastQueueN = len(s.waiting)
@@ -714,8 +714,7 @@ func (s *contSim) integrateWindows(now sim.Time) {
 		s.winQueue += float64(s.lastQueueN) * float64(end-t)
 		s.winKV += s.lastKVFrac * float64(end-t)
 		dur := float64(w)
-		s.queueSeries = append(s.queueSeries, SamplePoint{T: end, V: s.winQueue / dur})
-		s.kvSeries = append(s.kvSeries, SamplePoint{T: end, V: s.winKV / dur})
+		s.series.add(end, s.winQueue/dur, s.winKV/dur)
 		s.winQueue, s.winKV = 0, 0
 		s.winStart = end
 		t = end
@@ -729,8 +728,7 @@ func (s *contSim) flushWindow() {
 		return
 	}
 	dur := float64(s.lastSampleT - s.winStart)
-	s.queueSeries = append(s.queueSeries, SamplePoint{T: s.lastSampleT, V: s.winQueue / dur})
-	s.kvSeries = append(s.kvSeries, SamplePoint{T: s.lastSampleT, V: s.winKV / dur})
+	s.series.add(s.lastSampleT, s.winQueue/dur, s.winKV/dur)
 	s.winQueue, s.winKV = 0, 0
 	s.winStart = s.lastSampleT
 }
@@ -781,11 +779,10 @@ func (s *contSim) stats() *Stats {
 		KVCapacityBytes: s.capacity,
 		PeakKVBytes:     s.peakKV,
 		PeakKVFrac:      s.peakKV / s.capacity,
-		KVOccupancy:     s.kvSeries,
-		QueueDepth:      s.queueSeries,
 		MaxQueueDepth:   s.maxQueue,
 		KVCache:         s.cacheStats(),
 	}
+	st.QueueDepth, st.KVOccupancy = s.series.split()
 	sort.Slice(s.ttfts, func(i, j int) bool { return s.ttfts[i] < s.ttfts[j] })
 	sort.Slice(s.tpots, func(i, j int) bool { return s.tpots[i] < s.tpots[j] })
 	sort.Slice(s.e2es, func(i, j int) bool { return s.e2es[i] < s.e2es[j] })

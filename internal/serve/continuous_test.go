@@ -298,13 +298,14 @@ func TestContinuousGoodput(t *testing.T) {
 	}
 }
 
-// BenchmarkSchedulerIteration times one scheduling round of the
-// continuous batcher: a finish (16 decode tokens emitted, state
-// sampled) plus the kick that plans and schedules the next iteration,
-// over a warm shared step oracle. The batch is llama-3.2-1B decoding
-// 16 requests of 512-token prompts on GH200; each round starts from
-// the same batch state, so every lookup hits one warm oracle entry.
-func BenchmarkSchedulerIteration(b *testing.B) {
+// warmIteration builds the steady state BenchmarkSchedulerIteration
+// times: llama-3.2-1B decoding 16 requests of 512-token prompts on
+// GH200, with the next (decode) iteration in flight over a warm shared
+// step oracle. round finishes that iteration and kicks the next one,
+// first restoring every request's progress so each round starts from
+// the same batch state and hits one warm oracle entry; check reports a
+// batch that changed under the rounds.
+func warmIteration(tb testing.TB) (round func(), check func()) {
 	cfg := Config{
 		Platform: hw.GH200(), Model: models.Llama32_1B(), Seq: 512, Mode: engine.Eager,
 		Policy: ContinuousBatch, MaxBatch: 16, LatencyBucket: 64,
@@ -312,12 +313,12 @@ func BenchmarkSchedulerIteration(b *testing.B) {
 	cal := sim.NewCalendar()
 	s, err := newContSim(cfg, cal)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < cfg.MaxBatch; i++ {
 		cr, err := s.newRequest(Request{ID: i, PromptLen: 512, OutputLen: 256})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		s.arrive(0, cr)
 	}
@@ -334,7 +335,7 @@ func BenchmarkSchedulerIteration(b *testing.B) {
 	}
 	for decoding() < cfg.MaxBatch {
 		if !cal.Step() {
-			b.Fatal("calendar drained before every request started decoding")
+			tb.Fatal("calendar drained before every request started decoding")
 		}
 	}
 	gens := make([]int64, len(s.running))
@@ -343,20 +344,32 @@ func BenchmarkSchedulerIteration(b *testing.B) {
 		gens[i], kvs[i] = r.generated, r.kvBytes
 	}
 	kvUsed := s.kvUsed
-	round := func() {
+	round = func() {
 		for i, r := range s.running {
 			r.generated, r.kvBytes = gens[i], kvs[i]
 		}
 		s.kvUsed = kvUsed
 		cal.Step() // finish the in-flight iteration, kick the next
 	}
-	round() // warm the oracle entry every timed round hits
+	round() // warm the oracle entry every later round hits
+	check = func() {
+		if s.err != nil || len(s.running) != cfg.MaxBatch {
+			tb.Fatalf("batch changed under the rounds: err %v, %d running", s.err, len(s.running))
+		}
+	}
+	return round, check
+}
+
+// BenchmarkSchedulerIteration times one scheduling round of the
+// continuous batcher: a finish (16 decode tokens emitted, state
+// sampled) plus the kick that plans and schedules the next iteration
+// (see warmIteration).
+func BenchmarkSchedulerIteration(b *testing.B) {
+	round, check := warmIteration(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
 	}
-	if s.err != nil || len(s.running) != cfg.MaxBatch {
-		b.Fatalf("batch changed under the benchmark: err %v, %d running", s.err, len(s.running))
-	}
+	check()
 }

@@ -113,10 +113,8 @@ func (in *Instance) Kill(now sim.Time) []Evicted {
 	s.state = StateStopped
 	var out []Evicted
 	evict := func(cr *contRequest) {
-		if cr.abandonEv != nil {
-			s.cal.Cancel(cr.abandonEv)
-			cr.abandonEv = nil
-		}
+		s.cal.Cancel(cr.abandonEv)
+		cr.abandonEv = sim.Handle{}
 		// Unpin any prefix-cache blocks the request held: a kill must
 		// leave the cache ledger balanced even though the instance's
 		// cache dies with it.

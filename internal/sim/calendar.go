@@ -1,19 +1,33 @@
 package sim
 
-// Event is a timestamped callback managed by a Calendar. Events with the
-// same time fire in insertion order, which keeps simulations deterministic.
-type Event struct {
-	At   Time
-	Fire func(now Time)
+// event is a timestamped callback managed by a Calendar. Events with the
+// same time fire in insertion order, which keeps simulations
+// deterministic. A fired or cancelled event goes on its calendar's free
+// list for reuse; gen counts those releases, so a Handle taken before a
+// release no longer matches.
+type event struct {
+	at   Time
+	fire func(now Time)
 
 	seq   uint64
-	index int
+	index int // heap position
+	gen   uint64
+}
+
+// Handle names one scheduled event, for Cancel. The zero Handle names no
+// event. A handle is valid from Schedule until its event fires or is
+// cancelled; after that it is stale, and Cancel on it returns false
+// even once the calendar has reused the event's storage for a later
+// Schedule. Only the calendar that issued a handle may cancel it.
+type Handle struct {
+	e   *event
+	gen uint64
 }
 
 // before is the calendar's total order: time, then insertion sequence.
-func before(a, b *Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
@@ -25,7 +39,7 @@ type stream struct {
 	n, next int
 	seq0    uint64
 	floor   Time
-	head    Time // At of entry next
+	head    Time // time of entry next
 	at      func(i int) Time
 	fire    func(now Time, i int)
 }
@@ -39,14 +53,21 @@ func (s *stream) entryAt(i int) Time {
 // calendar supports components that need genuine event interleaving, such
 // as the multi-request pipeline example and the decode-phase scheduler.
 //
-// Pending events live in a binary min-heap ordered by (At, seq), where
+// Pending events live in a binary min-heap ordered by (time, seq), where
 // seq is the insertion sequence. One arrival stream (see Stream) can
 // sit beside the heap; Step fires whichever of the heap top and the
 // stream head comes first in the same order, so a stream behaves
 // exactly as if its entries had been scheduled one by one when it was
 // installed.
+//
+// Events are recycled: a fired or cancelled event returns to a free
+// list that later Schedule calls draw from, so a calendar in steady
+// state schedules without allocating. Each release bumps the event's
+// generation, which is what keeps a stale Handle from reaching the
+// event's next occupant.
 type Calendar struct {
-	heap   []*Event
+	heap   []*event
+	free   []*event
 	now    Time
 	seq    uint64
 	stream stream
@@ -64,16 +85,34 @@ func (c *Calendar) Len() int { return len(c.heap) + c.stream.n - c.stream.next }
 
 // Schedule enqueues fire to run at time at. Scheduling in the past (before
 // the calendar's current time) clamps to the current time, preserving the
-// no-time-travel invariant. It returns the scheduled event.
-func (c *Calendar) Schedule(at Time, fire func(now Time)) *Event {
+// no-time-travel invariant. It returns a handle for Cancel that stays
+// valid until the event fires or is cancelled.
+func (c *Calendar) Schedule(at Time, fire func(now Time)) Handle {
 	if at < c.now {
 		at = c.now
 	}
-	e := &Event{At: at, Fire: fire, seq: c.seq, index: len(c.heap)}
+	var e *event
+	if n := len(c.free) - 1; n >= 0 {
+		e = c.free[n]
+		c.free[n] = nil
+		c.free = c.free[:n]
+	} else {
+		e = new(event)
+	}
+	e.at, e.fire, e.seq, e.index = at, fire, c.seq, len(c.heap)
 	c.seq++
 	c.heap = append(c.heap, e)
 	c.up(e.index)
-	return e
+	return Handle{e: e, gen: e.gen}
+}
+
+// release retires a fired or cancelled event: the generation bump makes
+// every outstanding handle to it stale, and dropping fire frees its
+// captures.
+func (c *Calendar) release(e *event) {
+	e.gen++
+	e.fire = nil
+	c.free = append(c.free, e)
 }
 
 // Stream installs an arrival cursor of n entries: entry i fires
@@ -113,16 +152,20 @@ func (c *Calendar) streamFirst() bool {
 		return true
 	}
 	top := c.heap[0]
-	if s.head != top.At {
-		return s.head < top.At
+	if s.head != top.at {
+		return s.head < top.at
 	}
 	return s.seq0+uint64(s.next) < top.seq
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op and returns false.
-func (c *Calendar) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 || e.index >= len(c.heap) || c.heap[e.index] != e {
+// Cancel removes the pending event h names and returns true. A stale
+// handle (its event already fired or was cancelled, whether or not the
+// calendar has since reused the event for a later Schedule) and the
+// zero Handle are no-ops that return false; so is cancelling an event
+// from inside its own callback, since it has already fired.
+func (c *Calendar) Cancel(h Handle) bool {
+	e := h.e
+	if e == nil || e.gen != h.gen {
 		return false
 	}
 	i, n := e.index, len(c.heap)-1
@@ -136,12 +179,14 @@ func (c *Calendar) Cancel(e *Event) bool {
 			c.up(i)
 		}
 	}
-	e.index = -1
+	c.release(e)
 	return true
 }
 
 // Step fires the earliest pending event (or stream entry) and returns
-// true, or returns false if the calendar is empty.
+// true, or returns false if the calendar is empty. The event is
+// released before its callback runs, so the callback may Schedule into
+// its storage.
 func (c *Calendar) Step() bool {
 	if c.streamFirst() {
 		s := &c.stream
@@ -172,9 +217,10 @@ func (c *Calendar) Step() bool {
 	if n > 0 {
 		c.down(0)
 	}
-	e.index = -1
-	c.now = e.At
-	e.Fire(c.now)
+	at, fire := e.at, e.fire
+	c.release(e)
+	c.now = at
+	fire(at)
 	return true
 }
 
@@ -185,7 +231,7 @@ func (c *Calendar) Run() Time {
 	return c.now
 }
 
-// RunUntil fires events (and stream entries) with At <= deadline,
+// RunUntil fires events (and stream entries) due at or before deadline,
 // returning the final time. Pending later events remain queued.
 func (c *Calendar) RunUntil(deadline Time) Time {
 	for {
@@ -193,7 +239,7 @@ func (c *Calendar) RunUntil(deadline Time) Time {
 			if c.stream.head > deadline {
 				break
 			}
-		} else if len(c.heap) == 0 || c.heap[0].At > deadline {
+		} else if len(c.heap) == 0 || c.heap[0].at > deadline {
 			break
 		}
 		c.Step()

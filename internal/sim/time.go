@@ -17,6 +17,14 @@
 // when it is installed, so an arrival still wins a same-instant tie
 // against every event scheduled after setup and loses to setup-time
 // events scheduled before it (an autoscale tick, a fault).
+//
+// Calendar events are recycled: Schedule draws from a free list of
+// fired and cancelled events, so a calendar in steady state schedules
+// without allocating. Schedule returns a Handle (event, generation);
+// every release bumps the event's generation, so a handle is valid only
+// until its event fires or is cancelled, and Cancel on a stale handle
+// returns false without touching whatever event now occupies the
+// storage.
 package sim
 
 import "fmt"
