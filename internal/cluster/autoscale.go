@@ -73,6 +73,12 @@ type AutoscaleConfig struct {
 	// (slo-attainment), or pending transfers per decode-capable
 	// instance (transfer-queue).
 	Target float64
+	// Role names the members the controller counts, adds and drains.
+	// The zero value, RoleBoth, scales the whole fleet with instances
+	// that serve end to end; the other roles need Config.Disagg, and
+	// the spec front door defaults a disaggregated fleet to
+	// RoleDecode — decode capacity is what transfer pressure starves.
+	Role Role
 	// Min / Max bound the active count of the scaled members (the
 	// whole fleet, or one role of a disaggregated fleet). Shrinks only
 	// ever drain instances the controller itself added, so the
@@ -212,12 +218,12 @@ func (f *fleetSim) scaleDecide(now sim.Time) {
 		grow = depth > a.Target
 		shrink = depth < a.Target/2
 	default: // SignalQueueDepth over the scaled members
-		act := f.active(f.scaleRole)
+		act := f.active(a.Role)
 		if act == 0 {
 			grow = true
 			break
 		}
-		depth := float64(f.outstanding(f.scaleRole)) / float64(act)
+		depth := float64(f.outstanding(a.Role)) / float64(act)
 		grow = depth > a.Target
 		shrink = depth < a.Target/2
 	}
@@ -232,7 +238,7 @@ func (f *fleetSim) scaleDecide(now sim.Time) {
 // grow schedules one instance join after the spin-up delay.
 func (f *fleetSim) grow(now sim.Time) {
 	a := f.cfg.Autoscale
-	if f.active(f.scaleRole)+f.pendingJoins >= a.Max {
+	if f.active(a.Role)+f.pendingJoins >= a.Max {
 		return
 	}
 	f.pendingJoins++
@@ -246,7 +252,8 @@ func (f *fleetSim) join(now sim.Time) {
 	if f.err != nil {
 		return
 	}
-	in, err := f.addInstance(f.cfg.Autoscale.Template, f.scaleRole, true)
+	a := f.cfg.Autoscale
+	in, err := f.addInstance(a.Template, a.Role, true)
 	if err != nil {
 		f.fail(fmt.Errorf("cluster: autoscale join: %w", err))
 		return
@@ -261,7 +268,7 @@ func (f *fleetSim) join(now sim.Time) {
 // member never leaves.
 func (f *fleetSim) shrink(now sim.Time) {
 	a := f.cfg.Autoscale
-	act := f.active(f.scaleRole)
+	act := f.active(a.Role)
 	if act <= 1 || act <= a.Min {
 		return
 	}

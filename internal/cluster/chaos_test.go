@@ -13,7 +13,7 @@ import (
 // churn ledger must never allocate — nil means a static fleet, and the
 // report omits the section.
 func TestStaticFleetHasNilChaos(t *testing.T) {
-	st, err := Simulate(Config{Instances: mixedFleet(), Policy: RoundRobin}, testLoad(t, 20, 200, 7))
+	st, _, err := Simulate(Config{Instances: mixedFleet(), Policy: RoundRobin}, testLoad(t, 20, 200, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func TestAutoscaleGrowsAndDrains(t *testing.T) {
 	// A straggler long after the burst keeps the controller ticking
 	// through the cold period so shrinks actually fire.
 	reqs = append(reqs, serve.Request{ID: 1000, Arrival: 2 * sim.Second, PromptLen: 48, OutputLen: 4})
-	st, err := Simulate(Config{
-		Instances: []serve.Config{testServeConfig(hw.GH200())},
+	st, _, err := Simulate(Config{
+		Instances: []Member{{Serve: testServeConfig(hw.GH200())}},
 		Policy:    LeastQueue,
 		Autoscale: testAutoscale(2, 3),
 	}, reqs)
@@ -88,7 +88,7 @@ func TestAutoscaleGrowsAndDrains(t *testing.T) {
 func TestScheduledCrashRequeuesInOrder(t *testing.T) {
 	run := func() (*Stats, []serve.Event) {
 		var events []serve.Event
-		st, err := Simulate(Config{
+		st, _, err := Simulate(Config{
 			Instances: mixedFleet(), Policy: RoundRobin,
 			Observer: func(e serve.Event) { events = append(events, e) },
 			Faults: &FaultsConfig{Faults: []Fault{
@@ -160,14 +160,14 @@ func TestScheduledCrashRequeuesInOrder(t *testing.T) {
 // instance must push the horizon out versus an identical fault-free run.
 func TestSlowNodeFaultStretchesTheRun(t *testing.T) {
 	reqs := testLoad(t, 20, 400, 5)
-	base, err := Simulate(Config{
-		Instances: []serve.Config{testServeConfig(hw.GH200())}, Policy: RoundRobin,
+	base, _, err := Simulate(Config{
+		Instances: []Member{{Serve: testServeConfig(hw.GH200())}}, Policy: RoundRobin,
 	}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowed, err := Simulate(Config{
-		Instances: []serve.Config{testServeConfig(hw.GH200())}, Policy: RoundRobin,
+	slowed, _, err := Simulate(Config{
+		Instances: []Member{{Serve: testServeConfig(hw.GH200())}}, Policy: RoundRobin,
 		Faults: &FaultsConfig{Faults: []Fault{
 			{At: 0, Kind: FaultSlowNode, Target: 0, Factor: 8},
 		}},
@@ -197,11 +197,11 @@ func TestSeededChaosDeterministic(t *testing.T) {
 		Autoscale: testAutoscale(2, 4),
 		Faults:    &FaultsConfig{CrashRatePerSec: 10, Seed: 42},
 	}
-	a, err := Simulate(cfg, testLoad(t, 60, 300, 9))
+	a, _, err := Simulate(cfg, testLoad(t, 60, 300, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(cfg, testLoad(t, 60, 300, 9))
+	b, _, err := Simulate(cfg, testLoad(t, 60, 300, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSessionAffinityRepinsAfterCrash(t *testing.T) {
 	}
 	// Session 7's first turn pins to index 0 (least-outstanding tie
 	// breaks low); the crash lands mid-session.
-	st, err := Simulate(Config{
+	st, _, err := Simulate(Config{
 		Instances: mixedFleet(), Policy: SessionAffinity,
 		Faults: &FaultsConfig{Faults: []Fault{
 			{At: 12 * sim.Millisecond, Kind: FaultCrash, Target: 0},
@@ -254,7 +254,7 @@ func TestSessionAffinityRepinsAfterCrash(t *testing.T) {
 // fired twice at the same victim, must be deterministic no-ops — not
 // errors, not double counts.
 func TestFaultTargetNoOps(t *testing.T) {
-	st, err := Simulate(Config{
+	st, _, err := Simulate(Config{
 		Instances: mixedFleet(), Policy: RoundRobin,
 		Faults: &FaultsConfig{Faults: []Fault{
 			{At: 5 * sim.Millisecond, Kind: FaultCrash, Target: 99},
@@ -283,20 +283,19 @@ func TestFaultTargetNoOps(t *testing.T) {
 // RoleBoth makes it a disaggregated fleet with its own decode pool.
 func survivalFleet(t *testing.T, roles ...Role) *fleetSim {
 	t.Helper()
-	f, err := newFleet(Config{}, []serve.Request{{ID: 0}})
+	cfg := Config{Policy: LeastQueue}
+	for _, r := range roles {
+		cfg.Instances = append(cfg.Instances, Member{Serve: testServeConfig(hw.GH200()), Role: r})
+		if r != RoleBoth {
+			cfg.Disagg = &Disaggregation{DecodePolicy: LeastQueue}
+		}
+	}
+	f, err := newFleet(cfg, []serve.Request{{ID: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.prefill = f.newPool(LeastQueue)
-	f.decode = f.prefill
-	for _, r := range roles {
-		if r != RoleBoth && f.dis == nil {
-			f.dis = &handoffs{links: map[[2]int]sim.Time{}, slow: map[[2]int]float64{}}
-			f.decode = f.newPool(LeastQueue)
-		}
-	}
-	for _, r := range roles {
-		if _, err := f.addInstance(testServeConfig(hw.GH200()), r, false); err != nil {
+	for _, m := range cfg.Instances {
+		if _, err := f.addInstance(m.Serve, m.Role, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,16 +6,16 @@
 // interleave in global timestamp order and a fixed request stream
 // reproduces byte-identical statistics.
 //
-// Every fleet is a set of role pools on one loop. A pool is the slice
-// of instances one router places over. A monolithic fleet (Simulate)
-// is a single pool of RoleBoth instances: every request runs end to
-// end where the router puts it. A disaggregated fleet (SimulateDisagg)
-// adds a decode pool: fresh arrivals land on the prefill-capable pool,
-// prefill-only instances hand their KV cache to a decode-capable
-// instance over an interconnect-priced transfer link (TransferModel),
-// and the request resumes there. Autoscaling, fault injection, crash
-// requeue, decision records and the ledgers are written once and run
-// per pool.
+// Every fleet is a set of role pools on one loop, configured by one
+// Config and run by one Simulate. A pool is the slice of instances one
+// router places over. A monolithic fleet is a single pool of RoleBoth
+// members: every request runs end to end where the router puts it.
+// Config.Disagg adds a decode pool: fresh arrivals land on the
+// prefill-capable pool, prefill-only members hand their KV cache to a
+// decode-capable member over an interconnect-priced transfer link
+// (TransferModel), and the request resumes there. Autoscaling, fault
+// injection, crash requeue, decision records and the ledgers are
+// written once and run per pool.
 //
 // This answers the fleet-scale questions a single instance cannot. The
 // paper shows coupled (GH200) and loosely-coupled (Intel+H100)
@@ -35,13 +35,18 @@ import (
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// Config parameterizes a monolithic fleet simulation.
+// Config parameterizes a fleet simulation, monolithic or (with Disagg)
+// disaggregated.
 type Config struct {
-	// Instances holds one serving config per instance. Every config
-	// must use a continuous policy (ContinuousBatch or ChunkedPrefill);
-	// platforms may differ freely — that heterogeneity is the point.
-	Instances []serve.Config
-	// Policy selects the routing policy (default RoundRobin).
+	// Instances lists the fleet's members in order; fault targets index
+	// this list. Every member's serving config must use a continuous
+	// policy (ContinuousBatch or ChunkedPrefill); platforms may differ
+	// freely — that heterogeneity is the point.
+	Instances []Member
+	// Policy selects the routing policy (default RoundRobin): the one
+	// pool's in a monolithic fleet, the prefill pool's in a
+	// disaggregated one. The spec front door defaults both to
+	// least-queue.
 	Policy Policy
 	// ShortPrompt is the platform-aware policy's regime boundary in
 	// prompt tokens: requests at or below it prefer coupled instances
@@ -59,59 +64,80 @@ type Config struct {
 	// refill, minimum 1).
 	AdmitBurst float64
 	// Observer, when set, receives front-door events (routed, rejected,
-	// unroutable) plus every instance's lifecycle events with the
-	// instance name stamped in. Per-instance observers set on the
-	// instance configs still fire independently.
+	// unroutable), KV-transfer events (kv-transfer-start/done with the
+	// source→destination link) plus every instance's lifecycle events
+	// with the instance name stamped in. Per-instance observers set on
+	// the member configs still fire independently.
 	Observer serve.Observer
-	// Autoscale, when set, grows and shrinks the fleet against a load
-	// signal while the simulation runs (see AutoscaleConfig). Nil keeps
-	// the fleet static and the report's Chaos section absent.
+	// Autoscale, when set, grows and shrinks the fleet (or, in a
+	// disaggregated fleet, one role's members) against a load signal
+	// while the simulation runs (see AutoscaleConfig). Nil keeps the
+	// fleet static and the report's Chaos section absent.
 	Autoscale *AutoscaleConfig
-	// Faults, when set, injects instance crashes and slow-node
-	// multipliers on schedule or at seeded-random instants (see
-	// FaultsConfig). Nil injects nothing.
+	// Faults, when set, injects instance crashes, slow-node multipliers
+	// and (disaggregated fleets only) degraded links on schedule or at
+	// seeded-random instants (see FaultsConfig). Nil injects nothing.
 	Faults *FaultsConfig
 	// CounterfactualK, when positive, records every routing decision
 	// with up to K scored alternatives and counterfactual policy
-	// replays in Stats.Routing. Zero keeps recording off and the
-	// Routing section absent.
+	// replays: Stats.Routing, or DisaggStats.PrefillRouting and
+	// DecodeRouting, whose decode records carry the chosen link's FIFO
+	// backlog at pick time. Zero keeps recording off and the sections
+	// absent.
 	CounterfactualK int
+	// Disagg, when set, splits the fleet into prefill and decode pools
+	// by member Role and selects the DisaggStats report (see
+	// Disaggregation). Nil runs a monolithic fleet of RoleBoth members
+	// and reports Stats.
+	Disagg *Disaggregation
+}
+
+// Member is one configured fleet instance: its serving config and the
+// pool it joins. The zero Role, RoleBoth, serves requests end to end;
+// the other roles need Config.Disagg.
+type Member struct {
+	Serve serve.Config
+	Role  Role
 }
 
 func (c *Config) validate() error {
 	if len(c.Instances) == 0 {
 		return fmt.Errorf("cluster: config needs at least one instance")
 	}
-	for i := range c.Instances {
-		if c.Instances[i].Platform == nil {
+	for i, m := range c.Instances {
+		switch {
+		case m.Serve.Platform == nil:
 			return fmt.Errorf("cluster: instance %d needs a platform", i)
+		case m.Serve.Model == nil:
+			return fmt.Errorf("cluster: instance %d needs a model", i)
+		case m.Role != RoleBoth && c.Disagg == nil:
+			return fmt.Errorf("cluster: instance %d has role %s, which needs a Disagg section", i, m.Role)
 		}
 	}
-	return c.validateChurn(false)
-}
-
-// validateChurn checks the admission, autoscale and fault knobs every
-// fleet shares; links reports whether the fleet has KV-transfer links
-// for link faults to degrade.
-func (c *Config) validateChurn(links bool) error {
 	if c.AdmitRatePerSec < 0 {
 		return fmt.Errorf("cluster: admission rate must be non-negative, got %g", c.AdmitRatePerSec)
 	}
-	if c.Autoscale != nil {
-		if err := c.Autoscale.Validate(); err != nil {
+	if a := c.Autoscale; a != nil {
+		if err := a.Validate(); err != nil {
 			return err
+		}
+		if a.Role != RoleBoth && c.Disagg == nil {
+			return fmt.Errorf("cluster: autoscale role %s needs a Disagg section", a.Role)
 		}
 	}
 	if c.Faults != nil {
-		if err := c.Faults.Validate(links); err != nil {
+		if err := c.Faults.Validate(c.Disagg != nil); err != nil {
 			return err
 		}
+	}
+	if c.Disagg != nil {
+		return c.Disagg.validate(c)
 	}
 	return nil
 }
 
-// member is one instance with its role; managed marks instances the
-// autoscaler spun up — the only ones a shrink may drain, so the
+// member is one running instance with its role; managed marks instances
+// the autoscaler spun up — the only ones a shrink may drain, so the
 // configured base fleet is never scaled away.
 type member struct {
 	in      *serve.Instance
@@ -171,9 +197,6 @@ type fleetSim struct {
 	// monolithic fleet's two are the same pool.
 	prefill, decode *pool
 	admit           *TokenBucket
-	// scaleRole names the members the autoscaler counts, adds and
-	// drains; RoleBoth counts the whole fleet.
-	scaleRole Role
 
 	reqs        []serve.Request
 	lastArrival sim.Time
@@ -199,7 +222,8 @@ type fleetSim struct {
 }
 
 // newFleet sorts the request stream by arrival and sets up the shared
-// calendar and admission control; the caller adds pools and members.
+// calendar, admission control, the pools and, for a disaggregated
+// fleet, the KV-handoff state; the caller adds members.
 func newFleet(cfg Config, requests []serve.Request) (*fleetSim, error) {
 	if len(requests) == 0 {
 		return nil, fmt.Errorf("cluster: no requests")
@@ -215,6 +239,18 @@ func newFleet(cfg Config, requests []serve.Request) (*fleetSim, error) {
 	}
 	if cfg.AdmitRatePerSec > 0 {
 		f.admit = NewTokenBucket(cfg.AdmitRatePerSec, cfg.AdmitBurst)
+	}
+	f.prefill = f.newPool(cfg.Policy)
+	f.decode = f.prefill
+	if d := cfg.Disagg; d != nil {
+		f.dis = &handoffs{
+			model:       d.Transfer,
+			linkAware:   d.LinkAwareDecode,
+			bytesPerTok: serve.KVBytesPerToken(cfg.Instances[0].Serve.Model),
+			links:       make(map[[2]int]sim.Time),
+			slow:        make(map[[2]int]float64),
+		}
+		f.decode = f.newPool(d.DecodePolicy)
 	}
 	return f, nil
 }
@@ -388,35 +424,44 @@ func (f *fleetSim) run() error {
 	return nil
 }
 
-// Simulate runs a monolithic fleet over the request stream and returns
-// fleet-level statistics. Requests are routed at their arrival instant
-// against the instances' live scheduler state; the whole simulation —
-// autoscaling and fault injection included — is deterministic for a
-// fixed stream and config.
-func Simulate(cfg Config, requests []serve.Request) (*Stats, error) {
+// Simulate runs the fleet over the request stream. Requests are routed
+// at their arrival instant against the instances' live scheduler state,
+// and the ledgers reconcile exactly: every prefill completion is
+// matched by exactly one decode completion or a reported drop. The
+// whole simulation — autoscaling and fault injection included — is
+// deterministic for a fixed stream and config. Exactly one report is
+// non-nil: Stats for a monolithic fleet, DisaggStats when cfg.Disagg is
+// set.
+func Simulate(cfg Config, requests []serve.Request) (*Stats, *DisaggStats, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f, err := newFleet(cfg, requests)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	f.prefill = f.newPool(cfg.Policy)
-	f.decode = f.prefill
-	for _, icfg := range cfg.Instances {
-		if _, err := f.addInstance(icfg, RoleBoth, false); err != nil {
-			return nil, err
+	for _, m := range cfg.Instances {
+		if _, err := f.addInstance(m.Serve, m.Role, false); err != nil {
+			return nil, nil, err
 		}
 	}
 	if err := f.run(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t, err := f.tally()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	if cfg.Disagg != nil {
+		return nil, f.disaggStats(t), nil
+	}
+	return f.stats(t), nil, nil
+}
+
+// stats assembles a monolithic fleet's report.
+func (f *fleetSim) stats(t *totals) *Stats {
 	st := &Stats{
-		RouterPolicy: cfg.Policy.String(),
+		RouterPolicy: f.cfg.Policy.String(),
 		Offered:      len(f.reqs),
 		Rejected:     f.rejected,
 		Unroutable:   f.unroutable,
@@ -437,5 +482,5 @@ func Simulate(cfg Config, requests []serve.Request) (*Stats, error) {
 			Serve:    *t.serve[i],
 		})
 	}
-	return st, nil
+	return st
 }

@@ -28,10 +28,10 @@ func gpt2KVBytesPerToken() float64 {
 }
 
 // mixedFleet is a 1+1 heterogeneous fleet (coupled + loosely coupled).
-func mixedFleet() []serve.Config {
-	return []serve.Config{
-		testServeConfig(hw.GH200()),
-		testServeConfig(hw.IntelH100()),
+func mixedFleet() []Member {
+	return []Member{
+		{Serve: testServeConfig(hw.GH200())},
+		{Serve: testServeConfig(hw.IntelH100())},
 	}
 }
 
@@ -50,7 +50,7 @@ func testLoad(t *testing.T, n int, rate float64, seed int64) []serve.Request {
 
 func TestClusterRoundRobinSpreadsLoad(t *testing.T) {
 	reqs := testLoad(t, 20, 200, 7)
-	st, err := Simulate(Config{Instances: mixedFleet(), Policy: RoundRobin}, reqs)
+	st, _, err := Simulate(Config{Instances: mixedFleet(), Policy: RoundRobin}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestClusterDeterministic(t *testing.T) {
 		Instances: mixedFleet(), Policy: LeastQueue,
 		TTFTSLO: 200 * sim.Millisecond, AdmitRatePerSec: 150, AdmitBurst: 5,
 	}
-	a, err := Simulate(cfg, testLoad(t, 40, 300, 11))
+	a, _, err := Simulate(cfg, testLoad(t, 40, 300, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(cfg, testLoad(t, 40, 300, 11))
+	b, _, err := Simulate(cfg, testLoad(t, 40, 300, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,10 @@ func TestClusterReconciliationUnderPressure(t *testing.T) {
 	bpt := gpt2KVBytesPerToken()
 	fleet := mixedFleet()
 	for i := range fleet {
-		fleet[i].KVCapacityBytes = 110 * bpt // ~one request at a time
-		fleet[i].AbandonAfter = 3 * sim.Millisecond
-		fleet[i].DefaultOutputLen = 10
-		fleet[i].Seq = 32
+		fleet[i].Serve.KVCapacityBytes = 110 * bpt // ~one request at a time
+		fleet[i].Serve.AbandonAfter = 3 * sim.Millisecond
+		fleet[i].Serve.DefaultOutputLen = 10
+		fleet[i].Serve.Seq = 32
 	}
 	reqs := testLoad(t, 30, 400, 3)
 	for i := range reqs {
@@ -115,7 +115,7 @@ func TestClusterReconciliationUnderPressure(t *testing.T) {
 	// the still-full admission bucket passes it through to the router.
 	reqs = append(reqs, serve.Request{ID: 1000, Arrival: 0, PromptLen: 500, OutputLen: 10})
 
-	st, err := Simulate(Config{
+	st, _, err := Simulate(Config{
 		Instances: fleet, Policy: LeastKV,
 		AdmitRatePerSec: 100, AdmitBurst: 2,
 	}, reqs)
@@ -199,7 +199,7 @@ func TestClusterPlatformAwareSplitsRegimes(t *testing.T) {
 		{ID: 2, Arrival: 2 * sim.Millisecond, PromptLen: 128, OutputLen: 2},
 		{ID: 3, Arrival: 3 * sim.Millisecond, PromptLen: 700, OutputLen: 2},
 	}
-	st, err := Simulate(Config{Instances: fleet, Policy: PlatformAware, ShortPrompt: 512}, reqs)
+	st, _, err := Simulate(Config{Instances: fleet, Policy: PlatformAware, ShortPrompt: 512}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +215,8 @@ func TestClusterPlatformAwareSplitsRegimes(t *testing.T) {
 func TestClusterPlatformAwareFallsBackAcrossGroups(t *testing.T) {
 	bpt := gpt2KVBytesPerToken()
 	fleet := mixedFleet()
-	fleet[0].KVCapacityBytes = 100 * bpt // coupled budget too small for long prompts
-	fleet[1].KVCapacityBytes = 1000 * bpt
+	fleet[0].Serve.KVCapacityBytes = 100 * bpt // coupled budget too small for long prompts
+	fleet[1].Serve.KVCapacityBytes = 1000 * bpt
 	// A short prompt prefers the coupled instance; a long prompt
 	// prefers the loose one; a long prompt also *only fits* the loose
 	// one. A short prompt when the coupled instance cannot fit it must
@@ -224,7 +224,7 @@ func TestClusterPlatformAwareFallsBackAcrossGroups(t *testing.T) {
 	reqs := []serve.Request{
 		{ID: 0, Arrival: 0, PromptLen: 300, OutputLen: 2}, // short boundary is 512 but exceeds coupled budget
 	}
-	st, err := Simulate(Config{Instances: fleet, Policy: PlatformAware, ShortPrompt: 512}, reqs)
+	st, _, err := Simulate(Config{Instances: fleet, Policy: PlatformAware, ShortPrompt: 512}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +236,10 @@ func TestClusterPlatformAwareFallsBackAcrossGroups(t *testing.T) {
 func TestClusterLeastKVPrefersEmptierBudget(t *testing.T) {
 	bpt := gpt2KVBytesPerToken()
 	fleet := mixedFleet()
-	fleet[0].KVCapacityBytes = 200 * bpt  // small budget: pressure rises fast
-	fleet[1].KVCapacityBytes = 2000 * bpt // ten times the headroom
+	fleet[0].Serve.KVCapacityBytes = 200 * bpt  // small budget: pressure rises fast
+	fleet[1].Serve.KVCapacityBytes = 2000 * bpt // ten times the headroom
 	reqs := testLoad(t, 16, 400, 5)
-	st, err := Simulate(Config{Instances: fleet, Policy: LeastKV}, reqs)
+	st, _, err := Simulate(Config{Instances: fleet, Policy: LeastKV}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,35 +276,6 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
-func TestFleetConfigsExpandsGroupsInOrder(t *testing.T) {
-	groups := []FleetGroup{{Platform: hw.GH200(), Count: 2}, {Platform: hw.IntelH100(), Count: 3}}
-	cfgs, err := FleetConfigs(groups, testServeConfig(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfgs) != 5 {
-		t.Fatalf("expanded %d configs, want 5", len(cfgs))
-	}
-	if cfgs[0].Platform.Name != hw.GH200Name || cfgs[4].Platform.Name != hw.IntelH100Name {
-		t.Errorf("platform order broken: %s … %s", cfgs[0].Platform.Name, cfgs[4].Platform.Name)
-	}
-}
-
-func TestFleetConfigsRejectsDegenerateGroups(t *testing.T) {
-	base := testServeConfig(nil)
-	for name, groups := range map[string][]FleetGroup{
-		"empty":         nil,
-		"zero count":    {{Platform: hw.GH200(), Count: 0}},
-		"negative":      {{Platform: hw.GH200(), Count: -3}},
-		"nil platform":  {{Platform: nil, Count: 2}},
-		"mixed one bad": {{Platform: hw.GH200(), Count: 2}, {Platform: hw.IntelH100(), Count: 0}},
-	} {
-		if _, err := FleetConfigs(groups, base); err == nil {
-			t.Errorf("FleetConfigs(%s) should fail instead of producing a silent empty/truncated fleet", name)
-		}
-	}
-}
-
 func TestRouterPolicyRoundTrip(t *testing.T) {
 	for _, p := range Policies() {
 		got, err := ParsePolicy(p.String())
@@ -333,24 +304,24 @@ func TestRouterPolicyRoundTrip(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := Simulate(Config{}, []serve.Request{{ID: 0}}); err == nil {
+	if _, _, err := Simulate(Config{}, []serve.Request{{ID: 0}}); err == nil {
 		t.Error("empty fleet should fail")
 	}
-	if _, err := Simulate(Config{Instances: mixedFleet()}, nil); err == nil {
+	if _, _, err := Simulate(Config{Instances: mixedFleet()}, nil); err == nil {
 		t.Error("no requests should fail")
 	}
 	bad := mixedFleet()
-	bad[1].Platform = nil
-	if _, err := Simulate(Config{Instances: bad}, []serve.Request{{ID: 0}}); err == nil {
+	bad[1].Serve.Platform = nil
+	if _, _, err := Simulate(Config{Instances: bad}, []serve.Request{{ID: 0}}); err == nil {
 		t.Error("nil platform should fail")
 	}
 	legacy := mixedFleet()
-	legacy[0].Policy = serve.GreedyBatch
-	if _, err := Simulate(Config{Instances: legacy}, []serve.Request{{ID: 0}}); err == nil ||
+	legacy[0].Serve.Policy = serve.GreedyBatch
+	if _, _, err := Simulate(Config{Instances: legacy}, []serve.Request{{ID: 0}}); err == nil ||
 		!strings.Contains(err.Error(), "continuous") {
 		t.Error("legacy batching policies cannot join a cluster")
 	}
-	if _, err := Simulate(Config{Instances: mixedFleet(), AdmitRatePerSec: -1}, []serve.Request{{ID: 0}}); err == nil {
+	if _, _, err := Simulate(Config{Instances: mixedFleet(), AdmitRatePerSec: -1}, []serve.Request{{ID: 0}}); err == nil {
 		t.Error("negative admission rate should fail")
 	}
 }
@@ -358,7 +329,7 @@ func TestClusterValidation(t *testing.T) {
 // TestClusterSLOPropagation: the fleet SLO reaches instances that set
 // none, and fleet goodput never exceeds throughput.
 func TestClusterSLOPropagation(t *testing.T) {
-	st, err := Simulate(Config{
+	st, _, err := Simulate(Config{
 		Instances: mixedFleet(), Policy: LeastQueue, TTFTSLO: sim.Nanosecond,
 	}, testLoad(t, 10, 100, 2))
 	if err != nil {
@@ -372,7 +343,7 @@ func TestClusterSLOPropagation(t *testing.T) {
 			t.Errorf("%s did not inherit the fleet SLO", is.Name)
 		}
 	}
-	loose, err := Simulate(Config{
+	loose, _, err := Simulate(Config{
 		Instances: mixedFleet(), Policy: LeastQueue, TTFTSLO: 3600 * sim.Second,
 	}, testLoad(t, 10, 100, 2))
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// Prefill/decode disaggregation: fleet groups take a role, requests
+// Prefill/decode disaggregation: fleet members take a role, requests
 // routed to a prefill-only instance run prompt processing there, then
 // hand their KV cache to a decode-capable instance over a FIFO transfer
 // link per (source, destination) pair, priced by TransferModel. Prefill
@@ -17,7 +17,7 @@ import (
 // style) only pays if moving the KV state is cheap enough, which is
 // exactly what coupled and PCIe platforms disagree on.
 
-// Role assigns a fleet group to a disaggregation pool.
+// Role assigns a fleet member to a disaggregation pool.
 type Role int
 
 const (
@@ -46,7 +46,7 @@ func (r Role) String() string {
 }
 
 // ParseRole maps a fleet-spec role name to a Role; the empty string is
-// RoleBoth (an untagged group serves monolithically).
+// RoleBoth (an untagged member serves monolithically).
 func ParseRole(name string) (Role, error) {
 	switch name {
 	case "prefill":
@@ -56,7 +56,7 @@ func ParseRole(name string) (Role, error) {
 	case "both", "":
 		return RoleBoth, nil
 	}
-	return 0, fmt.Errorf("disagg: unknown role %q (have prefill|decode|both)", name)
+	return 0, fmt.Errorf("cluster: unknown role %q (have prefill|decode|both)", name)
 }
 
 // inRole reports whether a member with role r belongs to the members
@@ -73,27 +73,13 @@ func inRole(r, scope Role) bool {
 	}
 }
 
-// Group is one homogeneous slice of a disaggregated fleet.
-type Group struct {
-	Platform *hw.Platform
-	Count    int
-	Role     Role
-}
-
-// DisaggConfig parameterizes a disaggregated fleet simulation.
-type DisaggConfig struct {
-	// Groups lists the fleet's slices with their roles. At least one
-	// prefill-capable (prefill|both) and one decode-capable
-	// (decode|both) group are required.
-	Groups []Group
-	// Base is the serving config every instance inherits (model, policy,
-	// KV knobs, SLO) with its group's platform substituted; it must use
-	// a continuous policy.
-	Base serve.Config
-	// PrefillPolicy places fresh arrivals on the prefill pool. Like
-	// Config's Policy, the zero value is RoundRobin; the spec front
-	// door (fleet.disaggregation) defaults to least-queue instead.
-	PrefillPolicy Policy
+// Disaggregation is the Config section that splits a fleet into a
+// prefill-capable and a decode-capable pool. Config.Policy places fresh
+// arrivals on the prefill pool. At least one prefill-capable
+// (prefill|both) and one decode-capable (decode|both) member are
+// required, and every member serves the same model (the handed-off KV
+// cache is sized by it).
+type Disaggregation struct {
 	// DecodePolicy places completed prefills on the decode pool. Zero
 	// value RoundRobin; the spec front door defaults to least-kv —
 	// decode placement is a KV-capacity decision.
@@ -106,127 +92,70 @@ type DisaggConfig struct {
 	// lowest KV pressure, then the lowest index. Off, DecodePolicy
 	// places every handoff.
 	LinkAwareDecode bool
-	// ShortPrompt is the platform-aware policies' regime boundary in
-	// prompt tokens (default 512).
-	ShortPrompt int64
 	// Transfer prices the KV handoff between pools.
 	Transfer TransferModel
-	// TTFTSLO is the fleet time-to-first-token objective for goodput
-	// accounting (also copied into instance configs that set none).
-	TTFTSLO sim.Time
-	// AdmitRatePerSec / AdmitBurst enable token-bucket admission control
-	// at the front door (0 disables).
-	AdmitRatePerSec float64
-	AdmitBurst      float64
-	// Observer receives front-door events (routed, rejected,
-	// unroutable), KV-transfer events (kv-transfer-start/done with the
-	// source→destination link), and every instance's lifecycle events
-	// with the instance name stamped in.
-	Observer serve.Observer
-	// Autoscale, when set, grows and shrinks the AutoscaleRole pool
-	// against a load signal while the simulation runs; disaggregated
-	// fleets additionally support the transfer-queue signal (pending KV
-	// transfers per active decode-capable instance). Nil keeps the
-	// fleet static and the report's Chaos section absent.
-	Autoscale *AutoscaleConfig
-	// AutoscaleRole names the pool the controller scales. The zero value
-	// is RoleBoth (spun-up instances serve end to end); the spec front
-	// door defaults to "decode" instead — decode capacity is what
-	// transfer pressure starves.
-	AutoscaleRole Role
-	// Faults, when set, injects crashes, slow-node multipliers, and
-	// degraded-link faults (see FaultsConfig; Target and Dst index the
-	// flattened member list in group order).
-	Faults *FaultsConfig
-	// CounterfactualK, when positive, records every prefill- and
-	// decode-pool routing decision with up to K scored alternatives and
-	// counterfactual policy replays (DisaggStats.PrefillRouting /
-	// DisaggStats.DecodeRouting). Decode records carry the chosen
-	// link's FIFO backlog at pick time. Zero keeps recording off and
-	// both sections absent.
-	CounterfactualK int
 }
 
-func (c *DisaggConfig) validate() error {
-	if err := c.Transfer.validate(); err != nil {
+// validate checks the pool split and the transfer model against the
+// fleet it splits.
+func (d *Disaggregation) validate(c *Config) error {
+	if err := d.Transfer.validate(); err != nil {
 		return err
-	}
-	if len(c.Groups) == 0 {
-		return fmt.Errorf("disagg: config needs at least one group")
 	}
 	// KV handoffs originate only on RolePrefill instances; an all-"both"
 	// fleet never transfers and needs no priceable link. Autoscaled
 	// prefill instances count: the controller can mint handoff sources
 	// mid-run.
-	var transfersPossible bool
-	for _, g := range c.Groups {
-		if g.Role == RolePrefill {
+	transfersPossible := c.Autoscale != nil && c.Autoscale.Role == RolePrefill
+	for _, m := range c.Instances {
+		if m.Role == RolePrefill {
 			transfersPossible = true
 		}
 	}
-	if c.Autoscale != nil && c.AutoscaleRole == RolePrefill {
-		transfersPossible = true
+	// unpriceable reports a platform a KV handoff could not be priced
+	// against. hw.Validate deliberately permits zero interconnect
+	// bandwidth on unified-physical-memory platforms (their CPU↔GPU
+	// transfers are free), but a KV handoff between *instances* still
+	// crosses a wire: with no override, TransferModel.Time would divide
+	// by zero and price every transfer at +Inf. Reject the fleet here,
+	// naming the platform, instead of simulating nonsense.
+	unpriceable := func(p *hw.Platform) bool {
+		return transfersPossible && d.Transfer.BandwidthGBps == 0 && p.IC.BandwidthGBps <= 0
 	}
+	model := c.Instances[0].Serve.Model.Name
 	var prefillable, decodable int
-	for i, g := range c.Groups {
-		if g.Platform == nil {
-			return fmt.Errorf("disagg: group %d needs a platform", i)
+	for i, m := range c.Instances {
+		if p := m.Serve.Platform; unpriceable(p) {
+			return fmt.Errorf("cluster: platform %q has no interconnect bandwidth to price KV transfers (unified-memory platforms may declare zero); set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", p.Name)
 		}
-		if g.Count <= 0 {
-			return fmt.Errorf("disagg: group %d (%s) needs a positive count, got %d", i, g.Platform.Name, g.Count)
+		if m.Serve.Model.Name != model {
+			return fmt.Errorf("cluster: instance %d serves %s, but a disaggregated fleet hands KV caches between members of one model (%s)", i, m.Serve.Model.Name, model)
 		}
-		// hw.Validate deliberately permits zero interconnect bandwidth on
-		// unified-physical-memory platforms (their CPU↔GPU transfers are
-		// free), but a KV handoff between *instances* still crosses a
-		// wire: with no override, TransferModel.Time would divide by
-		// zero and price every transfer at +Inf. Reject the fleet here,
-		// naming the platform, instead of simulating nonsense.
-		if transfersPossible && c.Transfer.BandwidthGBps == 0 && g.Platform.IC.BandwidthGBps <= 0 {
-			return fmt.Errorf("disagg: platform %q has no interconnect bandwidth to price KV transfers (unified-memory platforms may declare zero); set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", g.Platform.Name)
+		if m.Role != RolePrefill {
+			decodable++
 		}
-		if g.Role != RolePrefill {
-			decodable += g.Count
-		}
-		if g.Role != RoleDecode {
-			prefillable += g.Count
+		if m.Role != RoleDecode {
+			prefillable++
 		}
 	}
 	if prefillable == 0 {
-		return fmt.Errorf("disagg: fleet has no prefill-capable (prefill or both) instances")
+		return fmt.Errorf("cluster: fleet has no prefill-capable (prefill or both) instances")
 	}
 	if decodable == 0 {
-		return fmt.Errorf("disagg: fleet has no decode-capable (decode or both) instances")
-	}
-	if c.Base.Model == nil {
-		return fmt.Errorf("disagg: base config needs a model")
-	}
-	fleet := c.fleet()
-	if err := fleet.validateChurn(true); err != nil {
-		return err
+		return fmt.Errorf("cluster: fleet has no decode-capable (decode or both) instances")
 	}
 	// An autoscaled instance can be a transfer endpoint too (source when
 	// scaling prefill, destination when scaling decode or both), so its
-	// platform faces the same zero-bandwidth trap as the base groups.
-	if c.Autoscale != nil && transfersPossible && c.Transfer.BandwidthGBps == 0 && c.Autoscale.Template.Platform.IC.BandwidthGBps <= 0 {
-		return fmt.Errorf("disagg: autoscale template platform %q has no interconnect bandwidth to price KV transfers; set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", c.Autoscale.Template.Platform.Name)
+	// platform faces the same zero-bandwidth trap as the members.
+	if a := c.Autoscale; a != nil {
+		if p := a.Template.Platform; unpriceable(p) {
+			return fmt.Errorf("cluster: autoscale template platform %q has no interconnect bandwidth to price KV transfers; set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", p.Name)
+		}
+		if a.Template.Model.Name != model {
+			return fmt.Errorf("cluster: autoscale template serves %s, but the fleet serves %s", a.Template.Model.Name, model)
+		}
 	}
 	return nil
-}
-
-// fleet lowers the knobs a disaggregated fleet shares with a
-// monolithic one; the prefill pool's policy stands in for Policy.
-func (c *DisaggConfig) fleet() Config {
-	return Config{
-		Policy:          c.PrefillPolicy,
-		ShortPrompt:     c.ShortPrompt,
-		TTFTSLO:         c.TTFTSLO,
-		AdmitRatePerSec: c.AdmitRatePerSec,
-		AdmitBurst:      c.AdmitBurst,
-		Observer:        c.Observer,
-		Autoscale:       c.Autoscale,
-		Faults:          c.Faults,
-		CounterfactualK: c.CounterfactualK,
-	}
 }
 
 // handoffs is the KV-handoff state of a disaggregated fleet: the
@@ -436,49 +365,12 @@ func (f *fleetSim) degradeLink(now sim.Time, ft Fault) {
 	})
 }
 
-// SimulateDisagg runs the disaggregated fleet over the request stream
-// and returns fleet statistics with an exactly reconciled ledger:
-// every prefill completion is matched by exactly one decode completion
-// or a reported drop. The whole simulation — autoscaling and fault
-// injection included — is deterministic for a fixed stream and config.
-func SimulateDisagg(cfg DisaggConfig, requests []serve.Request) (*DisaggStats, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	f, err := newFleet(cfg.fleet(), requests)
-	if err != nil {
-		return nil, err
-	}
-	f.scaleRole = cfg.AutoscaleRole
-	f.dis = &handoffs{
-		model:       cfg.Transfer,
-		linkAware:   cfg.LinkAwareDecode,
-		bytesPerTok: serve.KVBytesPerToken(cfg.Base.Model),
-		links:       make(map[[2]int]sim.Time),
-		slow:        make(map[[2]int]float64),
-	}
-	f.prefill = f.newPool(cfg.PrefillPolicy)
-	f.decode = f.newPool(cfg.DecodePolicy)
-	for _, g := range cfg.Groups {
-		for k := 0; k < g.Count; k++ {
-			icfg := cfg.Base
-			icfg.Platform = g.Platform
-			if _, err := f.addInstance(icfg, g.Role, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := f.run(); err != nil {
-		return nil, err
-	}
-	t, err := f.tally()
-	if err != nil {
-		return nil, err
-	}
+// disaggStats assembles a disaggregated fleet's report.
+func (f *fleetSim) disaggStats(t *totals) *DisaggStats {
 	d := f.dis
 	st := &DisaggStats{
-		PrefillPolicy:  cfg.PrefillPolicy.String(),
-		DecodePolicy:   cfg.DecodePolicy.String(),
+		PrefillPolicy:  f.cfg.Policy.String(),
+		DecodePolicy:   f.cfg.Disagg.DecodePolicy.String(),
 		Offered:        len(f.reqs),
 		Rejected:       f.rejected,
 		Unroutable:     f.unroutable,
@@ -512,7 +404,7 @@ func SimulateDisagg(cfg DisaggConfig, requests []serve.Request) (*DisaggStats, e
 			Serve:    *t.serve[i],
 		})
 	}
-	return st, nil
+	return st
 }
 
 // DisaggInstanceStats pairs one instance's identity, role, and
@@ -581,7 +473,7 @@ type DisaggStats struct {
 	Chaos *ChaosStats `json:",omitempty"`
 
 	// PrefillRouting / DecodeRouting carry per-pool decision records and
-	// counterfactual replays; nil unless DisaggConfig.CounterfactualK
+	// counterfactual replays; nil unless Config.CounterfactualK
 	// was set. Decode decisions additionally record the chosen link's
 	// FIFO backlog at pick time (Decision.LinkWait).
 	PrefillRouting *RoutingStats `json:",omitempty"`

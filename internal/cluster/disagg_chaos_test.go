@@ -1,11 +1,10 @@
-package disagg
+package cluster
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/skipsim/skip/internal/cluster"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
@@ -15,7 +14,7 @@ import (
 // ledger never allocates — nil means a static fleet, and the report
 // omits the section.
 func TestDisaggStaticNilChaos(t *testing.T) {
-	st, err := cluster.SimulateDisagg(testConfig(), testWorkload(t, 20))
+	_, st, err := Simulate(disaggConfig(), disaggLoad(t, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +23,11 @@ func TestDisaggStaticNilChaos(t *testing.T) {
 	}
 }
 
-// chaosConfig is a 2+2 fleet sized so crashes in either pool leave a
+// disaggChaosConfig is a 2+2 fleet sized so crashes in either pool leave a
 // survivor.
-func chaosConfig() cluster.DisaggConfig {
-	c := testConfig()
-	c.Groups = []cluster.Group{
-		{Platform: hw.GH200(), Count: 2, Role: cluster.RolePrefill},
-		{Platform: hw.IntelH100(), Count: 2, Role: cluster.RoleDecode},
-	}
+func disaggChaosConfig() Config {
+	c := disaggConfig()
+	c.Instances = append(members(hw.GH200(), 2, RolePrefill), members(hw.IntelH100(), 2, RoleDecode)...)
 	return c
 }
 
@@ -41,10 +37,10 @@ func chaosConfig() cluster.DisaggConfig {
 // its mid-stream victims on the surviving decode instance. Both ledgers
 // must balance and the fleet must still finish the work.
 func TestDisaggCrashRequeuesBothPhases(t *testing.T) {
-	cfg := chaosConfig()
-	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
-		{At: 200 * sim.Millisecond, Kind: cluster.FaultCrash, Target: 0}, // prefill pool
-		{At: 400 * sim.Millisecond, Kind: cluster.FaultCrash, Target: 2}, // decode pool
+	cfg := disaggChaosConfig()
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 200 * sim.Millisecond, Kind: FaultCrash, Target: 0}, // prefill pool
+		{At: 400 * sim.Millisecond, Kind: FaultCrash, Target: 2}, // decode pool
 	}}
 	var requeues []serve.Event
 	cfg.Observer = func(e serve.Event) {
@@ -52,7 +48,7 @@ func TestDisaggCrashRequeuesBothPhases(t *testing.T) {
 			requeues = append(requeues, e)
 		}
 	}
-	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 40))
+	_, st, err := Simulate(cfg, disaggLoad(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +87,16 @@ func TestDisaggCrashRequeuesBothPhases(t *testing.T) {
 // the fleet's mean wire time versus a fault-free run and show up in the
 // ledger, without losing work.
 func TestDisaggLinkDegradeFault(t *testing.T) {
-	reqs := testWorkload(t, 20)
-	base, err := cluster.SimulateDisagg(testConfig(), reqs)
+	reqs := disaggLoad(t, 20)
+	_, base, err := Simulate(disaggConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
-		{At: 0, Kind: cluster.FaultLinkDegrade, Target: 0, Dst: 1, Factor: 16},
+	cfg := disaggConfig()
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 0, Kind: FaultLinkDegrade, Target: 0, Dst: 1, Factor: 16},
 	}}
-	slow, err := cluster.SimulateDisagg(cfg, reqs)
+	_, slow, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +113,11 @@ func TestDisaggLinkDegradeFault(t *testing.T) {
 	}
 	// A link fault aimed at an out-of-range endpoint is a deterministic
 	// no-op, not a panic.
-	cfg = testConfig()
-	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
-		{At: 0, Kind: cluster.FaultLinkDegrade, Target: 0, Dst: 99, Factor: 2},
+	cfg = disaggConfig()
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 0, Kind: FaultLinkDegrade, Target: 0, Dst: 99, Factor: 2},
 	}}
-	noop, err := cluster.SimulateDisagg(cfg, reqs)
+	_, noop, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +130,14 @@ func TestDisaggLinkDegradeFault(t *testing.T) {
 // transfer tail must shrink the stall a request experiences without
 // changing the wire time the link is busy for.
 func TestOverlapFractionReducesStall(t *testing.T) {
-	reqs := testWorkload(t, 20)
-	base, err := cluster.SimulateDisagg(testConfig(), reqs)
+	reqs := disaggLoad(t, 20)
+	_, base, err := Simulate(disaggConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	cfg.Transfer.OverlapFraction = 0.8
-	over, err := cluster.SimulateDisagg(cfg, reqs)
+	cfg := disaggConfig()
+	cfg.Disagg.Transfer.OverlapFraction = 0.8
+	_, over, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +155,7 @@ func TestOverlapFractionReducesStall(t *testing.T) {
 
 	// Exposed is exact: zero overlap returns the wire time unchanged
 	// (bit-identity for legacy configs), fraction f exposes (1-f)·wire.
-	var tm cluster.TransferModel
+	var tm TransferModel
 	if got := tm.Exposed(100 * sim.Millisecond); got != 100*sim.Millisecond {
 		t.Errorf("zero overlap must expose the full wire time, got %v", got)
 	}
@@ -168,9 +164,9 @@ func TestOverlapFractionReducesStall(t *testing.T) {
 		t.Errorf("0.75 overlap exposes %v of 100ms, want 25ms", got)
 	}
 	for _, bad := range []float64{-0.1, 1, 1.5} {
-		cfg := testConfig()
-		cfg.Transfer.OverlapFraction = bad
-		if _, err := cluster.SimulateDisagg(cfg, reqs); err == nil {
+		cfg := disaggConfig()
+		cfg.Disagg.Transfer.OverlapFraction = bad
+		if _, _, err := Simulate(cfg, reqs); err == nil {
 			t.Errorf("overlap fraction %g accepted, want a validation error", bad)
 		}
 	}
@@ -181,14 +177,14 @@ func TestOverlapFractionReducesStall(t *testing.T) {
 // cache re-ships from its source to a surviving decode instance,
 // visible as more transfers than handoffs.
 func TestMidTransferDestinationDeath(t *testing.T) {
-	cfg := testConfig()
+	cfg := disaggConfig()
 	// Throttle the wire so caches are in flight for ~100ms+ and the
 	// crash window below reliably catches one mid-transfer.
-	cfg.Transfer.BandwidthGBps = 0.05
-	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
-		{At: 300 * sim.Millisecond, Kind: cluster.FaultCrash, Target: 1},
+	cfg.Disagg.Transfer.BandwidthGBps = 0.05
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 300 * sim.Millisecond, Kind: FaultCrash, Target: 1},
 	}}
-	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 20))
+	_, st, err := Simulate(cfg, disaggLoad(t, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,22 +205,18 @@ func TestMidTransferDestinationDeath(t *testing.T) {
 // per active decode instance) must spin up decode capacity, and the
 // spun-up instances must actually absorb resumes.
 func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
-	cfg := testConfig()
-	cfg.Groups = []cluster.Group{
-		{Platform: hw.GH200(), Count: 2, Role: cluster.RolePrefill},
-		{Platform: hw.IntelH100(), Count: 1, Role: cluster.RoleDecode},
-	}
-	cfg.Transfer.BandwidthGBps = 0.1 // slow wire: transfers queue up
-	tmpl := testBase()
+	cfg := disaggConfig()
+	cfg.Instances = append(members(hw.GH200(), 2, RolePrefill), members(hw.IntelH100(), 1, RoleDecode)...)
+	cfg.Disagg.Transfer.BandwidthGBps = 0.1 // slow wire: transfers queue up
+	tmpl := disaggBase()
 	tmpl.Platform = hw.IntelH100()
-	cfg.Autoscale = &cluster.AutoscaleConfig{
-		Template: tmpl, Signal: cluster.SignalTransferQueue,
+	cfg.Autoscale = &AutoscaleConfig{
+		Template: tmpl, Signal: SignalTransferQueue,
 		Target: 0.5, Max: 3,
 		Interval: 20 * sim.Millisecond, Cooldown: 20 * sim.Millisecond,
-		SpinUpDelay: 40 * sim.Millisecond,
+		SpinUpDelay: 40 * sim.Millisecond, Role: RoleDecode,
 	}
-	cfg.AutoscaleRole = cluster.RoleDecode
-	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 30))
+	_, st, err := Simulate(cfg, disaggLoad(t, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,25 +248,24 @@ func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
 // churn ledger, transfer economics, and per-instance series included —
 // run to run. CI runs this under -race as well.
 func TestDisaggSeededChaosDeterministic(t *testing.T) {
-	mk := func() cluster.DisaggConfig {
-		cfg := chaosConfig()
-		tmpl := testBase()
+	mk := func() Config {
+		cfg := disaggChaosConfig()
+		tmpl := disaggBase()
 		tmpl.Platform = hw.IntelH100()
-		cfg.Autoscale = &cluster.AutoscaleConfig{
-			Template: tmpl, Signal: cluster.SignalQueueDepth,
+		cfg.Autoscale = &AutoscaleConfig{
+			Template: tmpl, Signal: SignalQueueDepth,
 			Target: 2, Max: 4,
 			Interval: 20 * sim.Millisecond, Cooldown: 20 * sim.Millisecond,
-			SpinUpDelay: 40 * sim.Millisecond,
+			SpinUpDelay: 40 * sim.Millisecond, Role: RoleDecode,
 		}
-		cfg.AutoscaleRole = cluster.RoleDecode
-		cfg.Faults = &cluster.FaultsConfig{CrashRatePerSec: 3, Seed: 7}
+		cfg.Faults = &FaultsConfig{CrashRatePerSec: 3, Seed: 7}
 		return cfg
 	}
-	a, err := cluster.SimulateDisagg(mk(), testWorkload(t, 40))
+	_, a, err := Simulate(mk(), disaggLoad(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cluster.SimulateDisagg(mk(), testWorkload(t, 40))
+	_, b, err := Simulate(mk(), disaggLoad(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}

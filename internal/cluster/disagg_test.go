@@ -1,19 +1,18 @@
-package disagg
+package cluster
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/skipsim/skip/internal/cluster"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// testBase is a small, fast per-instance serving config.
-func testBase() serve.Config {
+// disaggBase is a small, fast per-instance serving config.
+func disaggBase() serve.Config {
 	m, err := models.ByName("llama-3.2-1B")
 	if err != nil {
 		panic(err)
@@ -27,8 +26,8 @@ func testBase() serve.Config {
 	}
 }
 
-// testWorkload is a deterministic chat stream with real output lengths.
-func testWorkload(t *testing.T, n int) []serve.Request {
+// disaggLoad is a deterministic chat stream with real output lengths.
+func disaggLoad(t *testing.T, n int) []serve.Request {
 	t.Helper()
 	reqs, err := serve.Workload{
 		Scenario: serve.ScenarioChat, N: n, RatePerSec: 30, Seed: 9,
@@ -41,16 +40,24 @@ func testWorkload(t *testing.T, n int) []serve.Request {
 	return reqs
 }
 
-func testConfig() cluster.DisaggConfig {
-	return cluster.DisaggConfig{
-		Groups: []cluster.Group{
-			{Platform: hw.GH200(), Count: 1, Role: cluster.RolePrefill},
-			{Platform: hw.IntelH100(), Count: 2, Role: cluster.RoleDecode},
-		},
-		Base:          testBase(),
-		PrefillPolicy: cluster.LeastQueue,
-		DecodePolicy:  cluster.LeastKV,
-		TTFTSLO:       500 * sim.Millisecond,
+// members expands one homogeneous slice of a fleet: n members of one
+// platform and role over disaggBase.
+func members(p *hw.Platform, n int, role Role) []Member {
+	ms := make([]Member, n)
+	for i := range ms {
+		ms[i] = Member{Serve: disaggBase(), Role: role}
+		ms[i].Serve.Platform = p
+	}
+	return ms
+}
+
+// disaggConfig is a 1 prefill + 2 decode fleet.
+func disaggConfig() Config {
+	return Config{
+		Instances: append(members(hw.GH200(), 1, RolePrefill), members(hw.IntelH100(), 2, RoleDecode)...),
+		Policy:    LeastQueue,
+		TTFTSLO:   500 * sim.Millisecond,
+		Disagg:    &Disaggregation{DecodePolicy: LeastKV},
 	}
 }
 
@@ -59,7 +66,7 @@ func testConfig() cluster.DisaggConfig {
 // hop) must beat a mixed pair, which must beat a discrete→discrete
 // PCIe transfer that store-and-forwards through both hosts.
 func TestTransferTimeInterconnectOrdering(t *testing.T) {
-	var tm cluster.TransferModel
+	var tm TransferModel
 	gh, intel := hw.GH200(), hw.IntelH100()
 	const bytes = 256 << 20 // a 256 MB cache
 
@@ -79,19 +86,19 @@ func TestTransferTimeInterconnectOrdering(t *testing.T) {
 	// Discrete pair is gated by the slower PCIe link and pays the
 	// default host-hop multiplier once per endpoint.
 	wantLC := sim.FromNs(2*intel.IC.LatencyNs +
-		cluster.DefaultHostHopMultiplier*cluster.DefaultHostHopMultiplier*bytes/intel.IC.BandwidthGBps)
+		DefaultHostHopMultiplier*DefaultHostHopMultiplier*bytes/intel.IC.BandwidthGBps)
 	if lc != wantLC {
 		t.Errorf("discrete transfer = %v, want %v", lc, wantLC)
 	}
 
 	// The bandwidth override replaces the link rate but keeps the
 	// endpoint topology (latency + hops).
-	fat := cluster.TransferModel{BandwidthGBps: 900}
+	fat := TransferModel{BandwidthGBps: 900}
 	if got, want := fat.Time(gh, gh, bytes), sim.FromNs(2*gh.IC.LatencyNs+bytes/900.0); got != want {
 		t.Errorf("override transfer = %v, want %v", got, want)
 	}
 	// A unit multiplier erases the discrete penalty entirely.
-	flat := cluster.TransferModel{HostHopMultiplier: 1}
+	flat := TransferModel{HostHopMultiplier: 1}
 	if got, want := flat.Time(intel, intel, bytes), sim.FromNs(2*intel.IC.LatencyNs+bytes/intel.IC.BandwidthGBps); got != want {
 		t.Errorf("flat transfer = %v, want %v", got, want)
 	}
@@ -116,12 +123,9 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 		t.Fatalf("zero IC bandwidth should pass hw validation on a unified platform: %v", err)
 	}
 
-	cfg := testConfig()
-	cfg.Groups = []cluster.Group{
-		{Platform: unified, Count: 1, Role: cluster.RolePrefill},
-		{Platform: hw.IntelH100(), Count: 1, Role: cluster.RoleDecode},
-	}
-	_, err := cluster.SimulateDisagg(cfg, testWorkload(t, 4))
+	cfg := disaggConfig()
+	cfg.Instances = append(members(unified, 1, RolePrefill), members(hw.IntelH100(), 1, RoleDecode)...)
+	_, _, err := Simulate(cfg, disaggLoad(t, 4))
 	if err == nil {
 		t.Fatal("fleet with an unpriceable transfer endpoint should be rejected")
 	}
@@ -130,8 +134,8 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 	}
 
 	// The override restores a finite price and the fleet simulates.
-	cfg.Transfer.BandwidthGBps = 100
-	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 4))
+	cfg.Disagg.Transfer.BandwidthGBps = 100
+	_, st, err := Simulate(cfg, disaggLoad(t, 4))
 	if err != nil {
 		t.Fatalf("override should make the fleet legal: %v", err)
 	}
@@ -140,15 +144,12 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 			st.Transfers, st.MeanTransfer)
 	}
 
-	// An all-"both" fleet never hands a cache off — no cluster.RolePrefill
+	// An all-"both" fleet never hands a cache off — no RolePrefill
 	// source, no transfers — so the unpriceable link is irrelevant and
 	// the fleet stays legal without an override.
-	cfg.Transfer.BandwidthGBps = 0
-	cfg.Groups = []cluster.Group{
-		{Platform: unified, Count: 1, Role: cluster.RoleBoth},
-		{Platform: hw.IntelH100(), Count: 1, Role: cluster.RoleBoth},
-	}
-	st, err = cluster.SimulateDisagg(cfg, testWorkload(t, 4))
+	cfg.Disagg.Transfer.BandwidthGBps = 0
+	cfg.Instances = append(members(unified, 1, RoleBoth), members(hw.IntelH100(), 1, RoleBoth)...)
+	_, st, err = Simulate(cfg, disaggLoad(t, 4))
 	if err != nil {
 		t.Fatalf("transfer-free fleet should not need a priceable link: %v", err)
 	}
@@ -157,13 +158,72 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 	}
 }
 
+// TestDisaggConfigGuards walks the checks of the one Config.validate
+// that roles and the Disagg section add. Each bad config must come
+// back as an error from Simulate: without the role guards a prefill
+// member of a monolithic fleet would hand off into a nil handoff state,
+// and an autoscaled decode member would join no pool.
+func TestDisaggConfigGuards(t *testing.T) {
+	unified := hw.MI300A()
+	unified.Name = "CustomUnified"
+	unified.IC.BandwidthGBps = 0
+	scale := func(p *hw.Platform, m *models.Config, role Role) *AutoscaleConfig {
+		tmpl := disaggBase()
+		tmpl.Platform = p
+		if m != nil {
+			tmpl.Model = m
+		}
+		return &AutoscaleConfig{Template: tmpl, Target: 1, Max: 4, Role: role}
+	}
+	cases := []struct {
+		name   string
+		mutate func(c *Config)
+		want   string
+	}{
+		{"prefill member without Disagg", func(c *Config) { c.Disagg = nil }, "instance 0 has role prefill, which needs a Disagg section"},
+		{"autoscale role without Disagg", func(c *Config) {
+			c.Instances = members(hw.GH200(), 2, RoleBoth)
+			c.Disagg = nil
+			c.Autoscale = scale(hw.GH200(), nil, RoleDecode)
+		}, "autoscale role decode needs a Disagg section"},
+		{"no prefill-capable member", func(c *Config) { c.Instances = members(hw.GH200(), 2, RoleDecode) }, "no prefill-capable"},
+		{"no decode-capable member", func(c *Config) { c.Instances = members(hw.GH200(), 2, RolePrefill) }, "no decode-capable"},
+		{"nil model", func(c *Config) { c.Instances[1].Serve.Model = nil }, "instance 1 needs a model"},
+		{"mixed models", func(c *Config) { c.Instances[2].Serve.Model = models.GPT2() }, "instance 2 serves gpt2"},
+		{"template of another model", func(c *Config) { c.Autoscale = scale(hw.GH200(), models.GPT2(), RoleDecode) }, "autoscale template serves gpt2"},
+		{"unpriceable autoscale template", func(c *Config) { c.Autoscale = scale(unified, nil, RoleDecode) }, "autoscale template platform \"CustomUnified\""},
+		{"negative host hop", func(c *Config) { c.Disagg.Transfer.HostHopMultiplier = -1 }, "host-hop multiplier"},
+		{"negative transfer bandwidth", func(c *Config) { c.Disagg.Transfer.BandwidthGBps = -1 }, "transfer bandwidth"},
+	}
+	for _, tc := range cases {
+		cfg := disaggConfig()
+		tc.mutate(&cfg)
+		_, _, err := Simulate(cfg, disaggLoad(t, 4))
+		if err == nil {
+			t.Errorf("%s: Simulate accepted the config", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	// A prefill-role autoscale template mints handoff sources, so an
+	// all-"both" fleet scaled that way needs a priceable link too.
+	cfg := disaggConfig()
+	cfg.Instances = members(hw.GH200(), 2, RoleBoth)
+	cfg.Autoscale = scale(unified, nil, RolePrefill)
+	if _, _, err := Simulate(cfg, disaggLoad(t, 4)); err == nil || !strings.Contains(err.Error(), "CustomUnified") {
+		t.Errorf("prefill-role template on an unpriceable platform: got %v", err)
+	}
+}
+
 // TestSimulateLedger runs a small disaggregated fleet and checks the
 // cross-pool ledger: every prefill completion is matched by exactly one
 // decode completion (no drops here), TTFTs come only from the prefill
 // pool, and nothing is lost.
 func TestSimulateLedger(t *testing.T) {
-	reqs := testWorkload(t, 24)
-	st, err := cluster.SimulateDisagg(testConfig(), reqs)
+	reqs := disaggLoad(t, 24)
+	_, st, err := Simulate(disaggConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +278,11 @@ func TestSimulateLedger(t *testing.T) {
 // TestSimulateDeterminism: same stream and config, byte-identical
 // stats.
 func TestSimulateDeterminism(t *testing.T) {
-	a, err := cluster.SimulateDisagg(testConfig(), testWorkload(t, 24))
+	_, a, err := Simulate(disaggConfig(), disaggLoad(t, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cluster.SimulateDisagg(testConfig(), testWorkload(t, 24))
+	_, b, err := Simulate(disaggConfig(), disaggLoad(t, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +299,9 @@ func TestSimulateDeterminism(t *testing.T) {
 // dones balanced.
 func TestSimulateEvents(t *testing.T) {
 	var events []serve.Event
-	cfg := testConfig()
+	cfg := disaggConfig()
 	cfg.Observer = func(e serve.Event) { events = append(events, e) }
-	st, err := cluster.SimulateDisagg(cfg, testWorkload(t, 12))
+	_, st, err := Simulate(cfg, disaggLoad(t, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,47 +331,39 @@ func TestSimulateEvents(t *testing.T) {
 	}
 }
 
-// TestSimulateBothRolesMatchCluster: a fleet of cluster.RoleBoth groups is
-// monolithic serving — it must reproduce cluster.Simulate exactly
-// (per-pool policies and the transfer model never engage).
+// TestSimulateBothRolesMatchCluster: a fleet of RoleBoth members is
+// monolithic serving — with a Disagg section it must reproduce the
+// monolithic run exactly (per-pool policies and the transfer model
+// never engage), and each run returns only its own report.
 func TestSimulateBothRolesMatchCluster(t *testing.T) {
-	reqs := testWorkload(t, 24)
-	dcfg := cluster.DisaggConfig{
-		Groups: []cluster.Group{
-			{Platform: hw.GH200(), Count: 1, Role: cluster.RoleBoth},
-			{Platform: hw.IntelH100(), Count: 1, Role: cluster.RoleBoth},
-		},
-		Base:          testBase(),
-		PrefillPolicy: cluster.LeastQueue,
-		TTFTSLO:       500 * sim.Millisecond,
-	}
-	dst, err := cluster.SimulateDisagg(dcfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dst.HandedOff != 0 || dst.Transfers != 0 {
-		t.Fatalf("cluster.RoleBoth fleet handed off %d / transferred %d", dst.HandedOff, dst.Transfers)
-	}
-
-	base := testBase()
-	ccfg := cluster.Config{
-		Instances: nil,
-		Policy:    cluster.LeastQueue,
+	reqs := disaggLoad(t, 24)
+	cfg := Config{
+		Instances: append(members(hw.GH200(), 1, RoleBoth), members(hw.IntelH100(), 1, RoleBoth)...),
+		Policy:    LeastQueue,
 		TTFTSLO:   500 * sim.Millisecond,
 	}
-	for _, p := range []*hw.Platform{hw.GH200(), hw.IntelH100()} {
-		icfg := base
-		icfg.Platform = p
-		ccfg.Instances = append(ccfg.Instances, icfg)
-	}
-	cst, err := cluster.Simulate(ccfg, reqs)
+	cst, none, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cst == nil || none != nil {
+		t.Fatalf("monolithic run returned stats %v and disaggregated stats %v, want only the former", cst != nil, none != nil)
+	}
+	cfg.Disagg = &Disaggregation{}
+	mono, dst, err := Simulate(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mono != nil || dst == nil {
+		t.Fatalf("disaggregated run returned stats %v and disaggregated stats %v, want only the latter", mono != nil, dst != nil)
+	}
+	if dst.HandedOff != 0 || dst.Transfers != 0 {
+		t.Fatalf("RoleBoth fleet handed off %d / transferred %d", dst.HandedOff, dst.Transfers)
 	}
 	if dst.P95TTFT != cst.P95TTFT || dst.P95E2E != cst.P95E2E ||
 		dst.Completed != cst.Completed || dst.Horizon != cst.Horizon ||
 		dst.TokensPerSec != cst.TokensPerSec {
-		t.Errorf("cluster.RoleBoth fleet diverged from cluster: TTFT %v vs %v, E2E %v vs %v, horizon %v vs %v",
+		t.Errorf("RoleBoth fleet diverged from cluster: TTFT %v vs %v, E2E %v vs %v, horizon %v vs %v",
 			dst.P95TTFT, cst.P95TTFT, dst.P95E2E, cst.P95E2E, dst.Horizon, cst.Horizon)
 	}
 }
@@ -324,20 +376,16 @@ func TestTransferDropReported(t *testing.T) {
 	small.Name = "Tiny+H100"
 	small.GPU.HBMGB = 4 // ~1.2 GB of KV budget after fp16 weights
 
-	cfg := cluster.DisaggConfig{
-		Groups: []cluster.Group{
-			{Platform: hw.GH200(), Count: 1, Role: cluster.RolePrefill},
-			{Platform: small, Count: 1, Role: cluster.RoleDecode},
-		},
-		Base:          testBase(),
-		PrefillPolicy: cluster.LeastQueue,
-		DecodePolicy:  cluster.LeastKV,
+	cfg := Config{
+		Instances: append(members(hw.GH200(), 1, RolePrefill), members(small, 1, RoleDecode)...),
+		Policy:    LeastQueue,
+		Disagg:    &Disaggregation{DecodePolicy: LeastKV},
 	}
 	reqs := []serve.Request{
 		{ID: 0, Arrival: 0, PromptLen: 256, OutputLen: 8},
 		{ID: 1, Arrival: sim.Millisecond, PromptLen: 48000, OutputLen: 8}, // ~1.6 GB of KV
 	}
-	st, err := cluster.SimulateDisagg(cfg, reqs)
+	_, st, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

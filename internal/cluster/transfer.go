@@ -55,13 +55,13 @@ type TransferModel struct {
 
 func (tm TransferModel) validate() error {
 	if tm.HostHopMultiplier < 0 {
-		return fmt.Errorf("disagg: host-hop multiplier must be non-negative, got %g", tm.HostHopMultiplier)
+		return fmt.Errorf("cluster: host-hop multiplier must be non-negative, got %g", tm.HostHopMultiplier)
 	}
 	if tm.BandwidthGBps < 0 {
-		return fmt.Errorf("disagg: transfer bandwidth must be non-negative, got %g", tm.BandwidthGBps)
+		return fmt.Errorf("cluster: transfer bandwidth must be non-negative, got %g", tm.BandwidthGBps)
 	}
 	if tm.OverlapFraction < 0 || tm.OverlapFraction >= 1 {
-		return fmt.Errorf("disagg: overlap fraction must be in [0,1), got %g", tm.OverlapFraction)
+		return fmt.Errorf("cluster: overlap fraction must be in [0,1), got %g", tm.OverlapFraction)
 	}
 	return nil
 }

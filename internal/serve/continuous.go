@@ -121,7 +121,7 @@ type contSim struct {
 	kvIntegral         float64 // ∫ kvFrac dt
 	lastSampleT        sim.Time
 	lastKVFrac         float64 // KV fraction as of lastSampleT
-	// Windowed downsampling state (cfg.SampleWindow > 0): the open
+	// Windowed downsampling state (cfg.StateWindow > 0): the open
 	// window's start and its queue/KV level integrals. Completed
 	// windows flush one time-weighted mean point each.
 	winStart   sim.Time
@@ -654,7 +654,7 @@ func (s *contSim) removeRunning(r *contRequest) {
 }
 
 // sample records the queue-depth and KV-occupancy series and advances
-// the time-weighted KV integral. With SampleWindow set the per-event
+// the time-weighted KV integral. With StateWindow set the per-event
 // series are downsampled: levels integrate into the open window and
 // each completed window flushes one mean point instead of appending a
 // point per scheduling event.
@@ -663,12 +663,12 @@ func (s *contSim) sample(now sim.Time) {
 	if now > s.lastSampleT {
 		// Integrate the previous level over the elapsed interval.
 		s.kvIntegral += s.lastKVFrac * float64(now-s.lastSampleT)
-		if s.cfg.SampleWindow > 0 {
+		if s.cfg.StateWindow > 0 {
 			s.integrateWindows(now)
 		}
 		s.lastSampleT = now
 	}
-	if s.cfg.SampleWindow <= 0 {
+	if s.cfg.StateWindow <= 0 {
 		s.series.add(now, float64(len(s.waiting)), frac)
 	}
 	s.lastKVFrac = frac
@@ -679,7 +679,7 @@ func (s *contSim) sample(now sim.Time) {
 	if s.kvUsed > s.peakKV {
 		s.peakKV = s.kvUsed
 	}
-	if s.cfg.EmitStateSamples && s.cfg.Observer != nil {
+	if s.cfg.StateWindow > 0 && s.cfg.Observer != nil {
 		lookups, hits := int64(0), int64(0)
 		if s.cache != nil {
 			cs := s.cache.Stats()
@@ -702,7 +702,7 @@ func (s *contSim) sample(now sim.Time) {
 // integrateWindows carries the held levels from lastSampleT to now,
 // flushing one mean point per window boundary crossed.
 func (s *contSim) integrateWindows(now sim.Time) {
-	w := s.cfg.SampleWindow
+	w := s.cfg.StateWindow
 	t := s.lastSampleT
 	for t < now {
 		end := s.winStart + w
@@ -724,7 +724,7 @@ func (s *contSim) integrateWindows(now sim.Time) {
 // flushWindow closes the open, partial sampling window at the end of
 // the run (stats assembly).
 func (s *contSim) flushWindow() {
-	if s.cfg.SampleWindow <= 0 || s.lastSampleT <= s.winStart {
+	if s.cfg.StateWindow <= 0 || s.lastSampleT <= s.winStart {
 		return
 	}
 	dur := float64(s.lastSampleT - s.winStart)

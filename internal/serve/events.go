@@ -83,8 +83,9 @@ const (
 	// EventStateSample: a periodic instance-state snapshot (queue depth,
 	// running batch, KV occupancy, cumulative cache counters) carried in
 	// State. Emitted at every scheduling event only when
-	// Config.EmitStateSamples is set — the windowed timeline aggregator's
-	// level-signal feed; default event streams never see it.
+	// Config.StateWindow is positive — the windowed timeline
+	// aggregator's level-signal feed; default event streams never see
+	// it.
 	EventStateSample
 )
 

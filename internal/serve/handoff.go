@@ -13,7 +13,7 @@ import (
 // tokens already streamed, the TTFT anchor, and the KV-cache extent to
 // ship. The serving layer itself moves no bytes: pricing the transfer
 // over the interconnect model is the disaggregation layer's job
-// (internal/disagg), which receives the Handoff in a callback and
+// (internal/cluster), which receives the Handoff in a callback and
 // decides where and when the request resumes.
 
 // Handoff is the state of a request leaving a prefill instance: enough

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"github.com/skipsim/skip/internal/sim"
@@ -59,4 +60,83 @@ func TestStateSeriesChunkBoundaries(t *testing.T) {
 			t.Fatalf("a full chunk holds %d of %d points (cap %d)", len(c), cap(c), seriesMaxChunk)
 		}
 	}
+}
+
+// TestStateWindowMatchesIntegratedSeries: with StateWindow w the
+// QueueDepth/KVOccupancy series carry one time-weighted mean point per
+// window. Each must equal the per-event step series of the same run
+// (StateWindow 0) integrated over that window: full windows end at
+// k·w, and the final partial window closes at the last sample. The
+// windows are chosen so some hold no scheduling event at all and the
+// last one is partial.
+func TestStateWindowMatchesIntegratedSeries(t *testing.T) {
+	reqs, err := PoissonArrivals(60, 400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := contConfig()
+	cfg.MaxBatch = 4
+	cfg.DefaultOutputLen = 24
+	raw, err := Simulate(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.MaxQueueDepth == 0 {
+		t.Fatal("the queue never built up; the check would only see zeros")
+	}
+	for _, w := range []sim.Time{sim.Millisecond / 3, 7 * sim.Millisecond} {
+		cfg.StateWindow = w
+		win, err := Simulate(cfg, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []struct {
+			name     string
+			raw, win []SamplePoint
+		}{
+			{"QueueDepth", raw.QueueDepth, win.QueueDepth},
+			{"KVOccupancy", raw.KVOccupancy, win.KVOccupancy},
+		} {
+			want := windowMeans(s.raw, w)
+			if len(s.win) != len(want) {
+				t.Fatalf("window %v: %s has %d points, want %d", w, s.name, len(s.win), len(want))
+			}
+			if last := s.raw[len(s.raw)-1].T; last%w == 0 {
+				t.Fatalf("window %v divides the last sample time %v; pick one that leaves a partial window", w, last)
+			}
+			for i, p := range want {
+				got := s.win[i]
+				if got.T != p.T || math.Abs(got.V-p.V) > 1e-9*math.Max(math.Abs(got.V), math.Abs(p.V)) {
+					t.Fatalf("window %v: %s point %d = %+v, want %+v", w, s.name, i, got, p)
+				}
+			}
+		}
+	}
+}
+
+// windowMeans integrates a per-event step series — each point's value
+// holds from its time until the next point's, and the level before the
+// first point is zero — over consecutive windows of width w starting
+// at 0, closing the last, partial window at the final point's time.
+func windowMeans(series []SamplePoint, w sim.Time) []SamplePoint {
+	end := series[len(series)-1].T
+	var out []SamplePoint
+	for start := sim.Time(0); start < end; start += w {
+		stop := min(start+w, end)
+		var sum float64
+		level, t := 0.0, start
+		for _, p := range series {
+			if p.T > stop {
+				break
+			}
+			if p.T > t {
+				sum += level * float64(p.T-t)
+				t = p.T
+			}
+			level = p.V
+		}
+		sum += level * float64(stop-t)
+		out = append(out, SamplePoint{T: stop, V: sum / float64(stop-start)})
+	}
+	return out
 }

@@ -158,18 +158,15 @@ type Config struct {
 	// continuous policies as they happen. The legacy prefill-only
 	// policies do not emit events.
 	Observer Observer
-	// EmitStateSamples adds an EventStateSample (queue depth, running
-	// batch, KV fraction, cumulative cache counters) to the observer
-	// stream at every scheduling event — the windowed timeline
-	// aggregator's feed. Off by default: existing event streams are
-	// unchanged.
-	EmitStateSamples bool
-	// SampleWindow, when positive, downsamples the Stats
-	// KVOccupancy/QueueDepth series to one time-weighted mean point per
-	// window instead of one point per scheduling event — bounding a
-	// long run's report size. Zero keeps the legacy per-event series
-	// (and byte-identical reports).
-	SampleWindow sim.Time
+	// StateWindow, when positive, turns on the state feed the windowed
+	// timeline aggregator reads: an EventStateSample (queue depth,
+	// running batch, KV fraction, cumulative cache counters) to the
+	// observer at every scheduling event, and the Stats
+	// KVOccupancy/QueueDepth series downsampled to one time-weighted
+	// mean point per window instead of one point per scheduling event.
+	// Zero — the default — keeps the per-event series and leaves event
+	// streams without state samples.
+	StateWindow sim.Time
 }
 
 // KVCacheConfig sizes the optional block-level prefix cache. Pinned

@@ -417,8 +417,7 @@ func (s *Spec) simulateServe(o *options) (*Report, error) {
 		return nil, err
 	}
 	if agg != nil {
-		cfg.EmitStateSamples = true
-		cfg.SampleWindow = s.timelineWindow()
+		cfg.StateWindow = s.timelineWindow()
 	}
 	cfg.Platform, err = s.platform()
 	if err != nil {
@@ -435,10 +434,9 @@ func (s *Spec) simulateServe(o *options) (*Report, error) {
 	return rep, nil
 }
 
-// simulateFleet runs a cluster or disagg spec. Both kinds share the
-// request stream, base config, KV cache, timeline aggregator, observer
-// chain and autoscale/fault lowering; only the disaggregation section
-// branches.
+// simulateFleet runs a cluster or disagg spec: groups expand into
+// members of one cluster.Config in group order, and only the
+// disaggregation section branches.
 func (s *Spec) simulateFleet(o *options, kind Kind) (*Report, error) {
 	reqs, err := s.requests()
 	if err != nil {
@@ -456,122 +454,76 @@ func (s *Spec) simulateFleet(o *options, kind Kind) (*Report, error) {
 		}
 	}
 	initial := 0
-	platforms := make([]*hw.Platform, len(f.Groups))
-	for i, g := range f.Groups {
+	for _, g := range f.Groups {
 		initial += g.Count
-		if platforms[i], err = hw.ByName(g.Platform); err != nil {
-			return nil, err
-		}
 	}
 	agg := s.timelineAgg(kind, initial)
 	if agg != nil {
-		base.EmitStateSamples = true
-		base.SampleWindow = s.timelineWindow()
+		base.StateWindow = s.timelineWindow()
 	}
 	obs := progressObserver(o.observer, len(reqs), o.progressEvery)
 	if agg != nil {
 		obs = chainObs(obs, agg.Observe)
 	}
-	obs = o.countObs(obs)
-	var autoscale *cluster.AutoscaleConfig
+	cfg := cluster.Config{
+		ShortPrompt:     f.ShortPrompt,
+		TTFTSLO:         base.TTFTSLO,
+		AdmitRatePerSec: f.AdmitRatePerSec,
+		AdmitBurst:      f.AdmitBurst,
+		Observer:        o.countObs(obs),
+	}
+	for _, g := range f.Groups {
+		m := cluster.Member{Serve: base}
+		if m.Serve.Platform, err = hw.ByName(g.Platform); err != nil {
+			return nil, err
+		}
+		if m.Role, err = cluster.ParseRole(g.Role); err != nil {
+			return nil, err
+		}
+		for i := 0; i < g.Count; i++ {
+			cfg.Instances = append(cfg.Instances, m)
+		}
+	}
 	if f.Autoscale != nil {
-		autoscale, err = f.Autoscale.config(base)
-		if err != nil {
+		if cfg.Autoscale, err = f.Autoscale.config(base); err != nil {
 			return nil, err
 		}
 	}
-	var faults *cluster.FaultsConfig
 	if f.Faults != nil {
-		faults = f.Faults.config()
+		cfg.Faults = f.Faults.config()
 	}
-	var k int
 	if s.Observability != nil {
-		k = s.Observability.CounterfactualK
+		cfg.CounterfactualK = s.Observability.CounterfactualK
 	}
-
-	rep := &Report{Kind: kind, Offered: len(reqs)}
-	var horizon sim.Time
-	if kind == KindDisagg {
-		d := f.Disaggregation
-		groups := make([]cluster.Group, len(f.Groups))
-		for i, g := range f.Groups {
-			role, err := cluster.ParseRole(g.Role)
-			if err != nil {
-				return nil, err
-			}
-			groups[i] = cluster.Group{Platform: platforms[i], Count: g.Count, Role: role}
-		}
-		prefillRouter, err := cluster.ParsePolicy(d.prefillRouterName())
-		if err != nil {
-			return nil, err
-		}
-		decodeRouter, err := cluster.ParsePolicy(d.decodeRouterName())
-		if err != nil {
-			return nil, err
-		}
-		dcfg := cluster.DisaggConfig{
-			Groups:        groups,
-			Base:          base,
-			PrefillPolicy: prefillRouter,
-			DecodePolicy:  decodeRouter,
-			ShortPrompt:   f.ShortPrompt,
+	router := f.routerName()
+	if d := f.Disaggregation; d != nil {
+		router = d.prefillRouterName()
+		cfg.Disagg = &cluster.Disaggregation{
+			LinkAwareDecode: d.LinkAwareDecode,
 			Transfer: cluster.TransferModel{
 				HostHopMultiplier: d.HostHopMultiplier,
 				BandwidthGBps:     d.BandwidthGBps,
 				OverlapFraction:   d.OverlapFraction,
 			},
-			LinkAwareDecode: d.LinkAwareDecode,
-			TTFTSLO:         base.TTFTSLO,
-			AdmitRatePerSec: f.AdmitRatePerSec,
-			AdmitBurst:      f.AdmitBurst,
-			Observer:        obs,
-			Autoscale:       autoscale,
-			Faults:          faults,
-			CounterfactualK: k,
 		}
-		if autoscale != nil {
-			dcfg.AutoscaleRole, err = cluster.ParseRole(f.Autoscale.roleName())
-			if err != nil {
+		if cfg.Disagg.DecodePolicy, err = cluster.ParsePolicy(d.decodeRouterName()); err != nil {
+			return nil, err
+		}
+		if cfg.Autoscale != nil {
+			if cfg.Autoscale.Role, err = cluster.ParseRole(f.Autoscale.roleName()); err != nil {
 				return nil, err
 			}
 		}
-		rep.Disagg, err = cluster.SimulateDisagg(dcfg, reqs)
-		if err != nil {
-			return nil, err
-		}
-		horizon = rep.Disagg.Horizon
-	} else {
-		groups := make([]cluster.FleetGroup, len(f.Groups))
-		for i, g := range f.Groups {
-			groups[i] = cluster.FleetGroup{Platform: platforms[i], Count: g.Count}
-		}
-		instances, err := cluster.FleetConfigs(groups, base)
-		if err != nil {
-			return nil, err
-		}
-		router, err := cluster.ParsePolicy(f.routerName())
-		if err != nil {
-			return nil, err
-		}
-		rep.Cluster, err = cluster.Simulate(cluster.Config{
-			Instances:       instances,
-			Policy:          router,
-			ShortPrompt:     f.ShortPrompt,
-			TTFTSLO:         base.TTFTSLO,
-			AdmitRatePerSec: f.AdmitRatePerSec,
-			AdmitBurst:      f.AdmitBurst,
-			Observer:        obs,
-			Autoscale:       autoscale,
-			Faults:          faults,
-			CounterfactualK: k,
-		}, reqs)
-		if err != nil {
-			return nil, err
-		}
-		horizon = rep.Cluster.Horizon
+	}
+	if cfg.Policy, err = cluster.ParsePolicy(router); err != nil {
+		return nil, err
+	}
+	rep := &Report{Kind: kind, Offered: len(reqs)}
+	if rep.Cluster, rep.Disagg, err = cluster.Simulate(cfg, reqs); err != nil {
+		return nil, err
 	}
 	if agg != nil {
-		rep.Timeline = agg.Finish(horizon)
+		rep.Timeline = agg.Finish(sim.Time(simulatedNs(rep)))
 	}
 	return rep, nil
 }

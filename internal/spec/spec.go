@@ -392,7 +392,7 @@ type FaultsSpec struct {
 }
 
 // DisaggregationSpec configures prefill/decode disaggregation for a
-// fleet (see internal/disagg).
+// fleet (see internal/cluster).
 type DisaggregationSpec struct {
 	// PrefillRouter places fresh arrivals on the prefill pool:
 	// "least-queue" (default), "round-robin", "least-kv",

@@ -154,6 +154,8 @@ func TestValidateFleet(t *testing.T) {
 		{"top-level platform", func(s *Spec) { s.Platform = "GH200" }, "platform"},
 		{"no groups", func(s *Spec) { s.Fleet.Groups = nil }, "fleet.groups"},
 		{"zero count", func(s *Spec) { s.Fleet.Groups[0].Count = 0 }, "fleet.groups[0].count"},
+		{"negative count", func(s *Spec) { s.Fleet.Groups[1].Count = -3 }, "fleet.groups[1].count"},
+		{"missing group platform", func(s *Spec) { s.Fleet.Groups[0].Platform = "" }, "fleet.groups[0].platform"},
 		{"unknown group platform", func(s *Spec) { s.Fleet.Groups[1].Platform = "nope" }, "fleet.groups[1].platform"},
 		{"duplicate platform", func(s *Spec) { s.Fleet.Groups[1].Platform = "GH200" }, "fleet.groups[1].platform"},
 		{"bad router", func(s *Spec) { s.Fleet.Router = "nope" }, "fleet.router"},
