@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/skipsim/skip/internal/sim"
@@ -63,10 +65,7 @@ func Attribute(tr *trace.Trace) (*Attribution, error) {
 	}
 	end := start + m.IL
 
-	cpu := busyIntervals(tr, func(e *trace.Event) bool {
-		return (e.Cat == trace.CatOperator || e.Cat == trace.CatRuntime) &&
-			e.Name != "cudaDeviceSynchronize"
-	})
+	cpu := busyIntervals(tr, hostWork)
 	gpu := busyIntervals(tr, func(e *trace.Event) bool {
 		return e.Cat == trace.CatKernel || e.Cat == trace.CatMemcpy
 	})
@@ -112,6 +111,14 @@ func Attribute(tr *trace.Trace) (*Attribution, error) {
 
 type interval struct{ s, e sim.Time }
 
+// hostWork selects the host-side spans that count as work: operators
+// and runtime calls. Synchronize spans are excluded: the host is
+// blocked, not working.
+func hostWork(e *trace.Event) bool {
+	return (e.Cat == trace.CatOperator || e.Cat == trace.CatRuntime) &&
+		e.Name != "cudaDeviceSynchronize"
+}
+
 // busyIntervals returns the merged union of spans selected by keep.
 func busyIntervals(tr *trace.Trace, keep func(*trace.Event) bool) []interval {
 	var ivs []interval
@@ -124,7 +131,7 @@ func busyIntervals(tr *trace.Trace, keep func(*trace.Event) bool) []interval {
 	if len(ivs) == 0 {
 		return nil
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].s < ivs[j].s })
+	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.s, b.s) })
 	merged := ivs[:1]
 	for _, iv := range ivs[1:] {
 		last := &merged[len(merged)-1]

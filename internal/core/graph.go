@@ -10,7 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/skipsim/skip/internal/sim"
@@ -74,73 +76,166 @@ type Graph struct {
 // nest by start-time containment per thread, launches attach to their
 // innermost containing operator, kernels attach to launches by
 // correlation ID.
+//
+// The graph is built in a fixed number of allocations, whatever the
+// trace size: the nodes and launch records live in two slabs, and every
+// node's Children and Launches are capacity-limited windows of two
+// shared backing arrays, sized by a counting pass first.
 func BuildGraph(tr *trace.Trace) (*Graph, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	g := &Graph{Trace: tr, Kernels: tr.Kernels()}
 
-	// Index kernels (and copies) by correlation.
-	kernelByCorr := make(map[uint64]*trace.Event)
+	// Collect the device events (kernels and copies) carrying a
+	// correlation and the host events (operators and runtime calls), in
+	// trace order.
+	var nDevice, nHost, nOps, nLaunches int
 	for i := range tr.Events {
 		e := &tr.Events[i]
-		if (e.Cat == trace.CatKernel || e.Cat == trace.CatMemcpy) && e.Correlation != 0 {
-			kernelByCorr[e.Correlation] = e
-		}
-	}
-
-	// Group host events by thread, in (start, emission) order. The trace
-	// is already sorted stably by Ts.
-	type hostEvent struct {
-		ev      trace.Event
-		op      bool
-		seqOrig int
-	}
-	byTID := make(map[int][]hostEvent)
-	var tids []int
-	for i, e := range tr.Events {
 		switch e.Cat {
-		case trace.CatOperator, trace.CatRuntime:
-			if _, ok := byTID[e.TID]; !ok {
-				tids = append(tids, e.TID)
+		case trace.CatKernel, trace.CatMemcpy:
+			if e.Correlation != 0 {
+				nDevice++
 			}
-			byTID[e.TID] = append(byTID[e.TID], hostEvent{ev: e, op: e.Cat == trace.CatOperator, seqOrig: i})
+		case trace.CatOperator:
+			nHost++
+			nOps++
+		case trace.CatRuntime:
+			nHost++
+			if e.Correlation != 0 {
+				nLaunches++
+			}
 		}
 	}
-	sort.Ints(tids)
+	device := make([]int32, 0, nDevice)
+	host := make([]int32, 0, nHost)
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		switch e.Cat {
+		case trace.CatKernel, trace.CatMemcpy:
+			if e.Correlation != 0 {
+				device = append(device, int32(i))
+			}
+		case trace.CatOperator, trace.CatRuntime:
+			host = append(host, int32(i))
+		}
+	}
+	// A launch finds its device event by binary search over the device
+	// events stably sorted by correlation; should several share one,
+	// the last in trace order wins.
+	byCorr := func(a, b int32) int {
+		return cmp.Compare(tr.Events[a].Correlation, tr.Events[b].Correlation)
+	}
+	if !slices.IsSortedFunc(device, byCorr) {
+		slices.SortStableFunc(device, byCorr)
+	}
+	deviceFor := func(corr uint64) *trace.Event {
+		i := sort.Search(len(device), func(i int) bool { return tr.Events[device[i]].Correlation > corr })
+		if i > 0 && tr.Events[device[i-1]].Correlation == corr {
+			return &tr.Events[device[i-1]]
+		}
+		return nil
+	}
+	// Walk threads in TID order, each in (start, emission) order: the
+	// trace is sorted stably by Ts, so a stable sort by TID keeps each
+	// thread's events in trace order.
+	byTID := func(a, b int32) int { return cmp.Compare(tr.Events[a].TID, tr.Events[b].TID) }
+	if !slices.IsSortedFunc(host, byTID) {
+		slices.SortStableFunc(host, byTID)
+	}
 
-	for _, tid := range tids {
-		events := byTID[tid]
-		// Containment stack: an operator is the parent of every later
-		// host event whose start falls inside its span (§IV-A).
-		var stack []*OpNode
-		for _, he := range events {
-			// Pop operators that ended before this event starts.
-			for len(stack) > 0 && !stack[len(stack)-1].Event.Contains(&he.ev) {
-				stack = stack[:len(stack)-1]
+	// Containment pass: create every node and launch record in walk
+	// order, remembering each one's containing operator (-1 for none).
+	// An operator is the parent of every later host event on its thread
+	// whose start falls inside its span (§IV-A).
+	nodes := make([]OpNode, nOps)
+	records := make([]LaunchRecord, nLaunches)
+	up := make([]int32, nOps+nLaunches) // nodes first, then records
+	nodeUp, recordUp := up[:nOps], up[nOps:]
+	var stack []int32
+	var nParents, nAttached, n, r int
+	tid := 0
+	for _, i := range host {
+		he := &tr.Events[i]
+		if he.TID != tid {
+			tid, stack = he.TID, stack[:0]
+		}
+		// Pop operators that ended before this event starts.
+		for len(stack) > 0 && !nodes[stack[len(stack)-1]].Event.Contains(he) {
+			stack = stack[:len(stack)-1]
+		}
+		top := int32(-1)
+		if len(stack) > 0 {
+			top = stack[len(stack)-1]
+		}
+		if he.Cat == trace.CatOperator {
+			nodes[n].Event = *he
+			nodeUp[n] = top
+			if top < 0 {
+				nParents++
 			}
-			if he.op {
-				node := &OpNode{Event: he.ev}
-				if len(stack) == 0 {
-					g.Parents = append(g.Parents, node)
-				} else {
-					top := stack[len(stack)-1]
-					top.Children = append(top.Children, node)
-				}
-				stack = append(stack, node)
-				continue
-			}
-			// Runtime call: record launches (events carrying a
-			// correlation — launch/memcpy calls; sync calls carry none).
-			if he.ev.Correlation == 0 {
-				continue
-			}
-			lr := &LaunchRecord{Launch: he.ev, Kernel: kernelByCorr[he.ev.Correlation]}
-			if len(stack) > 0 {
-				lr.Op = stack[len(stack)-1]
-				stack[len(stack)-1].Launches = append(stack[len(stack)-1].Launches, lr)
-			}
-			g.Launches = append(g.Launches, lr)
+			stack = append(stack, int32(n))
+			n++
+			continue
+		}
+		// Runtime call: record launches (events carrying a correlation —
+		// launch/memcpy calls; sync calls carry none).
+		if he.Correlation == 0 {
+			continue
+		}
+		records[r] = LaunchRecord{Launch: *he, Kernel: deviceFor(he.Correlation)}
+		recordUp[r] = top
+		if top >= 0 {
+			nAttached++
+		}
+		r++
+	}
+
+	// Carve each node's Children and Launches out of shared backing
+	// arrays (nil when empty, as appending would leave them), then fill
+	// them in creation order, which is the order the containment pass
+	// found them.
+	counts := make([]int32, 2*nOps)
+	nChildren, nOwned := counts[:nOps], counts[nOps:]
+	for _, p := range nodeUp {
+		if p >= 0 {
+			nChildren[p]++
+		}
+	}
+	for _, p := range recordUp {
+		if p >= 0 {
+			nOwned[p]++
+		}
+	}
+	children := make([]*OpNode, nOps-nParents)
+	owned := make([]*LaunchRecord, nAttached)
+	var co, lo int32
+	for i := range nodes {
+		if c := nChildren[i]; c > 0 {
+			nodes[i].Children = children[co : co : co+c]
+			co += c
+		}
+		if c := nOwned[i]; c > 0 {
+			nodes[i].Launches = owned[lo : lo : lo+c]
+			lo += c
+		}
+	}
+	g.Parents = make([]*OpNode, 0, nParents)
+	for i, p := range nodeUp {
+		if p < 0 {
+			g.Parents = append(g.Parents, &nodes[i])
+		} else {
+			nodes[p].Children = append(nodes[p].Children, &nodes[i])
+		}
+	}
+	g.Launches = make([]*LaunchRecord, nLaunches)
+	for i, p := range recordUp {
+		lr := &records[i]
+		g.Launches[i] = lr
+		if p >= 0 {
+			lr.Op = &nodes[p]
+			nodes[p].Launches = append(nodes[p].Launches, lr)
 		}
 	}
 	return g, nil

@@ -124,38 +124,13 @@ func (g *Graph) Metrics() (*Metrics, error) {
 	return m, nil
 }
 
-// hostBusy returns the union coverage of host-side spans (operators and
-// runtime calls), so nested operator spans are not double-counted.
-// Synchronize spans are excluded: the host is blocked, not working.
+// hostBusy returns the union coverage of host-side spans, so nested
+// operator spans are not double-counted.
 func hostBusy(tr *trace.Trace) sim.Time {
-	type iv struct{ s, e sim.Time }
-	var ivs []iv
-	for _, e := range tr.Events {
-		switch e.Cat {
-		case trace.CatOperator, trace.CatRuntime:
-			if e.Name == "cudaDeviceSynchronize" {
-				continue
-			}
-			ivs = append(ivs, iv{e.Ts, e.End()})
-		}
-	}
-	if len(ivs) == 0 {
-		return 0
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].s < ivs[j].s })
 	var busy sim.Time
-	cur := ivs[0]
-	for _, v := range ivs[1:] {
-		if v.s <= cur.e {
-			if v.e > cur.e {
-				cur.e = v.e
-			}
-			continue
-		}
-		busy += cur.e - cur.s
-		cur = v
+	for _, iv := range busyIntervals(tr, hostWork) {
+		busy += iv.e - iv.s
 	}
-	busy += cur.e - cur.s
 	return busy
 }
 

@@ -290,6 +290,7 @@ type NullKernelResult struct {
 // occurs, and measure mean launch overhead and duration from the trace.
 func MeasureNullKernel(p *hw.Platform, n int) NullKernelResult {
 	b := trace.NewBuilder()
+	b.Grow(3 * n) // a launch, a kernel and a synchronize each
 	rt := NewRuntime(p, b, 1)
 	for i := 0; i < n; i++ {
 		rt.LaunchKernel("nullKernel", hw.KernelCost{}, DefaultStream)

@@ -174,7 +174,7 @@ func Run(req Request) (*Result, error) {
 		TTFT:         end - start,
 		CompileTime:  compileTime(req),
 		HostLaunches: ex.rt.Launches(),
-		KernelCount:  len(tr.Kernels()),
+		KernelCount:  tr.Count(trace.CatKernel),
 		GPUBusy:      ex.rt.GPUBusy(),
 		CPUBusy:      ex.cpuBusy,
 	}
@@ -222,19 +222,50 @@ func newExecutor(req Request, b *trace.Builder) *executor {
 	return &executor{req: req, rt: cuda.NewRuntime(req.Platform, b, mainThreadTID), builder: b}
 }
 
-// run executes one prefill graph the way the request's mode does.
+// run executes one prefill graph the way the request's mode does. A
+// traced run first reserves the trace for every event it will record,
+// so no append regrows it; a trace-free run skips the count.
 func (ex *executor) run(g *ops.Graph) error {
 	switch ex.req.Mode {
 	case Eager, Flash:
+		if ex.builder != nil {
+			ex.builder.Grow(ex.traceEvents(g, nil))
+		}
 		ex.runEager(g)
-	case CompileDefault:
-		ex.runCompiledEagerHost(g)
-	case CompileReduceOverhead, CompileMaxAutotune:
-		ex.runGraphReplay(g)
+	case CompileDefault, CompileReduceOverhead, CompileMaxAutotune:
+		ks := ex.compiledKernels(g)
+		ex.builder.Grow(ex.traceEvents(g, ks))
+		if ex.req.Mode == CompileDefault {
+			ex.runCompiledEagerHost(g, ks)
+		} else {
+			ex.runGraphReplay(g, ks)
+		}
 	default:
 		return fmt.Errorf("engine: unknown mode %v", ex.req.Mode)
 	}
 	return nil
+}
+
+// traceEvents returns how many events run records for g: in eager
+// modes an operator span per node visit and a launch plus a kernel per
+// kernel; in compiled modes one host span, a graph launch when
+// replayed, and a launch plus a kernel per compiled kernel in ks. Both
+// end in a synchronize; platforms without unified virtual memory add
+// the input and output copies (a call and a copy each) and the output
+// synchronize. The count is exact unless the platform elides a copy.
+func (ex *executor) traceEvents(g *ops.Graph, ks []ops.Kernel) int {
+	n := 1
+	if !ex.req.Platform.UnifiedVirtualMemory {
+		n += 5
+	}
+	switch ex.req.Mode {
+	case Eager, Flash:
+		return n + g.NodeCount() + 2*g.KernelCount()
+	case CompileDefault:
+		return n + 1 + 2*len(ks)
+	default:
+		return n + 2 + 2*len(ks)
+	}
 }
 
 // advanceCPU spends host time (scaled by the platform's single-thread
@@ -324,10 +355,10 @@ func (ex *executor) compiledKernels(g *ops.Graph) []ops.Kernel {
 // runCompiledEagerHost models torch.compile mode="default": compiled
 // host code dispatches the fused kernel list one launch at a time — no
 // Python/ATen overhead, but still a launch call per kernel.
-func (ex *executor) runCompiledEagerHost(g *ops.Graph) {
+func (ex *executor) runCompiledEagerHost(g *ops.Graph, ks []ops.Kernel) {
 	ex.transferInputs(g)
 	start := ex.rt.CPU.Now()
-	for _, k := range ex.compiledKernels(g) {
+	for _, k := range ks {
 		ex.advanceCPU(compiledDispatchNs)
 		ex.launch(k)
 	}
@@ -340,12 +371,12 @@ func (ex *executor) runCompiledEagerHost(g *ops.Graph) {
 // runGraphReplay models reduce-overhead/max-autotune: the fused kernel
 // list is captured once into a CUDA graph and replayed with a single
 // launch.
-func (ex *executor) runGraphReplay(g *ops.Graph) {
+func (ex *executor) runGraphReplay(g *ops.Graph, ks []ops.Kernel) {
 	ex.transferInputs(g)
 	if err := ex.rt.BeginCapture(); err != nil {
 		panic("engine: " + err.Error()) // impossible: fresh runtime
 	}
-	for _, k := range ex.compiledKernels(g) {
+	for _, k := range ks {
 		ex.rt.LaunchKernel(k.Name, k.Cost, cuda.DefaultStream)
 	}
 	graph, err := ex.rt.EndCapture()

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
+	"github.com/skipsim/skip/internal/ops"
 	"github.com/skipsim/skip/internal/trace"
 )
 
@@ -316,5 +318,33 @@ func TestPaperShapeGH200GPUIdleAtLowBatch(t *testing.T) {
 	// CPU idle moves the other way.
 	if gh1.CPUIdle >= gh64.CPUIdle {
 		t.Errorf("CPU idle should grow with batch: %v vs %v", gh1.CPUIdle, gh64.CPUIdle)
+	}
+}
+
+// TestRunReservesTrace: Run reserves the trace once for every event it
+// records, in every mode, on a platform with copies and one without,
+// so no append regrows the event slice.
+func TestRunReservesTrace(t *testing.T) {
+	for _, p := range []*hw.Platform{hw.IntelH100(), hw.GH200()} {
+		for _, mode := range Modes() {
+			req := Request{Platform: p, Model: models.Llama32_1B(), Batch: 1, Seq: 128, Mode: mode}
+			g, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, mode.attention())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := newExecutor(req, nil)
+			var ks []ops.Kernel
+			if mode != Eager && mode != Flash {
+				ks = ex.compiledKernels(g)
+			}
+			want := ex.traceEvents(g, ks)
+			events := mustRun(t, req).Trace.Events
+			if len(events) != want {
+				t.Errorf("%s %v: %d events, reserved %d", p.Name, mode, len(events), want)
+			}
+			if got, reserved := cap(events), cap(slices.Grow([]trace.Event(nil), want)); got != reserved {
+				t.Errorf("%s %v: event capacity %d, want the reservation's %d", p.Name, mode, got, reserved)
+			}
+		}
 	}
 }

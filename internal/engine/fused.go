@@ -97,7 +97,7 @@ func RunFused(req Request, chainLen int, app FusionApplication) (*FusedRunResult
 		Trace:        tr,
 		TTFT:         end - start,
 		HostLaunches: rt.Launches(),
-		KernelCount:  len(tr.Kernels()),
+		KernelCount:  tr.Count(trace.CatKernel),
 		GPUBusy:      rt.GPUBusy(),
 		CPUBusy:      ex.cpuBusy,
 	}

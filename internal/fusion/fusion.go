@@ -12,6 +12,8 @@ package fusion
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"github.com/skipsim/skip/internal/trace"
@@ -31,7 +33,8 @@ func KernelSequence(tr *trace.Trace) []string {
 
 // Chain is one kernel chain candidate of a fixed length.
 type Chain struct {
-	// Kernels are the chain's kernel names, in order.
+	// Kernels are the chain's kernel names, in order: a read-only
+	// subslice of the analyzed sequence at the chain's first occurrence.
 	Kernels []string
 	// Frequency is f(C): how many windows of the sequence equal C.
 	Frequency int
@@ -44,7 +47,8 @@ type Chain struct {
 	Score float64
 }
 
-// Key renders the chain as a stable map key / display string.
+// Key renders the chain as a display string. Names that themselves
+// contain "→" make it ambiguous; compare Kernels to tell chains apart.
 func (c *Chain) Key() string { return strings.Join(c.Kernels, "→") }
 
 // Deterministic reports whether the chain always follows its lead.
@@ -80,73 +84,144 @@ type Analysis struct {
 
 // Analyze mines a kernel sequence at chain length L.
 func Analyze(seq []string, l int) (*Analysis, error) {
-	if l < 2 {
-		return nil, fmt.Errorf("fusion: chain length must be ≥ 2, got %d", l)
+	a, _, err := intern(seq).analyze(l)
+	return a, err
+}
+
+// sequence is a kernel sequence with every name interned to a dense
+// int32 id, so windows compare as integer runs instead of joined
+// strings.
+type sequence struct {
+	names []string
+	ids   []int32
+	// lead[id] is f(k_i): the occurrences of kernel id.
+	lead []int
+}
+
+func intern(seq []string) *sequence {
+	s := &sequence{names: seq, ids: make([]int32, len(seq))}
+	index := make(map[string]int32)
+	for i, name := range seq {
+		id, ok := index[name]
+		if !ok {
+			id = int32(len(s.lead))
+			index[name] = id
+			s.lead = append(s.lead, 0)
+		}
+		s.ids[i] = id
+		s.lead[id]++
 	}
-	a := &Analysis{Length: l, SequenceLen: len(seq)}
-	if len(seq) < l {
+	return s
+}
+
+// analyze mines the sequence at chain length l. It also returns the
+// class of every window (an index into the analysis' Chains), which
+// InstancePositions walks.
+func (s *sequence) analyze(l int) (*Analysis, []int32, error) {
+	if l < 2 {
+		return nil, nil, fmt.Errorf("fusion: chain length must be ≥ 2, got %d", l)
+	}
+	a := &Analysis{Length: l, SequenceLen: len(s.ids)}
+	if len(s.ids) < l {
 		// Chain longer than the program: nothing to fuse (the paper's
 		// zero cells and the speedup plateau past K_eager).
-		a.KernelsAfterFusion = len(seq)
+		a.KernelsAfterFusion = len(s.ids)
 		a.IdealSpeedup = 1
-		return a, nil
+		return a, nil, nil
 	}
 
-	lead := make(map[string]int, 64)
-	for _, k := range seq {
-		lead[k]++
-	}
-	windows := make(map[string]int, len(seq))
-	order := make([]string, 0, 64) // deterministic output order
-	for i := 0; i+l <= len(seq); i++ {
-		key := strings.Join(seq[i:i+l], "→")
-		if _, seen := windows[key]; !seen {
-			order = append(order, key)
+	class, classes := s.windows(l)
+	a.Chains = make([]Chain, len(classes))
+	for c, wc := range classes {
+		first := int(wc.first)
+		lead := s.lead[s.ids[first]]
+		a.Chains[c] = Chain{
+			Kernels:       s.names[first : first+l : first+l],
+			Frequency:     int(wc.freq),
+			LeadFrequency: lead,
+			Score:         float64(wc.freq) / float64(lead),
 		}
-		windows[key]++
-	}
-
-	chainAt := func(i int) string { return strings.Join(seq[i:i+l], "→") }
-	for _, key := range order {
-		freq := windows[key]
-		leadName := strings.SplitN(key, "→", 2)[0]
-		a.Chains = append(a.Chains, Chain{
-			Kernels:       strings.Split(key, "→"),
-			Frequency:     freq,
-			LeadFrequency: lead[leadName],
-			Score:         float64(freq) / float64(lead[leadName]),
-		})
-		a.TotalInstances += freq
+		a.TotalInstances += int(wc.freq)
 	}
 	a.UniqueChains = len(a.Chains)
 
 	// Greedy left-to-right non-overlapping cover with deterministic
 	// chains; C_fused counts the distinct chains fused (Eq. 7 charges
 	// one launch saving of L−1 per deterministic chain).
-	det := make(map[string]bool, len(a.Chains))
-	for _, c := range a.Chains {
-		if c.Deterministic() {
-			det[c.Key()] = true
-		}
-	}
-	fusedSet := make(map[string]bool)
-	for i := 0; i+l <= len(seq); {
-		key := chainAt(i)
-		if det[key] && !fusedSet[key] {
-			fusedSet[key] = true
+	fused := make([]bool, len(classes))
+	for i := 0; i < len(class); {
+		c := class[i]
+		if a.Chains[c].Deterministic() && !fused[c] {
+			fused[c] = true
+			a.FusedChains++
 			i += l
 			continue
 		}
 		i++
 	}
-	a.FusedChains = len(fusedSet)
 
-	a.KernelsAfterFusion = len(seq) - a.FusedChains*(l-1)
+	a.KernelsAfterFusion = len(s.ids) - a.FusedChains*(l-1)
 	if a.KernelsAfterFusion < 1 {
 		a.KernelsAfterFusion = 1
 	}
-	a.IdealSpeedup = float64(len(seq)) / float64(a.KernelsAfterFusion)
-	return a, nil
+	a.IdealSpeedup = float64(len(s.ids)) / float64(a.KernelsAfterFusion)
+	return a, class, nil
+}
+
+// windowClass is one distinct length-l window: where it first occurs,
+// how often it occurs and its rolling hash.
+type windowClass struct {
+	first, freq int32
+	hash        uint64
+}
+
+// hashBase is the rolling hash's multiplier (the 64-bit FNV prime).
+const hashBase = 0x100000001b3
+
+// windows partitions the sequence's length-l windows (l ≤ len) into
+// exact classes: two windows share a class iff their kernels are equal.
+// Classes are numbered in order of first occurrence. A rolling hash
+// over the ids proposes a class through an open-addressing table, and
+// every proposal is confirmed element by element, so a hash collision
+// never merges distinct windows.
+func (s *sequence) windows(l int) (class []int32, classes []windowClass) {
+	ids := s.ids
+	n := len(ids) - l + 1
+	class = make([]int32, n)
+	classes = make([]windowClass, 0, n)
+	width := bits.Len(uint(2*n - 1)) // table of 2^width ≥ 2n slots
+	mask := uint64(1)<<width - 1
+	slots := make([]int32, 1<<width) // class id + 1; 0 is empty
+
+	var h, pow uint64 = 0, 1
+	for j := 0; j < l; j++ {
+		h = h*hashBase + uint64(ids[j]) + 1
+		if j > 0 {
+			pow *= hashBase
+		}
+	}
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			h = (h-(uint64(ids[i-1])+1)*pow)*hashBase + uint64(ids[i+l-1]) + 1
+		}
+		win := ids[i : i+l]
+		slot := (h * 0x9e3779b97f4a7c15) >> (64 - width)
+		for {
+			c := slots[slot] - 1
+			if c < 0 {
+				c = int32(len(classes))
+				classes = append(classes, windowClass{first: int32(i), hash: h})
+				slots[slot] = c + 1
+			} else if wc := classes[c]; wc.hash != h || !slices.Equal(win, ids[wc.first:int(wc.first)+l]) {
+				slot = (slot + 1) & mask
+				continue
+			}
+			class[i] = c
+			classes[c].freq++
+			break
+		}
+	}
+	return class, classes
 }
 
 // Candidates returns the chains with PS ≥ threshold, the recommendation
@@ -171,8 +246,9 @@ type Report struct {
 // Sweep analyzes the sequence at every chain length in lengths.
 func Sweep(seq []string, lengths []int) (*Report, error) {
 	r := &Report{SequenceLen: len(seq)}
+	s := intern(seq)
 	for _, l := range lengths {
-		a, err := Analyze(seq, l)
+		a, _, err := s.analyze(l)
 		if err != nil {
 			return nil, err
 		}
@@ -206,19 +282,13 @@ func (r *Report) BestSpeedup() (Analysis, error) {
 // the plan an applied fusion prototype executes (the paper implements
 // recommendations only; instance-level application is our extension).
 func InstancePositions(seq []string, l int) ([]int, error) {
-	a, err := Analyze(seq, l)
+	a, class, err := intern(seq).analyze(l)
 	if err != nil {
 		return nil, err
 	}
-	det := make(map[string]bool, len(a.Chains))
-	for _, c := range a.Chains {
-		if c.Deterministic() {
-			det[c.Key()] = true
-		}
-	}
 	var positions []int
-	for i := 0; i+l <= len(seq); {
-		if det[strings.Join(seq[i:i+l], "→")] {
+	for i := 0; i < len(class); {
+		if a.Chains[class[i]].Deterministic() {
 			positions = append(positions, i)
 			i += l
 			continue

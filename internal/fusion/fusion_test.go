@@ -204,14 +204,7 @@ func TestAnalyzeProperties(t *testing.T) {
 // chains at short L, stabilizing counts, decreasing fused chains, and
 // speedup growing with L — the Fig. 7/8 shape.
 func TestLayeredSequenceShape(t *testing.T) {
-	var seq []string
-	seq = append(seq, "embed")
-	for layer := 0; layer < 12; layer++ {
-		seq = append(seq, "ln1", "gemm_qkv", "split", "bmm_qk", "softmax",
-			"bmm_av", "merge", "gemm_proj", "add1", "ln2", "gemm_fc",
-			"gelu", "gemm_out", "add2")
-	}
-	seq = append(seq, "final_ln", "lm_head")
+	seq := layeredSequence(12)
 
 	var prev *Analysis
 	for _, l := range []int{2, 4, 8, 16, 32, 64} {

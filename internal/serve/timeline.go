@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/skipsim/skip/internal/sim"
 	"github.com/skipsim/skip/internal/trace"
@@ -343,14 +344,13 @@ func (b *TimelineBuilder) Trace() *trace.Trace {
 			})
 		}
 	}
-	t.Sort()
-	// Same-timestamp events sort stably by emission (request) order;
-	// re-sorting by (Ts, TID) keeps the file diffable regardless.
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		if t.Events[i].Ts != t.Events[j].Ts {
-			return t.Events[i].Ts < t.Events[j].Ts
+	// Order by (Ts, TID), and same-timestamp events on one thread by
+	// emission (request) order, which keeps the file diffable.
+	slices.SortStableFunc(t.Events, func(a, b trace.Event) int {
+		if c := cmp.Compare(a.Ts, b.Ts); c != 0 {
+			return c
 		}
-		return t.Events[i].TID < t.Events[j].TID
+		return cmp.Compare(a.TID, b.TID)
 	})
 	return t
 }

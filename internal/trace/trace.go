@@ -11,8 +11,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/skipsim/skip/internal/sim"
 )
@@ -128,13 +129,30 @@ func (t *Trace) Append(e Event) { t.Events = append(t.Events, e) }
 
 // Sort orders events by start time, stably, so same-timestamp events keep
 // emission order.
-func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Ts < t.Events[j].Ts })
+func (t *Trace) Sort() { slices.SortStableFunc(t.Events, byTs) }
+
+// byTs orders events by start time.
+func byTs(a, b Event) int { return cmp.Compare(a.Ts, b.Ts) }
+
+// Count returns the number of events of one category, without copying
+// them.
+func (t *Trace) Count(cat Category) int {
+	n := 0
+	for i := range t.Events {
+		if t.Events[i].Cat == cat {
+			n++
+		}
+	}
+	return n
 }
 
 // Filter returns the events of one category, in trace order.
 func (t *Trace) Filter(cat Category) []Event {
-	var out []Event
+	n := t.Count(cat)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
 	for _, e := range t.Events {
 		if e.Cat == cat {
 			out = append(out, e)
@@ -143,10 +161,14 @@ func (t *Trace) Filter(cat Category) []Event {
 	return out
 }
 
-// Kernels returns kernel events sorted by start time.
+// Kernels returns kernel events sorted by start time. A sorted trace
+// (every built or loaded one) yields them already in order, so the sort
+// runs only for traces whose events were appended out of order.
 func (t *Trace) Kernels() []Event {
 	ks := t.Filter(CatKernel)
-	sort.SliceStable(ks, func(i, j int) bool { return ks[i].Ts < ks[j].Ts })
+	if !slices.IsSortedFunc(ks, byTs) {
+		slices.SortStableFunc(ks, byTs)
+	}
 	return ks
 }
 
@@ -172,23 +194,39 @@ func (t *Trace) Span() (start, end sim.Time) {
 // carrying correlation IDs, and every kernel correlation matched by
 // exactly one runtime launch.
 func (t *Trace) Validate() error {
-	launches := make(map[uint64]int)
-	for i, e := range t.Events {
+	n := 0
+	for i := range t.Events {
+		e := &t.Events[i]
 		if e.Dur < 0 {
 			return fmt.Errorf("trace: event %d (%s) has negative duration %d", i, e.Name, e.Dur)
 		}
 		if e.Cat == CatRuntime && e.Correlation != 0 {
-			launches[e.Correlation]++
+			n++
 		}
 	}
-	for i, e := range t.Events {
+	// The launch correlations, sorted: a kernel's launch count is the
+	// length of its run of equal ids.
+	launches := make([]uint64, 0, n)
+	for i := range t.Events {
+		if e := &t.Events[i]; e.Cat == CatRuntime && e.Correlation != 0 {
+			launches = append(launches, e.Correlation)
+		}
+	}
+	slices.Sort(launches)
+	for i := range t.Events {
+		e := &t.Events[i]
 		if e.Cat != CatKernel {
 			continue
 		}
 		if e.Correlation == 0 {
 			return fmt.Errorf("trace: kernel event %d (%s) lacks a correlation id", i, e.Name)
 		}
-		if n := launches[e.Correlation]; n != 1 {
+		lo, _ := slices.BinarySearch(launches, e.Correlation)
+		hi := lo
+		for hi < len(launches) && launches[hi] == e.Correlation {
+			hi++
+		}
+		if n := hi - lo; n != 1 {
 			return fmt.Errorf("trace: kernel %s correlation %d matched by %d launches, want 1", e.Name, e.Correlation, n)
 		}
 	}
@@ -210,6 +248,16 @@ type Builder struct {
 // NewBuilder returns a builder over a fresh trace.
 func NewBuilder() *Builder {
 	return &Builder{t: New(), nextCorr: 1}
+}
+
+// Grow reserves room for n more events, so an emitter that knows its
+// event count up front appends without regrowing the trace. A nil
+// builder, or n ≤ 0, reserves nothing.
+func (b *Builder) Grow(n int) {
+	if b == nil || n <= 0 {
+		return
+	}
+	b.t.Events = slices.Grow(b.t.Events, n)
 }
 
 // Meta records a provenance key.
