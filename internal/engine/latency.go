@@ -117,13 +117,23 @@ var oracleRuns atomic.Int64
 func OracleRuns() int64 { return oracleRuns.Load() }
 
 // bucketTokens rounds tokens up to the bucket boundary (minimum one
-// bucket) so latencies are monotone in the quantized length.
-func (sm *StepModel) bucketTokens(tokens int64) int64 {
+// bucket) so latencies are monotone in the quantized length. A positive
+// limit clamps the result: Prefill passes the model's MaxSeq, because
+// rounding a legal length up past it (XLM-R's 513 to 576 against its
+// 514) would build a graph BuildPrefill rejects. The clamp keeps keys
+// monotone and leaves every key at or below the limit unchanged. Decode
+// keys are not clamped: a decode graph has no length limit, so keys
+// past MaxSeq were always valid and keep their values.
+func (sm *StepModel) bucketTokens(tokens, limit int64) int64 {
 	b := sm.Bucket
-	if tokens <= b {
-		return b
+	key := b
+	if tokens > b {
+		key = (tokens + b - 1) / b * b
 	}
-	return (tokens + b - 1) / b * b
+	if limit > 0 && key > limit {
+		return limit
+	}
+	return key
 }
 
 // Prefill returns the latency of one prefill iteration of batch
@@ -132,7 +142,11 @@ func (sm *StepModel) Prefill(batch, seq int64) (sim.Time, error) {
 	if batch <= 0 || seq <= 0 {
 		return 0, fmt.Errorf("engine: prefill latency needs positive batch (%d) and seq (%d)", batch, seq)
 	}
-	key := stepKey{batch, sm.bucketTokens(seq)}
+	maxSeq := sm.Model.MaxSeq
+	if maxSeq > 0 && seq > maxSeq {
+		return 0, fmt.Errorf("engine: %s: prefill seq %d exceeds max %d", sm.Model.Name, seq, maxSeq)
+	}
+	key := stepKey{batch, sm.bucketTokens(seq, maxSeq)}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if t, ok := sm.prefill[key]; ok {
@@ -165,7 +179,7 @@ func (sm *StepModel) DecodeStep(batch, kvLen int64) (sim.Time, error) {
 	if sm.Model.Kind != models.Decoder {
 		return 0, fmt.Errorf("engine: decode step requires a decoder-only model, %s is %v", sm.Model.Name, sm.Model.Kind)
 	}
-	key := stepKey{batch, sm.bucketTokens(kvLen)}
+	key := stepKey{batch, sm.bucketTokens(kvLen, 0)}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if t, ok := sm.decode[key]; ok {

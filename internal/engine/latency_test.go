@@ -417,6 +417,46 @@ func TestStepModelConcurrentFill(t *testing.T) {
 	}
 }
 
+// TestPrefillBucketClampsToMaxSeq: a legal prefill length whose bucket
+// would round past the model's MaxSeq runs at MaxSeq instead of
+// failing, and equals a direct engine run at MaxSeq. Lengths past
+// MaxSeq still fail, and keys below it keep their bucketed value.
+func TestPrefillBucketClampsToMaxSeq(t *testing.T) {
+	for _, c := range []struct {
+		model       *models.Config
+		bucket, seq int64
+	}{
+		{models.XLMRobertaBase(), 64, 513}, // 576 > 514
+		{models.GPT2(), 100, 1023},         // 1100 > 1024
+	} {
+		sm, err := NewStepModel(hw.GH200(), c.model, Eager, c.bucket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sm.Prefill(1, c.seq)
+		if err != nil {
+			t.Fatalf("%s: Prefill(1, %d) with bucket %d: %v", c.model.Name, c.seq, c.bucket, err)
+		}
+		res, err := Run(Request{Platform: hw.GH200(), Model: c.model, Batch: 1, Seq: c.model.MaxSeq, Mode: Eager})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != res.TTFT {
+			t.Errorf("%s: Prefill(1, %d) = %v, want the MaxSeq run's %v", c.model.Name, c.seq, got, res.TTFT)
+		}
+		if at, err := sm.Prefill(1, c.model.MaxSeq); err != nil || at != got {
+			t.Errorf("%s: Prefill(1, MaxSeq) = %v, %v; want the same key, %v", c.model.Name, at, err, got)
+		}
+		if _, err := sm.Prefill(1, c.model.MaxSeq+1); err == nil {
+			t.Errorf("%s: Prefill(1, MaxSeq+1) succeeded, want an error", c.model.Name)
+		}
+		below := c.model.MaxSeq - c.bucket - 1
+		if k, want := sm.bucketTokens(below, c.model.MaxSeq), (below+c.bucket-1)/c.bucket*c.bucket; k != want {
+			t.Errorf("%s: bucketTokens(%d) = %d, want the unclamped %d", c.model.Name, below, k, want)
+		}
+	}
+}
+
 // BenchmarkStepModelMiss times one oracle miss: each iteration fills one
 // key on a fresh private model (llama-3.2-1B on GH200, eager, the
 // benchmark fleets' configuration).

@@ -56,11 +56,14 @@ func BuildPrefill(c *Config, batch, seq int64, attn AttnImpl) (*ops.Graph, error
 }
 
 // appendLayers appends a layer's operator block to the graph once per
-// layer. Every repetition references the same nodes: nodes are
-// immutable once built, so one block serves all layers and a graph
-// costs one block of nodes, not one per layer.
+// layer, reserving room for the model's tail: the final norm and head
+// (decoders) or the pooler (encoders), two nodes either way. Every
+// repetition references the same nodes: nodes are immutable once built,
+// so one block serves all layers and a graph costs one block of nodes,
+// not one per layer.
 func appendLayers(g *ops.Graph, block []*ops.Node, layers int64) {
-	g.Nodes = slices.Grow(g.Nodes, len(block)*int(layers))
+	const tail = 2
+	g.Nodes = slices.Grow(g.Nodes, len(block)*int(layers)+tail)
 	for i := int64(0); i < layers; i++ {
 		g.Nodes = append(g.Nodes, block...)
 	}
@@ -95,7 +98,8 @@ func encoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 	h, hd := c.Heads, c.HeadDim()
 	rows := b * s
 	hiddenElems := rows * c.Hidden
-	var layer []*ops.Node
+	// 3 projections, at most 9 attention ops, 8 output and MLP ops.
+	layer := make([]*ops.Node, 0, 20+batchMaskKernels(b))
 	// Self-attention projections.
 	layer = append(layer,
 		ops.Linear("attn_q", b, s, c.Hidden, c.Hidden),
@@ -130,8 +134,7 @@ func encoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 		ops.LayerNorm("mlp", rows, c.Hidden),
 	)
 	for i := 0; i < batchMaskKernels(b); i++ {
-		layer = append(layer,
-			ops.Copy("expand", fmt.Sprintf("mask_bcast_%d", i), b*s))
+		layer = append(layer, ops.Copy("expand", "mask_bcast", b*s))
 	}
 	return layer
 }
@@ -169,7 +172,9 @@ func decoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 	hiddenElems := rows * c.Hidden
 	kvElems := rows * c.KVDim()
 	scoreElems := b * h * s * s
-	var layer []*ops.Node
+	// At most: norm, 4 projection ops, 2 RoPE, 14 attention ops, output
+	// projection, residual, norm, 5 MLP ops, residual.
+	layer := make([]*ops.Node, 0, 30+batchMaskKernels(b))
 
 	// Pre-attention norm.
 	switch c.Norm {
@@ -299,7 +304,7 @@ func decoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 	}
 	layer = append(layer, ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1))
 	for i := 0; i < batchMaskKernels(b); i++ {
-		layer = append(layer, ops.Copy("expand", fmt.Sprintf("mask_bcast_%d", i), rows))
+		layer = append(layer, ops.Copy("expand", "mask_bcast", rows))
 	}
 	return layer
 }

@@ -55,7 +55,9 @@ func decodeLayer(c *Config, batch, kvLen int64, attn AttnImpl) []*ops.Node {
 	hiddenElems := rows * c.Hidden
 	kvElems := rows * c.KVDim()
 	h, hd := c.Heads, c.HeadDim()
-	var layer []*ops.Node
+	// At most: norm, 3 projections, 2 RoPE, 2 KV appends, 6 attention
+	// ops, output projection, residual, norm, 5 MLP ops, residual.
+	layer := make([]*ops.Node, 0, 23)
 	switch c.Norm {
 	case RMSNorm:
 		layer = append(layer, ops.RMSNorm("input", rows, c.Hidden))

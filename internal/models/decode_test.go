@@ -126,3 +126,17 @@ func BenchmarkBuildDecodeStep(b *testing.B) {
 
 // benchGraph keeps the benchmarked build observable to the compiler.
 var benchGraph *ops.Graph
+
+// BenchmarkBuildPrefill times building one llama-3.2-1B prefill graph
+// (BS 8, seq 512), the graph every prefill oracle miss executes.
+func BenchmarkBuildPrefill(b *testing.B) {
+	c := Llama32_1B()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := BuildPrefill(c, 8, 512, AttnEager)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchGraph = g
+	}
+}

@@ -82,6 +82,14 @@ type Kernel struct {
 // every other reader only read them. A graph may therefore reference
 // one node at several positions (the model builders share one layer
 // block across all layers), and a node must never be modified in place.
+//
+// The constructors in this package allocate each operator tree as one
+// block: the node, its child nodes, the Children pointer array and every
+// Kernels array live inline in a single struct. Every Children and
+// Kernels slice is capacity-capped (len == cap), so an append by a
+// reader copies instead of writing into a sibling's array. A block is
+// never pooled or reused: graphs stay alive in traces and fusion passes
+// long after they are built.
 type Node struct {
 	// Name is the ATen symbol, e.g. "aten::linear".
 	Name string

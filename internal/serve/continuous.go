@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/skipsim/skip/internal/engine"
@@ -77,6 +78,59 @@ type contRequest struct {
 
 func (r *contRequest) kvLen() int64 { return r.promptLen + r.generated }
 
+// waitQueue is the FIFO wait queue. Pops advance a head index rather
+// than reslicing the front away, so the array keeps its capacity and a
+// steady arrive/admit cycle allocates nothing. A push into a full array
+// slides the live requests back to the front when at least half of it
+// is popped slots, and grows it otherwise, so every operation is O(1)
+// amortized.
+type waitQueue struct {
+	buf  []*contRequest
+	head int
+}
+
+func (q *waitQueue) len() int { return len(q.buf) - q.head }
+
+// items returns the queued requests, oldest first.
+func (q *waitQueue) items() []*contRequest { return q.buf[q.head:] }
+
+func (q *waitQueue) front() *contRequest { return q.buf[q.head] }
+
+func (q *waitQueue) popFront() {
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+func (q *waitQueue) push(r *contRequest) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, r)
+}
+
+// pushFront re-queues r ahead of every waiting request.
+func (q *waitQueue) pushFront(r *contRequest) {
+	if q.head > 0 {
+		q.head--
+		q.buf[q.head] = r
+		return
+	}
+	q.buf = slices.Insert(q.buf, 0, r)
+}
+
+// remove deletes items()[i], keeping the order of the rest.
+func (q *waitQueue) remove(i int) {
+	q.buf = slices.Delete(q.buf, q.head+i, q.head+i+1)
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
 type contSim struct {
 	cfg         Config
 	cal         *sim.Calendar
@@ -84,7 +138,7 @@ type contSim struct {
 	bytesPerTok float64
 	capacity    float64
 
-	waiting     []*contRequest
+	waiting     waitQueue
 	running     []*contRequest // admission order: oldest first
 	kvUsed      float64
 	busy        bool
@@ -272,7 +326,7 @@ func (s *contSim) arrive(now sim.Time, cr *contRequest) {
 	if s.err != nil {
 		return
 	}
-	s.waiting = append(s.waiting, cr)
+	s.waiting.push(cr)
 	s.emit(now, EventArrival, cr)
 	if s.cfg.AbandonAfter > 0 && !cr.resumed {
 		cr.abandonEv = s.cal.Schedule(now+s.cfg.AbandonAfter, func(at sim.Time) { s.abandon(at, cr) })
@@ -298,9 +352,9 @@ func (s *contSim) abandon(now sim.Time, cr *contRequest) {
 	if s.err != nil || s.state == StateStopped {
 		return
 	}
-	for i, w := range s.waiting {
+	for i, w := range s.waiting.items() {
 		if w == cr {
-			s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
+			s.waiting.remove(i)
 			s.abandoned++
 			s.emit(now, EventAbandoned, cr)
 			s.sample(now)
@@ -321,8 +375,8 @@ func (s *contSim) abandon(now sim.Time, cr *contRequest) {
 // restores, fresh allocations), so the fit decision stays valid and no
 // rollback path exists.
 func (s *contSim) admit(now sim.Time) {
-	for len(s.waiting) > 0 && len(s.running) < s.cfg.MaxBatch {
-		head := s.waiting[0]
+	for s.waiting.len() > 0 && len(s.running) < s.cfg.MaxBatch {
+		head := s.waiting.front()
 		// A resumed request's transferred cache (prompt + tokens already
 		// generated elsewhere) is reserved whole; fresh requests have
 		// generated == 0 and reserve the prompt alone. Cached prefix
@@ -336,7 +390,7 @@ func (s *contSim) admit(now sim.Time) {
 		if s.kvUsed+need > s.capacity {
 			return
 		}
-		s.waiting = s.waiting[1:]
+		s.waiting.popFront()
 		s.cal.Cancel(head.abandonEv)
 		head.abandonEv = sim.Handle{}
 		if s.cache != nil && head.req.SessionID != 0 {
@@ -450,7 +504,7 @@ func (s *contSim) preemptForGrowth(now sim.Time) {
 		// still-resident blocks, the cache's recompute discount).
 		s.releaseBlocks(victim)
 		victim.restoreStall = 0
-		s.waiting = append([]*contRequest{victim}, s.waiting...)
+		s.waiting.pushFront(victim)
 		s.preemptions++
 		s.emit(now, EventPreempted, victim)
 	}
@@ -669,12 +723,12 @@ func (s *contSim) sample(now sim.Time) {
 		s.lastSampleT = now
 	}
 	if s.cfg.StateWindow <= 0 {
-		s.series.add(now, float64(len(s.waiting)), frac)
+		s.series.add(now, float64(s.waiting.len()), frac)
 	}
 	s.lastKVFrac = frac
-	s.lastQueueN = len(s.waiting)
-	if len(s.waiting) > s.maxQueue {
-		s.maxQueue = len(s.waiting)
+	s.lastQueueN = s.waiting.len()
+	if s.waiting.len() > s.maxQueue {
+		s.maxQueue = s.waiting.len()
 	}
 	if s.kvUsed > s.peakKV {
 		s.peakKV = s.kvUsed
@@ -689,7 +743,7 @@ func (s *contSim) sample(now sim.Time) {
 			Time: now,
 			Type: EventStateSample,
 			State: &StateSample{
-				Queue:        len(s.waiting),
+				Queue:        s.waiting.len(),
 				Running:      len(s.running),
 				KVFrac:       frac,
 				CacheLookups: lookups,

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -372,4 +374,72 @@ func BenchmarkSchedulerIteration(b *testing.B) {
 		round()
 	}
 	check()
+}
+
+// warmArrival returns one whole request lifecycle on a warm continuous
+// batcher: a request arrives at an idle instance, is admitted, prefills,
+// decodes its two tokens and finishes. The first cycle runs here, so the
+// oracle entries every later cycle hits are filled.
+func warmArrival(tb testing.TB) (cycle func()) {
+	cfg := Config{
+		Platform: hw.GH200(), Model: models.Llama32_1B(), Seq: 512, Mode: engine.Eager,
+		Policy: ContinuousBatch, MaxBatch: 16, LatencyBucket: 64,
+	}
+	cal := sim.NewCalendar()
+	s, err := newContSim(cfg, cal)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cycle = func() {
+		now := cal.Now()
+		cr, err := s.newRequest(Request{ID: s.completed, Arrival: now, PromptLen: 512, OutputLen: 2})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		want := s.completed + 1
+		s.arrive(now, cr)
+		for s.completed < want {
+			if !cal.Step() {
+				tb.Fatalf("calendar drained before request %d finished", cr.req.ID)
+			}
+		}
+		if s.err != nil || s.waiting.len() != 0 || len(s.running) != 0 {
+			tb.Fatalf("instance not idle after a cycle: err %v, %d waiting, %d running", s.err, s.waiting.len(), len(s.running))
+		}
+	}
+	cycle()
+	return cycle
+}
+
+// TestWaitQueueMatchesSlice drives the wait queue with random pushes,
+// front pushes, pops and removals against a plain slice: the same
+// requests in the same order after every operation.
+func TestWaitQueueMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var q waitQueue
+	var ref []*contRequest
+	for op := 0; op < 20000; op++ {
+		r := &contRequest{chunk: int64(op)}
+		switch k := rng.Intn(10); {
+		case k < 5:
+			q.push(r)
+			ref = append(ref, r)
+		case k < 6:
+			q.pushFront(r)
+			ref = append([]*contRequest{r}, ref...)
+		case k < 9 && len(ref) > 0:
+			if q.front() != ref[0] {
+				t.Fatalf("op %d: front differs", op)
+			}
+			q.popFront()
+			ref = ref[1:]
+		case len(ref) > 0:
+			i := rng.Intn(len(ref))
+			q.remove(i)
+			ref = append(ref[:i:i], ref[i+1:]...)
+		}
+		if !slices.Equal(q.items(), ref) || q.len() != len(ref) {
+			t.Fatalf("op %d: queue holds %d requests, reference %d, or their order differs", op, q.len(), len(ref))
+		}
+	}
 }

@@ -81,14 +81,14 @@ func (in *Instance) Accept(now sim.Time, req Request) error {
 func (in *Instance) Routed() int { return in.routed }
 
 // QueueDepth reports the current wait-queue length.
-func (in *Instance) QueueDepth() int { return len(in.s.waiting) }
+func (in *Instance) QueueDepth() int { return in.s.waiting.len() }
 
 // Running reports the current running-batch size.
 func (in *Instance) Running() int { return len(in.s.running) }
 
 // Outstanding reports queued plus running requests — the in-flight load
 // a least-loaded router balances on.
-func (in *Instance) Outstanding() int { return len(in.s.waiting) + len(in.s.running) }
+func (in *Instance) Outstanding() int { return in.s.waiting.len() + len(in.s.running) }
 
 // KVFrac reports the admitted KV-cache occupancy as a fraction of the
 // budget.
@@ -100,7 +100,7 @@ func (in *Instance) KVFrac() float64 { return in.s.kvUsed / in.s.capacity }
 // than KVFrac so queued-but-unadmitted work still repels new requests.
 func (in *Instance) KVPressure() float64 {
 	pending := in.s.kvUsed
-	for _, w := range in.s.waiting {
+	for _, w := range in.s.waiting.items() {
 		pending += float64(w.promptLen) * in.s.bytesPerTok
 	}
 	return pending / in.s.capacity

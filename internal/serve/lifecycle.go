@@ -130,13 +130,13 @@ func (in *Instance) Kill(now sim.Time) []Evicted {
 			Prefill:    cr.handoff != nil,
 		})
 	}
-	for _, w := range s.waiting {
+	for _, w := range s.waiting.items() {
 		evict(w)
 	}
 	for _, r := range s.running {
 		evict(r)
 	}
-	s.waiting, s.running = nil, nil
+	s.waiting, s.running = waitQueue{}, nil
 	s.kvUsed = 0
 	s.busy = false
 	s.emitLifecycle(now, EventInstanceGone, "killed")
@@ -237,7 +237,7 @@ func (s *contSim) emitLifecycle(now sim.Time, t EventType, detail string) {
 
 // maybeFinishDrain completes a drain whose work has run dry.
 func (s *contSim) maybeFinishDrain(now sim.Time) {
-	if s.state != StateDraining || s.busy || len(s.waiting) > 0 || len(s.running) > 0 {
+	if s.state != StateDraining || s.busy || s.waiting.len() > 0 || len(s.running) > 0 {
 		return
 	}
 	s.state = StateStopped
