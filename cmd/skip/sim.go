@@ -13,6 +13,7 @@ import (
 	"time"
 
 	skip "github.com/skipsim/skip"
+	"github.com/skipsim/skip/internal/cluster"
 )
 
 // cmdSim runs a declarative experiment spec: `skip sim -spec
@@ -531,6 +532,7 @@ func printServeReport(sp *skip.Spec, rep *skip.Report) {
 
 func printClusterReport(sp *skip.Spec, rep *skip.Report) {
 	stats := rep.Cluster
+	sloSet := sp.Serve != nil && sp.Serve.TTFTSLOMs > 0
 	var fleetDesc []string
 	for _, g := range sp.Fleet.Groups {
 		fleetDesc = append(fleetDesc, fmt.Sprintf("%s:%d", g.Platform, g.Count))
@@ -541,17 +543,7 @@ func printClusterReport(sp *skip.Spec, rep *skip.Report) {
 	fmt.Printf("  ledger       %d offered = %d rejected + %d unroutable + %d routed (%d completed, %d abandoned, %d preempted)\n",
 		stats.Offered, stats.Rejected, stats.Unroutable, stats.Routed,
 		stats.Completed, stats.Abandoned, stats.Preemptions)
-	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
-		stats.MeanTTFT, stats.P50TTFT, stats.P95TTFT, stats.P99TTFT, stats.MaxTTFT)
-	fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n", stats.MeanTPOT, stats.P50TPOT, stats.P95TPOT)
-	fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
-		stats.MeanE2E, stats.P50E2E, stats.P95E2E, stats.MaxE2E)
-	fmt.Printf("  throughput   %.1f req/s  (%.0f tok/s)", stats.Throughput, stats.TokensPerSec)
-	if sp.Serve != nil && sp.Serve.TTFTSLOMs > 0 {
-		fmt.Printf("  goodput %.1f req/s, %.0f%% in SLO", stats.Goodput, stats.SLOAttainment*100)
-	}
-	fmt.Println()
-	fmt.Printf("  imbalance    %.3f (CV of per-instance routed counts)\n", stats.LoadImbalance)
+	printPooled(&stats.Pooled, sloSet, "routed counts")
 	printKVCache(stats.KVCache)
 	printChaos(stats.Chaos)
 	printRouting("routing", stats.Routing)
@@ -566,7 +558,6 @@ func printClusterReport(sp *skip.Spec, rep *skip.Report) {
 			is.Serve.PeakKVFrac*100, is.Serve.Preemptions)
 	}
 
-	sloSet := sp.Serve != nil && sp.Serve.TTFTSLOMs > 0
 	shares := make([]platformShare, len(stats.Instances))
 	for i, is := range stats.Instances {
 		shares[i] = platformShare{
@@ -575,6 +566,22 @@ func printClusterReport(sp *skip.Spec, rep *skip.Report) {
 		}
 	}
 	printPlatformBreakdown(sloSet, shares)
+}
+
+// printPooled renders a fleet report's pooled latencies, rates and
+// load spread; spread names what the imbalance CV is taken over.
+func printPooled(p *cluster.Pooled, sloSet bool, spread string) {
+	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
+		p.MeanTTFT, p.P50TTFT, p.P95TTFT, p.P99TTFT, p.MaxTTFT)
+	fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n", p.MeanTPOT, p.P50TPOT, p.P95TPOT)
+	fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
+		p.MeanE2E, p.P50E2E, p.P95E2E, p.MaxE2E)
+	fmt.Printf("  throughput   %.1f req/s  (%.0f tok/s)", p.Throughput, p.TokensPerSec)
+	if sloSet {
+		fmt.Printf("  goodput %.1f req/s, %.0f%% in SLO", p.Goodput, p.SLOAttainment*100)
+	}
+	fmt.Println()
+	fmt.Printf("  imbalance    %.3f (CV of per-instance %s)\n", p.LoadImbalance, spread)
 }
 
 // platformShare is one instance's contribution to the per-platform
@@ -658,6 +665,7 @@ func printRouting(label string, r *skip.RoutingStats) {
 
 func printDisaggReport(sp *skip.Spec, rep *skip.Report) {
 	stats := rep.Disagg
+	sloSet := sp.Serve != nil && sp.Serve.TTFTSLOMs > 0
 	var fleetDesc []string
 	for _, g := range sp.Fleet.Groups {
 		role := g.Role
@@ -677,17 +685,7 @@ func printDisaggReport(sp *skip.Spec, rep *skip.Report) {
 	fmt.Printf("  KV transfer  %d transfers, %.2f GB moved  wire mean %v max %v  stall mean %v\n",
 		stats.Transfers, stats.KVBytesMoved/1e9,
 		stats.MeanTransfer, stats.MaxTransfer, stats.MeanTransferStall)
-	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
-		stats.MeanTTFT, stats.P50TTFT, stats.P95TTFT, stats.P99TTFT, stats.MaxTTFT)
-	fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n", stats.MeanTPOT, stats.P50TPOT, stats.P95TPOT)
-	fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
-		stats.MeanE2E, stats.P50E2E, stats.P95E2E, stats.MaxE2E)
-	fmt.Printf("  throughput   %.1f req/s  (%.0f tok/s)", stats.Throughput, stats.TokensPerSec)
-	if sp.Serve != nil && sp.Serve.TTFTSLOMs > 0 {
-		fmt.Printf("  goodput %.1f req/s, %.0f%% in SLO", stats.Goodput, stats.SLOAttainment*100)
-	}
-	fmt.Println()
-	fmt.Printf("  imbalance    %.3f (CV of per-instance placed work)\n", stats.LoadImbalance)
+	printPooled(&stats.Pooled, sloSet, "placed work")
 	printKVCache(stats.KVCache)
 	printChaos(stats.Chaos)
 	printRouting("prefill", stats.PrefillRouting)
@@ -702,7 +700,6 @@ func printDisaggReport(sp *skip.Spec, rep *skip.Report) {
 			is.Serve.P95TTFT, is.Serve.TokensPerSec, is.Serve.PeakKVFrac*100)
 	}
 
-	sloSet := sp.Serve != nil && sp.Serve.TTFTSLOMs > 0
 	shares := make([]platformShare, len(stats.Instances))
 	for i, is := range stats.Instances {
 		shares[i] = platformShare{

@@ -291,8 +291,9 @@ func (f *fleetSim) emit(now sim.Time, t serve.EventType, req serve.Request, inst
 }
 
 // addInstance constructs an instance on the shared calendar and slots
-// it into the membership view and the pools its role serves. Instance
-// names carry the role only in a disaggregated fleet.
+// it into the membership view and the pools its role serves. A
+// prefill-only member hands every finished prefill to placeHandoff.
+// Instance names carry the role only in a disaggregated fleet.
 func (f *fleetSim) addInstance(icfg serve.Config, role Role, managed bool) (*serve.Instance, error) {
 	if icfg.TTFTSLO == 0 {
 		icfg.TTFTSLO = f.cfg.TTFTSLO
@@ -318,6 +319,13 @@ func (f *fleetSim) addInstance(icfg serve.Config, role Role, managed bool) (*ser
 		return nil, err
 	}
 	f.members = append(f.members, member{in: in, role: role, managed: managed})
+	if role == RolePrefill {
+		in.SetHandoff(func(at sim.Time, h serve.Handoff) {
+			if f.err == nil {
+				f.placeHandoff(at, idx, h, false)
+			}
+		})
+	}
 	if role != RoleDecode {
 		f.prefill.ins = append(f.prefill.ins, in)
 		f.prefill.idx = append(f.prefill.idx, idx)
@@ -381,13 +389,7 @@ func (f *fleetSim) route(now sim.Time, req serve.Request) {
 	m := f.members[idx]
 	f.placed++
 	f.emit(now, serve.EventRouted, req, m.in.Name(), "")
-	var err error
-	if m.role == RolePrefill {
-		err = m.in.AcceptPrefill(now, req, f.handoffFrom(idx))
-	} else {
-		err = m.in.Accept(now, req)
-	}
-	if err != nil {
+	if err := m.in.Accept(now, req); err != nil {
 		// place only offers accepting, fitting instances, so Accept
 		// cannot refuse; treat a refusal as the bug it would be.
 		f.fail(fmt.Errorf("cluster: %s refused routed request %d: %w", m.in.Name(), req.ID, err))

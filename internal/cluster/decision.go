@@ -104,32 +104,20 @@ func NewDecisionRecorder(policy Policy, shortPrompt int64, k int) *DecisionRecor
 // replay against a live fleet without mutating routing state.
 var counterfactualPolicies = []Policy{LeastQueue, LeastKV, PlatformAware}
 
-// statelessPick replays policy p read-only against the instances.
-func (r *DecisionRecorder) statelessPick(p Policy, req serve.Request, instances []*serve.Instance) int {
-	switch p {
-	case LeastKV:
-		return leastBy(req, instances, func(in *serve.Instance) float64 { return in.KVPressure() })
-	case PlatformAware:
-		return pickPlatformAware(req, instances, r.shortPrompt)
-	default:
-		return leastOutstanding(req, instances)
-	}
-}
-
 // Record logs one successful pick. chosen indexes instances; linkWait
 // is zero except for disaggregated decode picks.
 func (r *DecisionRecorder) Record(now sim.Time, req serve.Request, instances []*serve.Instance, chosen int, requeue bool, linkWait sim.Time) {
 	r.picks++
 	// Iterate the fixed policy list, not the counter map: the stats are
 	// per-policy independent, but replaying in map order would still
-	// interleave statelessPick calls nondeterministically.
+	// interleave pickStateless calls nondeterministically.
 	for _, p := range counterfactualPolicies {
 		st, ok := r.counter[p]
 		if !ok {
 			continue
 		}
 		st.Picks++
-		if r.statelessPick(p, req, instances) == chosen {
+		if pickStateless(p, req, instances, r.shortPrompt) == chosen {
 			st.Agreed++
 		} else {
 			st.Differed++

@@ -194,16 +194,6 @@ func (h *handoffs) dropped() int {
 	return h.drops
 }
 
-// handoffFrom is the prefill-completion callback of member src: it
-// places the completed prefill on the decode pool.
-func (f *fleetSim) handoffFrom(src int) func(sim.Time, serve.Handoff) {
-	return func(at sim.Time, h serve.Handoff) {
-		if f.err == nil {
-			f.placeHandoff(at, src, h, false)
-		}
-	}
-}
-
 // wireTime prices one transfer, degraded-link faults applied.
 func (f *fleetSim) wireTime(src, dst int, bytes float64) sim.Time {
 	wire := f.dis.model.Time(f.members[src].in.Platform(), f.members[dst].in.Platform(), bytes)
@@ -273,9 +263,7 @@ func (f *fleetSim) land(at sim.Time, src, dst int, h serve.Handoff, link string)
 // and the drop is reported in the ledger. reship marks a cache whose
 // first destination died while it was on the wire.
 func (f *fleetSim) placeHandoff(now sim.Time, src int, h serve.Handoff, reship bool) {
-	hr := h.Req
-	hr.PromptLen, hr.OutputLen = h.PromptLen, h.OutputLen
-	p := f.pickDecode(now, src, h, hr)
+	p := f.pickDecode(now, src, h)
 	if p < 0 {
 		f.dis.drops++
 		f.emit(now, serve.EventUnroutable, h.Req, f.members[src].in.Name(), "")
@@ -283,7 +271,7 @@ func (f *fleetSim) placeHandoff(now sim.Time, src int, h serve.Handoff, reship b
 	}
 	dst := f.decode.idx[p]
 	if rec := f.decode.rec; rec != nil {
-		rec.Record(now, hr, f.decode.ins, p, reship, f.linkWait(now, src, dst))
+		rec.Record(now, h.Req, f.decode.ins, p, reship, f.linkWait(now, src, dst))
 	}
 	f.ship(now, src, dst, h, f.shipBytes(dst, h))
 }
@@ -300,10 +288,8 @@ func (f *fleetSim) placeHandoff(now sim.Time, src int, h serve.Handoff, reship b
 // an optimistic approximation that slightly understates transfer bytes
 // under destination cache churn.
 func (f *fleetSim) shipBytes(dst int, h serve.Handoff) float64 {
-	hr := h.Req
-	hr.PromptLen, hr.OutputLen = h.PromptLen, h.OutputLen
-	kv := h.KVLen
-	if cached := f.members[dst].in.CachedPrefixTokens(hr); cached > 0 {
+	kv := h.KVLen()
+	if cached := f.members[dst].in.CachedPrefixTokens(h.Req); cached > 0 {
 		kv -= cached
 		if kv < 0 {
 			kv = 0
@@ -318,15 +304,15 @@ func (f *fleetSim) shipBytes(dst int, h serve.Handoff) float64 {
 // exposed wire time for the bytes this destination actually needs),
 // ties broken by KV pressure then lowest index. Returns the decode-pool
 // index, or -1 when no instance can ever hold the request.
-func (f *fleetSim) pickDecode(now sim.Time, src int, h serve.Handoff, hr serve.Request) int {
+func (f *fleetSim) pickDecode(now sim.Time, src int, h serve.Handoff) int {
 	if !f.dis.linkAware {
-		return f.decode.rt.Pick(hr, f.decode.ins)
+		return f.decode.rt.Pick(h.Req, f.decode.ins)
 	}
 	best := -1
 	var bestLand sim.Time
 	var bestKV float64
 	for i, in := range f.decode.ins {
-		if !in.Accepting() || !in.Fits(hr) {
+		if !in.Accepting() || !in.Fits(h.Req) {
 			continue
 		}
 		dst := f.decode.idx[i]

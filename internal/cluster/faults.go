@@ -229,36 +229,28 @@ func (f *fleetSim) crash(now sim.Time, idx int) {
 // back through the prefill-capable pool — and hands off again if it
 // lands on a prefill-only instance — while a mid-stream victim re-runs
 // on the decode-capable pool, recomputing its prompt locally exactly as
-// a post-resume preemption would. The routed request carries its
-// resolved lengths so the fit check is exact regardless of the
-// target's config defaults.
-func (f *fleetSim) requeue(now sim.Time, ev serve.Evicted) {
+// a post-resume preemption would. The request carries its resolved
+// lengths, so the fit check is exact regardless of the target's config
+// defaults.
+func (f *fleetSim) requeue(now sim.Time, h serve.Handoff) {
 	if f.err != nil {
 		return
 	}
-	req := ev.Req
-	req.PromptLen, req.OutputLen = ev.PromptLen, ev.OutputLen
 	p := f.prefill
-	if ev.HasFirst {
+	if h.HasFirst {
 		p = f.decode
 	}
-	idx := p.place(now, req, true)
+	idx := p.place(now, h.Req, true)
 	if idx < 0 {
 		f.chaos.Dropped++
-		f.emit(now, serve.EventUnroutable, req, "", "")
+		f.emit(now, serve.EventUnroutable, h.Req, "", "")
 		return
 	}
 	m := f.members[idx]
-	var err error
-	if m.role == RolePrefill {
-		err = m.in.AcceptRequeuedPrefill(now, ev, f.handoffFrom(idx))
-	} else {
-		err = m.in.AcceptRequeued(now, ev)
-	}
-	if err != nil {
-		f.fail(fmt.Errorf("cluster: %s refused requeued request %d: %w", m.in.Name(), req.ID, err))
+	if err := m.in.AcceptRequeued(now, h); err != nil {
+		f.fail(fmt.Errorf("cluster: %s refused requeued request %d: %w", m.in.Name(), h.Req.ID, err))
 		return
 	}
 	f.chaos.Requeued++
-	f.emit(now, serve.EventRequeued, req, m.in.Name(), "")
+	f.emit(now, serve.EventRequeued, h.Req, m.in.Name(), "")
 }

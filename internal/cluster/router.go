@@ -145,8 +145,6 @@ func (r *Router) Pick(req serve.Request, instances []*serve.Instance) int {
 			}
 		}
 		return -1
-	case LeastKV:
-		return leastBy(req, instances, func(in *serve.Instance) float64 { return in.KVPressure() })
 	case SessionAffinity:
 		if req.SessionID != 0 {
 			if idx, ok := r.sessions[req.SessionID]; ok {
@@ -173,8 +171,21 @@ func (r *Router) Pick(req serve.Request, instances []*serve.Instance) int {
 			return idx
 		}
 		return leastOutstanding(req, instances)
+	default:
+		return pickStateless(r.policy, req, instances, r.shortPrompt)
+	}
+}
+
+// pickStateless is the pick of a policy that keeps no routing state
+// (least-queue, least-kv, platform-aware, prefix-affinity). It only
+// reads the instances, so counterfactual scoring replays it against
+// live fleet state without perturbing anything.
+func pickStateless(p Policy, req serve.Request, instances []*serve.Instance, shortPrompt int64) int {
+	switch p {
+	case LeastKV:
+		return leastBy(req, instances, func(in *serve.Instance) float64 { return in.KVPressure() })
 	case PlatformAware:
-		return pickPlatformAware(req, instances, r.shortPrompt)
+		return pickPlatformAware(req, instances, shortPrompt)
 	case PrefixAffinity:
 		return pickPrefixAffinity(req, instances)
 	default: // LeastQueue
@@ -185,10 +196,9 @@ func (r *Router) Pick(req serve.Request, instances []*serve.Instance) int {
 // pickPrefixAffinity is the stateless cached-overlap pick: maximize the
 // instance's device-resident prefix tokens for this request, ties to
 // the least outstanding, then the lowest index. The overlap query
-// (Instance.CachedPrefixTokens) is strictly read-only, so
-// counterfactual scoring could replay this pick without perturbing any
-// cache. Sessionless requests — and cacheless fleets, where every
-// overlap is zero — place exactly like least-queue.
+// (Instance.CachedPrefixTokens) is strictly read-only. Sessionless
+// requests — and cacheless fleets, where every overlap is zero — place
+// exactly like least-queue.
 func pickPrefixAffinity(req serve.Request, instances []*serve.Instance) int {
 	best := -1
 	var bestOverlap int64
@@ -206,9 +216,7 @@ func pickPrefixAffinity(req serve.Request, instances []*serve.Instance) int {
 	return best
 }
 
-// pickPlatformAware is the stateless regime-split pick, factored out so
-// counterfactual scoring can replay it read-only against live fleet
-// state without touching router internals.
+// pickPlatformAware is the stateless regime-split pick.
 func pickPlatformAware(req serve.Request, instances []*serve.Instance, shortPrompt int64) int {
 	if req.PromptLen <= 0 {
 		// Unknown length (the instance will fall back to its

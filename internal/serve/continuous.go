@@ -42,9 +42,9 @@ func KVBytesPerToken(m *models.Config) float64 { return kvBytesPerToken(m) }
 
 // contRequest tracks one request through the continuous scheduler.
 type contRequest struct {
+	// req carries the resolved lengths: the config fallbacks for a zero
+	// PromptLen/OutputLen are applied on entry (see resolve).
 	req        Request
-	promptLen  int64
-	outputLen  int64
 	promptDone int64 // prefill tokens consumed so far
 	generated  int64 // output tokens produced so far
 	// delivered is the high-water mark of generated across preemptions:
@@ -55,11 +55,6 @@ type contRequest struct {
 	firstTok  sim.Time // time of first output token (TTFT anchor)
 	hasFirst  bool
 	abandonEv sim.Handle
-	// handoff, when set, marks a prefill-only request: the moment its
-	// prefill completes (first token emitted), the request leaves this
-	// instance — KV released — and the callback receives the handoff
-	// state to resume decoding elsewhere (see Instance.AcceptPrefill).
-	handoff func(now sim.Time, h Handoff)
 	// resumed marks a request continuing mid-stream from another
 	// instance's prefill: TTFT is already anchored and the request never
 	// abandons (its user is already streaming tokens).
@@ -76,7 +71,12 @@ type contRequest struct {
 	chunk int64
 }
 
-func (r *contRequest) kvLen() int64 { return r.promptLen + r.generated }
+func (r *contRequest) kvLen() int64 { return r.req.PromptLen + r.generated }
+
+// handoffRecord is the state r carries to another instance.
+func (r *contRequest) handoffRecord() Handoff {
+	return Handoff{Req: r.req, Delivered: r.delivered, FirstToken: r.firstTok, HasFirst: r.hasFirst}
+}
 
 // waitQueue is the FIFO wait queue. Pops advance a head index rather
 // than reslicing the front away, so the array keeps its capacity and a
@@ -156,6 +156,9 @@ type contSim struct {
 	// slowFactor scales iteration durations (slow-node fault; 0 or 1 =
 	// full speed).
 	slowFactor float64
+	// handoff, when set, makes the instance prefill-only (see
+	// Instance.SetHandoff).
+	handoff func(now sim.Time, h Handoff)
 
 	// accumulators
 	ttfts, tpots, e2es []sim.Time
@@ -247,39 +250,35 @@ func newContSim(cfg Config, cal *sim.Calendar) (*contSim, error) {
 	return s, nil
 }
 
+// resolve applies the config's length fallbacks: a zero PromptLen
+// takes Seq and a zero OutputLen takes DefaultOutputLen.
+func (s *contSim) resolve(req Request) Request {
+	if req.PromptLen <= 0 {
+		req.PromptLen = s.cfg.Seq
+	}
+	if req.OutputLen <= 0 {
+		req.OutputLen = s.cfg.DefaultOutputLen
+	}
+	return req
+}
+
 // lifetimeKV is the request's peak KV footprint given the config's
 // length fallbacks.
 func (s *contSim) lifetimeKV(req Request) float64 {
-	promptLen, outputLen := req.PromptLen, req.OutputLen
-	if promptLen <= 0 {
-		promptLen = s.cfg.Seq
-	}
-	if outputLen <= 0 {
-		outputLen = s.cfg.DefaultOutputLen
-	}
-	return float64(promptLen+outputLen) * s.bytesPerTok
+	req = s.resolve(req)
+	return float64(req.PromptLen+req.OutputLen) * s.bytesPerTok
 }
 
 // newRequest resolves a request's effective lengths and checks
 // feasibility: a request whose lifetime KV footprint exceeds the whole
 // budget would preempt-livelock, so it is rejected up front.
 func (s *contSim) newRequest(req Request) (*contRequest, error) {
-	cr := &contRequest{
-		req:       req,
-		promptLen: req.PromptLen,
-		outputLen: req.OutputLen,
-	}
-	if cr.promptLen <= 0 {
-		cr.promptLen = s.cfg.Seq
-	}
-	if cr.outputLen <= 0 {
-		cr.outputLen = s.cfg.DefaultOutputLen
-	}
+	req = s.resolve(req)
 	if need := s.lifetimeKV(req); need > s.capacity {
 		return nil, fmt.Errorf("serve: request %d needs %.2f GB of KV (prompt %d + output %d tokens) but the budget is %.2f GB",
-			cr.req.ID, need/1e9, cr.promptLen, cr.outputLen, s.capacity/1e9)
+			req.ID, need/1e9, req.PromptLen, req.OutputLen, s.capacity/1e9)
 	}
-	return cr, nil
+	return &contRequest{req: req}, nil
 }
 
 // emit reports a lifecycle event for cr to the configured observer.
@@ -384,9 +383,9 @@ func (s *contSim) admit(now sim.Time) {
 		// byte-denominated reservation.
 		credit := int64(0)
 		if s.cache != nil {
-			credit = s.cache.Peek(head.req.SessionID, head.promptLen)
+			credit = s.cache.Peek(head.req.SessionID, head.req.PromptLen)
 		}
-		need := float64(head.promptLen-credit+head.generated) * s.bytesPerTok
+		need := float64(head.req.PromptLen-credit+head.generated) * s.bytesPerTok
 		if s.kvUsed+need > s.capacity {
 			return
 		}
@@ -394,9 +393,9 @@ func (s *contSim) admit(now sim.Time) {
 		s.cal.Cancel(head.abandonEv)
 		head.abandonEv = sim.Handle{}
 		if s.cache != nil && head.req.SessionID != 0 {
-			g := s.cache.Acquire(head.req.SessionID, head.promptLen, head.resumed)
+			g := s.cache.Acquire(head.req.SessionID, head.req.PromptLen, head.resumed)
 			head.pinned = g.Pinned
-			need = float64(head.promptLen-int64(g.Pinned)*s.cache.BlockTokens()+head.generated) * s.bytesPerTok
+			need = float64(head.req.PromptLen-int64(g.Pinned)*s.cache.BlockTokens()+head.generated) * s.bytesPerTok
 			if !head.resumed {
 				// Reuse credit: the contiguous cached prefix counts as
 				// already-prefilled, shortening TTFT. Resumed requests
@@ -465,7 +464,7 @@ func (s *contSim) emitCache(now sim.Time, cr *contRequest, g kvcache.Grant) {
 // iteration: decoding requests always do, and a prefilling request does
 // when this iteration's chunk consumes the rest of its prompt.
 func (s *contSim) willEmitToken(r *contRequest) bool {
-	remaining := r.promptLen - r.promptDone
+	remaining := r.req.PromptLen - r.promptDone
 	if remaining <= 0 {
 		return true
 	}
@@ -530,14 +529,14 @@ func (s *contSim) kick(now sim.Time) {
 	maxKV := int64(0)
 	for _, r := range s.running {
 		r.chunk = 0
-		if r.promptDone >= r.promptLen {
+		if r.promptDone >= r.req.PromptLen {
 			decodeBatch++
 			if kv := r.kvLen(); kv > maxKV {
 				maxKV = kv
 			}
 			continue
 		}
-		r.chunk = r.promptLen - r.promptDone
+		r.chunk = r.req.PromptLen - r.promptDone
 		if s.cfg.Policy == ChunkedPrefill && r.chunk > s.cfg.PrefillChunk {
 			r.chunk = s.cfg.PrefillChunk
 		}
@@ -599,7 +598,7 @@ func (s *contSim) finishIteration(end sim.Time) {
 		}
 		if r.chunk > 0 {
 			r.promptDone += r.chunk
-			if r.promptDone >= r.promptLen {
+			if r.promptDone >= r.req.PromptLen {
 				// Prefill complete: the iteration's forward pass emits
 				// the first output token.
 				s.emitToken(r, end)
@@ -634,7 +633,7 @@ func (s *contSim) emitToken(r *contRequest, end sim.Time) {
 			})
 		}
 	}
-	if r.generated >= r.outputLen {
+	if r.generated >= r.req.OutputLen {
 		s.completed++
 		if s.cfg.Observer != nil {
 			ev := Event{
@@ -645,14 +644,14 @@ func (s *contSim) emitToken(r *contRequest, end sim.Time) {
 			if r.hasFirst {
 				ev.TTFT = r.firstTok - r.req.Arrival
 			}
-			if r.outputLen > 1 {
-				ev.TPOT = (end - r.firstTok) / sim.Time(r.outputLen-1)
+			if r.req.OutputLen > 1 {
+				ev.TPOT = (end - r.firstTok) / sim.Time(r.req.OutputLen-1)
 			}
 			s.cfg.Observer(ev)
 		}
 		s.e2es = append(s.e2es, end-r.req.Arrival)
-		if r.outputLen > 1 {
-			s.tpots = append(s.tpots, (end-r.firstTok)/sim.Time(r.outputLen-1))
+		if r.req.OutputLen > 1 {
+			s.tpots = append(s.tpots, (end-r.firstTok)/sim.Time(r.req.OutputLen-1))
 		}
 		s.kvUsed -= r.kvBytes
 		r.kvBytes = 0
@@ -663,8 +662,8 @@ func (s *contSim) emitToken(r *contRequest, end sim.Time) {
 		}
 		return
 	}
-	if r.handoff != nil {
-		// Prefill complete on a prefill-pool instance: the request stops
+	if s.handoff != nil {
+		// Prefill complete on a prefill-only instance: the request stops
 		// here. Its KV leaves this instance's budget — the disaggregation
 		// layer now owns the cache and prices its transfer to a decode
 		// instance.
@@ -676,16 +675,7 @@ func (s *contSim) emitToken(r *contRequest, end sim.Time) {
 		if end > s.lastCompletion {
 			s.lastCompletion = end
 		}
-		fn := r.handoff
-		r.handoff = nil
-		fn(end, Handoff{
-			Req:        r.req,
-			PromptLen:  r.promptLen,
-			OutputLen:  r.outputLen,
-			Generated:  r.generated,
-			FirstToken: r.firstTok,
-			KVLen:      r.kvLen(),
-		})
+		s.handoff(end, r.handoffRecord())
 	}
 }
 

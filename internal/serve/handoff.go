@@ -6,71 +6,53 @@ import (
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// Prefill/decode disaggregation support: a request can run its prompt
-// phase on one instance (AcceptPrefill), stop the moment prefill
-// completes, and resume decoding mid-stream on another (Resume). The
-// state crossing instances is a Handoff — the resolved lengths, the
-// tokens already streamed, the TTFT anchor, and the KV-cache extent to
-// ship. The serving layer itself moves no bytes: pricing the transfer
-// over the interconnect model is the disaggregation layer's job
-// (internal/cluster), which receives the Handoff in a callback and
-// decides where and when the request resumes.
+// A request moves between instances in two ways, both described by one
+// Handoff record. A prefill-only instance (SetHandoff) stops every
+// request the moment its prefill completes and hands it away to resume
+// decoding elsewhere (Resume). A killed instance (Kill) evicts its
+// in-flight requests for the fleet layer to recompute elsewhere
+// (AcceptRequeued). The serving layer itself moves no bytes: pricing
+// the KV transfer over the interconnect model is the disaggregation
+// layer's job (internal/cluster), which receives finished prefills in
+// the SetHandoff callback and decides where and when each resumes.
 
-// Handoff is the state of a request leaving a prefill instance: enough
-// to resume generation on any instance serving the same model.
+// Handoff is the state of a request leaving an instance: enough to
+// continue it, with exact accounting, on any instance serving the same
+// model.
 type Handoff struct {
-	// Req is the original request (arrival instant, session, IDs).
+	// Req is the original request (arrival instant, session, IDs) with
+	// its lengths resolved — the source instance's config fallbacks
+	// already applied, so the receiving instance needs no defaults of
+	// its own and its fit check is exact.
 	Req Request
-	// PromptLen / OutputLen are the resolved lengths — the prefill
-	// instance's config fallbacks already applied, so the decode side
-	// needs no defaults of its own.
-	PromptLen, OutputLen int64
-	// Generated counts tokens already streamed to the user by the
-	// prefill instance (the first token, emitted as prefill completes).
-	Generated int64
-	// FirstToken is the TTFT instant, anchoring downstream TPOT/E2E
-	// accounting; the decode instance must not record a second TTFT.
+	// Delivered counts tokens already streamed to the user: the first
+	// token for a finished prefill, the high-water mark for an evicted
+	// request. They count once across the move.
+	Delivered int64
+	// FirstToken / HasFirst anchor TTFT accounting: a request whose
+	// first token was already served must not record a second TTFT
+	// sample. A finished prefill always has its first token.
 	FirstToken sim.Time
-	// KVLen is the cache extent in token positions (prompt + generated)
-	// — what the transfer model prices.
-	KVLen int64
+	HasFirst   bool
 }
 
-// AcceptPrefill hands the request to the instance for prompt processing
-// only: it queues, admits, and prefills exactly like Accept, but the
-// moment its first token is emitted the request leaves this instance
-// (KV released) and fn receives the handoff state. fn runs inside the
-// calendar event that completed the prefill, so it may route, schedule
-// transfers, and resume the request elsewhere at calendar time.
-// Requests that generate exactly one token never hand off — their
-// single token completes them during prefill, and they settle here as
-// ordinary completions.
-func (in *Instance) AcceptPrefill(now sim.Time, req Request, fn func(now sim.Time, h Handoff)) error {
-	if fn == nil {
-		return fmt.Errorf("serve: instance %s: AcceptPrefill needs a handoff callback", in.name)
-	}
-	if !in.Accepting() {
-		return fmt.Errorf("serve: instance %s is %s and accepts no new work", in.name, in.s.state)
-	}
-	cr, err := in.s.newRequest(req)
-	if err != nil {
-		return err
-	}
-	cr.handoff = fn
-	in.routed++
-	in.s.arrive(now, cr)
-	return nil
-}
+// KVLen is a finished prefill's cache extent in token positions (prompt
+// + tokens delivered) — what the transfer model prices.
+func (h Handoff) KVLen() int64 { return h.Req.PromptLen + h.Delivered }
 
-// FitsHandoff reports whether a handed-off request's lifetime KV
-// footprint (prompt + full generation, lengths already resolved) fits
-// this instance's budget at all.
-func (in *Instance) FitsHandoff(h Handoff) bool {
-	return float64(h.PromptLen+h.OutputLen)*in.s.bytesPerTok <= in.s.capacity
-}
+// SetHandoff makes the instance prefill-only: every request it serves
+// queues, admits and prefills as usual, but the moment its first token
+// is emitted the request leaves this instance (KV released) and fn
+// receives its Handoff. fn runs inside the calendar event that
+// completed the prefill, so it may route, schedule transfers, and
+// resume the request elsewhere at calendar time. Requests that generate
+// exactly one token never hand off — their single token completes them
+// during prefill, and they settle here as ordinary completions. Call it
+// once, before the instance receives work.
+func (in *Instance) SetHandoff(fn func(now sim.Time, h Handoff)) { in.s.handoff = fn }
 
-// Resume admits a handed-off request mid-stream: its transferred KV
-// cache (prompt + tokens generated on the prefill side) is reserved on
+// Resume admits a finished prefill mid-stream: its transferred KV cache
+// (prompt + tokens delivered on the prefill side) is reserved on
 // admission and decoding continues from where the prefill instance
 // stopped. The request joins the wait queue like any arrival but never
 // abandons — its user is already streaming output. Resume must be
@@ -92,23 +74,19 @@ func (in *Instance) Resume(now sim.Time, h Handoff) error {
 	if in.s.state == StateStopped {
 		return fmt.Errorf("serve: instance %s is stopped and cannot resume request %d", in.name, h.Req.ID)
 	}
-	if !in.FitsHandoff(h) {
+	if !in.Fits(h.Req) {
 		return fmt.Errorf("serve: instance %s cannot ever fit resumed request %d (prompt %d + output %d tokens)",
-			in.name, h.Req.ID, h.PromptLen, h.OutputLen)
+			in.name, h.Req.ID, h.Req.PromptLen, h.Req.OutputLen)
 	}
-	cr := &contRequest{
+	in.s.resumed++
+	in.s.arrive(now, &contRequest{
 		req:        h.Req,
-		promptLen:  h.PromptLen,
-		outputLen:  h.OutputLen,
-		promptDone: h.PromptLen,
-		generated:  h.Generated,
-		delivered:  h.Generated,
-		kvBytes:    0, // reserved at admission
+		promptDone: h.Req.PromptLen,
+		generated:  h.Delivered,
+		delivered:  h.Delivered,
 		firstTok:   h.FirstToken,
 		hasFirst:   true,
 		resumed:    true,
-	}
-	in.s.resumed++
-	in.s.arrive(now, cr)
+	})
 	return nil
 }

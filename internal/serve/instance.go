@@ -101,7 +101,7 @@ func (in *Instance) KVFrac() float64 { return in.s.kvUsed / in.s.capacity }
 func (in *Instance) KVPressure() float64 {
 	pending := in.s.kvUsed
 	for _, w := range in.s.waiting.items() {
-		pending += float64(w.promptLen) * in.s.bytesPerTok
+		pending += float64(w.req.PromptLen) * in.s.bytesPerTok
 	}
 	return pending / in.s.capacity
 }
@@ -120,11 +120,7 @@ func (in *Instance) CachedPrefixTokens(req Request) int64 {
 	if in.s.cache == nil || req.SessionID == 0 {
 		return 0
 	}
-	promptLen := req.PromptLen
-	if promptLen <= 0 {
-		promptLen = in.s.cfg.Seq
-	}
-	return in.s.cache.Peek(req.SessionID, promptLen)
+	return in.s.cache.Peek(req.SessionID, in.s.resolve(req).PromptLen)
 }
 
 // Err reports a latency-model failure inside the event loop, after

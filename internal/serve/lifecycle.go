@@ -10,7 +10,7 @@ import (
 // leave a *running* simulation (drain or kill) and new instances can
 // join one (NewInstance is callable from inside a calendar event), so a
 // fleet's membership is no longer frozen at construction. The fleet
-// layers (cluster, disagg) build autoscaling and failure injection on
+// layer (internal/cluster) builds autoscaling and failure injection on
 // these primitives; the serving layer itself only defines the states
 // and the exact accounting that keeps the request ledger reconcilable
 // under churn.
@@ -25,8 +25,8 @@ import (
 // placements but finish everything already theirs (committed KV
 // handoffs may still Resume on them — a drain must not strand a cache
 // already in flight). Stopped instances refuse everything; a kill
-// evicts all in-flight work as Evicted records for the fleet layer to
-// requeue, so no request is silently lost.
+// evicts all in-flight work as Handoff records for the fleet layer to
+// requeue (AcceptRequeued), so no request is silently lost.
 
 // InstanceState is the lifecycle state of a serving instance.
 type InstanceState int
@@ -75,43 +75,23 @@ func (in *Instance) Drain(now sim.Time) {
 	s.maybeFinishDrain(now)
 }
 
-// Evicted is one in-flight request a kill pushed out: enough state for
-// the fleet layer to requeue it elsewhere with exact accounting. Like a
-// preemption, the KV cache and compute progress are lost — the request
-// recomputes from scratch wherever it lands — but tokens already
-// streamed to the user count once (Delivered high-water) and a request
-// whose first token was already served must not record a second TTFT
-// sample (HasFirst anchors it).
-type Evicted struct {
-	// Req is the original request (arrival instant, session, IDs).
-	Req Request
-	// PromptLen / OutputLen are the resolved lengths, so a requeue onto
-	// an instance with different config defaults cannot change them.
-	PromptLen, OutputLen int64
-	// Delivered counts tokens already streamed to the user.
-	Delivered int64
-	// FirstToken / HasFirst anchor TTFT accounting across the requeue.
-	FirstToken sim.Time
-	HasFirst   bool
-	// Prefill marks a prefill-only (AcceptPrefill) request that had not
-	// yet handed off; the fleet layer re-places it on the prefill pool.
-	Prefill bool
-}
-
 // Kill stops the instance immediately: every waiting and running
 // request is evicted (KV released, abandonment timers cancelled) and
 // returned for the fleet layer to requeue, in wait-queue order then
-// admission order — a deterministic sequence. An iteration in flight at
-// kill time is discarded; its batch members are evicted like the rest.
-// Emits EventInstanceGone. Killing an already stopped instance returns
-// nil.
-func (in *Instance) Kill(now sim.Time) []Evicted {
+// admission order — a deterministic sequence. Like a preemption, an
+// evicted request loses its KV cache and compute progress and
+// recomputes from scratch wherever it lands; its Handoff keeps the
+// delivered-token high-water and the TTFT anchor. An iteration in
+// flight at kill time is discarded; its batch members are evicted like
+// the rest. Emits EventInstanceGone. Killing an already stopped
+// instance returns nil.
+func (in *Instance) Kill(now sim.Time) []Handoff {
 	s := in.s
 	if s.state == StateStopped {
 		return nil
 	}
 	s.state = StateStopped
-	var out []Evicted
+	var out []Handoff
 	evict := func(cr *contRequest) {
 		s.cal.Cancel(cr.abandonEv)
 		cr.abandonEv = sim.Handle{}
@@ -120,15 +100,7 @@ func (in *Instance) Kill(now sim.Time) []Evicted {
 		// cache dies with it.
 		s.releaseBlocks(cr)
 		s.killed++
-		out = append(out, Evicted{
-			Req:        cr.req,
-			PromptLen:  cr.promptLen,
-			OutputLen:  cr.outputLen,
-			Delivered:  cr.delivered,
-			FirstToken: cr.firstTok,
-			HasFirst:   cr.hasFirst,
-			Prefill:    cr.handoff != nil,
-		})
+		out = append(out, cr.handoffRecord())
 	}
 	for _, w := range s.waiting.items() {
 		evict(w)
@@ -147,44 +119,27 @@ func (in *Instance) Kill(now sim.Time) []Evicted {
 // the wait queue like a fresh arrival but keeps its original arrival
 // instant, its TTFT anchor, and its delivered-token high-water, so
 // latency samples and token throughput count exactly once across the
-// requeue. The request recomputes from scratch (prompt included).
-// Requests whose first token was already streamed never abandon — their
-// user is mid-stream, exactly like a disaggregated resume.
-func (in *Instance) AcceptRequeued(now sim.Time, ev Evicted) error {
-	return in.acceptRequeued(now, ev, nil)
-}
-
-// AcceptRequeuedPrefill re-places a crash-evicted prefill-only request:
-// exactly AcceptRequeued, except the request hands off again when its
-// (re-run) prefill completes — fn receives the handoff state just as an
-// AcceptPrefill callback would.
-func (in *Instance) AcceptRequeuedPrefill(now sim.Time, ev Evicted, fn func(now sim.Time, h Handoff)) error {
-	if fn == nil {
-		return fmt.Errorf("serve: instance %s: AcceptRequeuedPrefill needs a handoff callback", in.name)
-	}
-	return in.acceptRequeued(now, ev, fn)
-}
-
-func (in *Instance) acceptRequeued(now sim.Time, ev Evicted, fn func(now sim.Time, h Handoff)) error {
+// requeue. The request recomputes from scratch (prompt included), and
+// on a prefill-only instance hands off again when its prefill
+// completes. Requests whose first token was already streamed never
+// abandon — their user is mid-stream, exactly like a disaggregated
+// resume.
+func (in *Instance) AcceptRequeued(now sim.Time, h Handoff) error {
 	if !in.Accepting() {
 		return fmt.Errorf("serve: instance %s is %s and accepts no requeued work", in.name, in.s.state)
 	}
-	cr := &contRequest{
-		req:       ev.Req,
-		promptLen: ev.PromptLen,
-		outputLen: ev.OutputLen,
-		delivered: ev.Delivered,
-		firstTok:  ev.FirstToken,
-		hasFirst:  ev.HasFirst,
-		resumed:   ev.HasFirst, // mid-stream requests never abandon
-		handoff:   fn,
-	}
-	if need := float64(cr.promptLen+cr.outputLen) * in.s.bytesPerTok; need > in.s.capacity {
+	if !in.Fits(h.Req) {
 		return fmt.Errorf("serve: instance %s cannot ever fit requeued request %d (prompt %d + output %d tokens)",
-			in.name, ev.Req.ID, cr.promptLen, cr.outputLen)
+			in.name, h.Req.ID, h.Req.PromptLen, h.Req.OutputLen)
 	}
 	in.routed++
-	in.s.arrive(now, cr)
+	in.s.arrive(now, &contRequest{
+		req:       h.Req,
+		delivered: h.Delivered,
+		firstTok:  h.FirstToken,
+		hasFirst:  h.HasFirst,
+		resumed:   h.HasFirst, // mid-stream requests never abandon
+	})
 	return nil
 }
 

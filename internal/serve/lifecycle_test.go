@@ -75,7 +75,7 @@ func TestDrainFinishesInFlightWork(t *testing.T) {
 }
 
 // TestKillEvictsEverything: a kill stops the instance immediately,
-// returning every waiting and running request as an Evicted record with
+// returning every waiting and running request as a Handoff record with
 // resolved lengths, and the instance's ledger counts them as killed.
 func TestKillEvictsEverything(t *testing.T) {
 	cfg := contConfig()
@@ -94,7 +94,7 @@ func TestKillEvictsEverything(t *testing.T) {
 		})
 	}
 	killAt := reqs[len(reqs)-1].Arrival + sim.Microsecond
-	var evs []Evicted
+	var evs []Handoff
 	cal.Schedule(killAt, func(now sim.Time) {
 		outstanding := in.Outstanding()
 		evs = in.Kill(now)
@@ -123,11 +123,8 @@ func TestKillEvictsEverything(t *testing.T) {
 		t.Errorf("completed %d + killed %d != %d accepted", st.Completed, st.Killed, len(reqs))
 	}
 	for _, ev := range evs {
-		if ev.PromptLen <= 0 || ev.OutputLen <= 0 {
-			t.Errorf("eviction %d carries unresolved lengths %d/%d", ev.Req.ID, ev.PromptLen, ev.OutputLen)
-		}
-		if ev.Prefill {
-			t.Errorf("eviction %d marked prefill on a monolithic instance", ev.Req.ID)
+		if ev.Req.PromptLen <= 0 || ev.Req.OutputLen <= 0 {
+			t.Errorf("eviction %d carries unresolved lengths %d/%d", ev.Req.ID, ev.Req.PromptLen, ev.Req.OutputLen)
 		}
 	}
 }

@@ -16,6 +16,12 @@
 //     sim.Calendar with iteration-level (Orca-style) scheduling, a
 //     KV-cache capacity model gating admission, and decode-phase
 //     execution — see continuous.go.
+//
+// A continuous Instance can also share one calendar with others as a
+// fleet member (internal/cluster). A request that moves between
+// instances is one Handoff record: a prefill-only instance
+// (SetHandoff) hands every finished prefill away to Resume elsewhere,
+// and Kill evicts in-flight requests for AcceptRequeued.
 package serve
 
 import (

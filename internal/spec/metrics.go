@@ -141,54 +141,27 @@ func checkMetricPath(k Kind, path string) error {
 	return nil
 }
 
+// reportWalk addresses report fields as metricField does. A no-field
+// error at the root names it "".
+var reportWalk = pathWalk{
+	field: func(v reflect.Value, name string) (reflect.Value, bool) {
+		sf, ok := metricField(v.Type(), name)
+		if !ok {
+			return reflect.Value{}, false
+		}
+		return v.FieldByIndex(sf.Index), true
+	},
+	doc:  "the report",
+	root: `""`,
+}
+
 // extractMetric walks one finished (non-sweep) report along a validated
 // metric path and widens the numeric leaf to float64. Virtual times
 // (sim.Time) extract as nanoseconds.
 func extractMetric(r *Report, path string) (float64, error) {
-	segs, err := splitPath(path)
+	v, walked, err := reportWalk.walk(reflect.ValueOf(r).Elem(), path)
 	if err != nil {
 		return 0, err
-	}
-	v := reflect.ValueOf(r).Elem()
-	walked := ""
-	for _, seg := range segs {
-		for v.Kind() == reflect.Pointer {
-			if v.IsNil() {
-				return 0, fmt.Errorf("section %q is not present in the report", walked)
-			}
-			v = v.Elem()
-		}
-		if v.Kind() != reflect.Struct {
-			return 0, fmt.Errorf("%q does not contain fields", walked)
-		}
-		sf, ok := metricField(v.Type(), seg.name)
-		if !ok {
-			return 0, fmt.Errorf("no field %q under %q", seg.name, walked)
-		}
-		walked = joinWalked(walked, seg.name)
-		v = v.FieldByIndex(sf.Index)
-		if seg.idx >= 0 {
-			for v.Kind() == reflect.Pointer {
-				if v.IsNil() {
-					return 0, fmt.Errorf("section %q is not present in the report", walked)
-				}
-				v = v.Elem()
-			}
-			if v.Kind() != reflect.Slice {
-				return 0, fmt.Errorf("%q is not a list", walked)
-			}
-			if seg.idx >= v.Len() {
-				return 0, fmt.Errorf("index %d out of range for %q (%d entries)", seg.idx, walked, v.Len())
-			}
-			v = v.Index(seg.idx)
-			walked += fmt.Sprintf("[%d]", seg.idx)
-		}
-	}
-	for v.Kind() == reflect.Pointer {
-		if v.IsNil() {
-			return 0, fmt.Errorf("section %q is not present in the report", walked)
-		}
-		v = v.Elem()
 	}
 	switch {
 	case v.CanInt():

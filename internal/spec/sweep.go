@@ -72,62 +72,84 @@ func fieldByJSONTag(v reflect.Value, name string) (reflect.Value, bool) {
 	return reflect.Value{}, false
 }
 
-// resolveField walks the spec document along a JSON path and returns
-// the addressed leaf, settable in place. The walk fails on unknown
-// field names, sections absent from the base document, out-of-range
-// indices, and targets that are not numeric or string leaves.
-func resolveField(s *Spec, path string) (reflect.Value, error) {
+// pathWalk is one reflective walk along a JSON path. The spec document
+// and the finished report share the walk and differ only in how a
+// segment names a struct field and in the wording of their errors.
+type pathWalk struct {
+	// field finds the struct field a path segment names.
+	field func(v reflect.Value, name string) (reflect.Value, bool)
+	// doc names the walked document in absent-section errors.
+	doc string
+	// root names the document root in unknown-field errors.
+	root string
+}
+
+// walk follows path from root, dereferencing pointers, and returns the
+// addressed value (pointers dereferenced) and the path walked, for the
+// caller's leaf check. It fails on unknown field names, sections absent
+// from the document, non-list indexing, and out-of-range indices.
+func (w pathWalk) walk(root reflect.Value, path string) (reflect.Value, string, error) {
 	segs, err := splitPath(path)
 	if err != nil {
-		return reflect.Value{}, err
+		return reflect.Value{}, "", err
 	}
-	v := reflect.ValueOf(s).Elem()
-	walked := "" // the path resolved so far, for error messages
-	for _, seg := range segs {
+	v, walked := root, "" // walked: the path resolved so far, for error messages
+	deref := func() error {
 		for v.Kind() == reflect.Pointer {
 			if v.IsNil() {
-				return reflect.Value{}, fmt.Errorf("section %q is not present in the base document", walked)
+				return fmt.Errorf("section %q is not present in %s", walked, w.doc)
 			}
 			v = v.Elem()
 		}
-		if v.Kind() != reflect.Struct {
-			return reflect.Value{}, fmt.Errorf("%q does not contain fields", walked)
+		return nil
+	}
+	for _, seg := range segs {
+		if err := deref(); err != nil {
+			return reflect.Value{}, "", err
 		}
-		f, ok := fieldByJSONTag(v, seg.name)
+		if v.Kind() != reflect.Struct {
+			return reflect.Value{}, "", fmt.Errorf("%q does not contain fields", walked)
+		}
+		f, ok := w.field(v, seg.name)
 		if !ok {
-			where := "the document root"
+			where := w.root
 			if walked != "" {
 				where = fmt.Sprintf("%q", walked)
 			}
-			return reflect.Value{}, fmt.Errorf("no field %q under %s", seg.name, where)
+			return reflect.Value{}, "", fmt.Errorf("no field %q under %s", seg.name, where)
 		}
-		if walked != "" {
-			walked += "."
-		}
-		walked += seg.name
-		v = f
+		walked, v = joinWalked(walked, seg.name), f
 		if seg.idx >= 0 {
-			for v.Kind() == reflect.Pointer {
-				if v.IsNil() {
-					return reflect.Value{}, fmt.Errorf("section %q is not present in the base document", walked)
-				}
-				v = v.Elem()
+			if err := deref(); err != nil {
+				return reflect.Value{}, "", err
 			}
 			if v.Kind() != reflect.Slice {
-				return reflect.Value{}, fmt.Errorf("%q is not a list", walked)
+				return reflect.Value{}, "", fmt.Errorf("%q is not a list", walked)
 			}
 			if seg.idx >= v.Len() {
-				return reflect.Value{}, fmt.Errorf("index %d out of range for %q (%d entries)", seg.idx, walked, v.Len())
+				return reflect.Value{}, "", fmt.Errorf("index %d out of range for %q (%d entries)", seg.idx, walked, v.Len())
 			}
 			v = v.Index(seg.idx)
 			walked += fmt.Sprintf("[%d]", seg.idx)
 		}
 	}
-	for v.Kind() == reflect.Pointer {
-		if v.IsNil() {
-			return reflect.Value{}, fmt.Errorf("section %q is not present in the base document", walked)
-		}
-		v = v.Elem()
+	if err := deref(); err != nil {
+		return reflect.Value{}, "", err
+	}
+	return v, walked, nil
+}
+
+// specWalk addresses spec-document fields by their json tags.
+var specWalk = pathWalk{field: fieldByJSONTag, doc: "the base document", root: "the document root"}
+
+// resolveField walks the spec document along a JSON path and returns
+// the addressed leaf, settable in place. The walk fails on unknown
+// field names, sections absent from the base document, out-of-range
+// indices, and targets that are not numeric or string leaves.
+func resolveField(s *Spec, path string) (reflect.Value, error) {
+	v, walked, err := specWalk.walk(reflect.ValueOf(s).Elem(), path)
+	if err != nil {
+		return reflect.Value{}, err
 	}
 	switch v.Kind() {
 	case reflect.String, reflect.Int, reflect.Int32, reflect.Int64,
