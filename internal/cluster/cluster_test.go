@@ -355,10 +355,10 @@ func TestClusterSLOPropagation(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterPick times one placement decision per policy over an
-// 80-instance mixed pool carrying uneven load, cycling through
-// requests of four prompt lengths across sixteen sessions.
-func BenchmarkRouterPick(b *testing.B) {
+// loadedPool is an 80-instance mixed pool carrying uneven load (0 to 4
+// queued requests each), plus requests of four prompt lengths across
+// sixteen sessions to place on it.
+func loadedPool(tb testing.TB) ([]*serve.Instance, []serve.Request) {
 	cal := sim.NewCalendar()
 	pool := make([]*serve.Instance, 80)
 	for i := range pool {
@@ -368,11 +368,11 @@ func BenchmarkRouterPick(b *testing.B) {
 		}
 		in, err := serve.NewInstance(fmt.Sprintf("%s#%d", p.Name, i), testServeConfig(p), cal)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for k := 0; k < i%5; k++ {
 			if err := in.Accept(0, serve.Request{ID: 8*i + k, PromptLen: 32, OutputLen: 4}); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		pool[i] = in
@@ -381,6 +381,13 @@ func BenchmarkRouterPick(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = serve.Request{ID: 1000 + i, SessionID: int64(i%16 + 1), PromptLen: int64(16 + 16*(i%4)), OutputLen: 4}
 	}
+	return pool, reqs
+}
+
+// BenchmarkRouterPick times one placement decision per policy over the
+// loaded pool (see loadedPool), cycling through its requests.
+func BenchmarkRouterPick(b *testing.B) {
+	pool, reqs := loadedPool(b)
 	for _, policy := range Policies() {
 		b.Run(policy.String(), func(b *testing.B) {
 			rt := NewRouter(policy, 40)

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sort"
-
 	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
 )
@@ -81,7 +79,15 @@ type DecisionRecorder struct {
 	picks       int
 	decisions   []Decision
 	counter     map[Policy]*CounterfactualStat
+	// top is the reused top-k scratch a pick ranks its alternatives in;
+	// slab is the open chunk the kept alternatives are copied into, so
+	// a pick allocates only when a chunk fills.
+	top  []AltScore
+	slab []AltScore
 }
+
+// altSlabChunk is the alternatives capacity of one slab chunk.
+const altSlabChunk = 1024
 
 // NewDecisionRecorder builds a recorder for the active policy. k caps
 // the alternatives stored per decision; shortPrompt is the
@@ -130,28 +136,58 @@ func (r *DecisionRecorder) Record(now sim.Time, req serve.Request, instances []*
 		Outstanding: in.Outstanding(), KVPressure: in.KVPressure(),
 		LinkWait: linkWait,
 	}
-	score := func(in *serve.Instance) float64 {
-		if r.policy == LeastKV {
-			return in.KVPressure()
-		}
-		return float64(in.Outstanding())
-	}
+	r.top = r.top[:0]
 	for i, alt := range instances {
 		if i == chosen || !alt.Accepting() || !alt.Fits(req) {
 			continue
 		}
-		d.Alternatives = append(d.Alternatives, AltScore{
+		a := AltScore{
 			Instance: alt.Name(), Outstanding: alt.Outstanding(),
-			KVPressure: alt.KVPressure(), Score: score(alt),
-		})
+			KVPressure: alt.KVPressure(),
+		}
+		a.Score = float64(a.Outstanding)
+		if r.policy == LeastKV {
+			a.Score = a.KVPressure
+		}
+		r.top = insertTopK(r.top, a, r.k)
 	}
-	sort.SliceStable(d.Alternatives, func(i, j int) bool {
-		return d.Alternatives[i].Score < d.Alternatives[j].Score
-	})
-	if len(d.Alternatives) > r.k {
-		d.Alternatives = d.Alternatives[:r.k]
-	}
+	d.Alternatives = r.keep(r.top)
 	r.decisions = append(r.decisions, d)
+}
+
+// insertTopK inserts a into top, which holds at most k alternatives in
+// ascending Score order with ties in insertion order. Fed every
+// candidate in turn, it keeps exactly the first k of a stable sort by
+// Score.
+func insertTopK(top []AltScore, a AltScore, k int) []AltScore {
+	i := len(top)
+	for i > 0 && top[i-1].Score > a.Score {
+		i--
+	}
+	if i >= k {
+		return top
+	}
+	if len(top) < k {
+		top = append(top, AltScore{})
+	}
+	copy(top[i+1:], top[i:len(top)-1])
+	top[i] = a
+	return top
+}
+
+// keep copies alts into the slab and returns the copy, capped at its
+// length so an append to one decision's alternatives can never write
+// into the next one's. No alternatives keep nil.
+func (r *DecisionRecorder) keep(alts []AltScore) []AltScore {
+	if len(alts) == 0 {
+		return nil
+	}
+	if cap(r.slab)-len(r.slab) < len(alts) {
+		r.slab = make([]AltScore, 0, max(altSlabChunk, len(alts)))
+	}
+	i := len(r.slab)
+	r.slab = append(r.slab, alts...)
+	return r.slab[i:len(r.slab):len(r.slab)]
 }
 
 // Stats assembles the routing section, counterfactuals in canonical

@@ -134,7 +134,9 @@ type Stats struct {
 
 // block is one cached prefix block. A block is either device-resident
 // (possibly pinned) or on the host tier (never pinned). Unpinned blocks
-// sit in their tier's eviction list; pinned blocks are off-list.
+// sit in their tier's eviction list; pinned blocks are off-list. A
+// block dropped from the cache goes onto the free list (linked through
+// next) and the next miss reuses it.
 type block struct {
 	key    uint64
 	refs   int
@@ -215,7 +217,11 @@ type Cache struct {
 	blocks     map[uint64]*block
 	deviceFree evictList // unpinned device blocks
 	hostList   evictList // host-tier blocks (always unpinned)
-	deviceUsed int       // device blocks resident, pinned or not
+	// free heads the recycled blocks, singly linked through next. Live
+	// blocks never exceed device plus host capacity, so a warm cache's
+	// misses allocate nothing.
+	free       *block
+	deviceUsed int // device blocks resident, pinned or not
 	tick       uint64
 	stats      Stats
 }
@@ -374,9 +380,7 @@ func (c *Cache) Acquire(session, promptLen int64, transferred bool) Grant {
 				c.finish(&g, transferred, want-i)
 				return g
 			}
-			c.tick++
-			b = &block{key: key, refs: 1, born: c.tick}
-			c.blocks[key] = b
+			c.place(key)
 			c.deviceUsed++
 			g.Misses++
 			contiguous = false
@@ -426,7 +430,7 @@ func (c *Cache) freeDeviceSlot(g *Grant) bool {
 		if c.hostList.n >= c.hostCap {
 			hv := c.hostList.front
 			c.hostList.remove(hv)
-			delete(c.blocks, hv.key)
+			c.drop(hv)
 			c.stats.HostEvictions++
 			g.HostEvicted++
 		}
@@ -435,9 +439,31 @@ func (c *Cache) freeDeviceSlot(g *Grant) bool {
 		c.stats.Spills++
 		g.Spilled++
 	} else {
-		delete(c.blocks, victim.key)
+		c.drop(victim)
 	}
 	return true
+}
+
+// place maps key to a fresh block pinned once, reusing a block from the
+// free list when there is one.
+func (c *Cache) place(key uint64) {
+	c.tick++
+	b := c.free
+	if b != nil {
+		c.free = b.next
+		*b = block{key: key, refs: 1, born: c.tick}
+	} else {
+		b = &block{key: key, refs: 1, born: c.tick}
+	}
+	c.blocks[key] = b
+}
+
+// drop unmaps an off-list block and puts it on the free list; place
+// resets every field when it reuses the block.
+func (c *Cache) drop(b *block) {
+	delete(c.blocks, b.key)
+	b.next = c.free
+	c.free = b
 }
 
 // pin takes a reference on a device-resident block, removing it from

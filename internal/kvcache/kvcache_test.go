@@ -360,23 +360,23 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// BenchmarkKVCacheAcquireRelease times one request's cache round trip —
-// Peek, Acquire, then Release — over a warmed LRU cache with a host
-// tier. Requests pick one of 64 sessions with 31-block prompts, more
-// than device plus host can hold, so the steady state mixes hits,
-// restores, misses, evictions and spills.
-func BenchmarkKVCacheAcquireRelease(b *testing.B) {
+// warmRound returns one request's cache round trip — Peek, Acquire,
+// then Release — over a warmed LRU cache with a host tier. Requests
+// pick one of 64 sessions with 31-block prompts, more than device plus
+// host can hold, so the steady state mixes hits, restores, misses,
+// evictions, spills and host drops.
+func warmRound(tb testing.TB) (round func(), c *Cache) {
 	const sessions, prompt = 64, 1024
 	c, err := New(Config{DeviceBlocks: 1024, HostSpillBlocks: 512})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	x := uint64(1)
 	session := func() int64 { // a fixed LCG: a deterministic session mix
 		x = x*6364136223846793005 + 1442695040888963407
 		return int64(x>>33)%sessions + 1
 	}
-	round := func() {
+	round = func() {
 		s := session()
 		peeked = c.Peek(s, prompt)
 		c.Release(s, c.Acquire(s, prompt, false).Pinned)
@@ -384,6 +384,13 @@ func BenchmarkKVCacheAcquireRelease(b *testing.B) {
 	for i := 0; i < 4*sessions; i++ {
 		round()
 	}
+	return round, c
+}
+
+// BenchmarkKVCacheAcquireRelease times one warm round trip (see
+// warmRound).
+func BenchmarkKVCacheAcquireRelease(b *testing.B) {
+	round, _ := warmRound(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

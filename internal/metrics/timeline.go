@@ -172,25 +172,33 @@ type Aggregator struct {
 	// Per-instance latest state, plus running fleet sums maintained
 	// incrementally (one delta per sample, in event order) so the
 	// fleet-level levels are bit-deterministic — summing a map each
-	// sample would add floats in random iteration order.
-	instKV      map[string]float64
-	instQueue   map[string]float64
-	latestCache map[string]cachePair
+	// sample would add floats in random iteration order. live counts
+	// the levels entries that are live (the KV mean's denominator).
+	levels      map[string]*instLevel
+	live        int
 	qSum, kvSum float64
 	cacheL      int64
 	cacheH      int64
 }
 
-type cachePair struct{ lookups, hits int64 }
+// instLevel is one instance's latest state sample: its queue and KV
+// levels (zero once it has departed), its cumulative cache counters
+// (kept across departure — that history happened), and its timeline
+// scope (nil when per-instance series are off). One map lookup per
+// sample finds all of it.
+type instLevel struct {
+	queue, kv     float64
+	live          bool
+	lookups, hits int64
+	scope         *scopeState
+}
 
 // NewAggregator builds an aggregator for one simulation run.
 func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	a := &Aggregator{
-		cfg:         cfg,
-		instances:   make(map[string]*scopeState),
-		instKV:      make(map[string]float64),
-		instQueue:   make(map[string]float64),
-		latestCache: make(map[string]cachePair),
+		cfg:       cfg,
+		instances: make(map[string]*scopeState),
+		levels:    make(map[string]*instLevel),
 	}
 	a.active.level = float64(cfg.InitialInstances)
 	return a
@@ -243,9 +251,6 @@ func (a *Aggregator) Observe(e serve.Event) {
 			}
 		}
 	case serve.EventStateSample:
-		if e.State == nil {
-			return
-		}
 		a.stateSample(e)
 	case serve.EventKVTransferStart:
 		a.nTransfer++
@@ -262,21 +267,29 @@ func (a *Aggregator) Observe(e serve.Event) {
 }
 
 func (a *Aggregator) stateSample(e serve.Event) {
-	st := e.State
+	st := &e.State
 	key := e.Instance // "" for single-instance runs: one implicit scope
-	a.qSum += float64(st.Queue) - a.instQueue[key]
-	a.kvSum += st.KVFrac - a.instKV[key]
-	a.instQueue[key] = float64(st.Queue)
-	a.instKV[key] = st.KVFrac
-	prev := a.latestCache[key]
-	a.cacheL += st.CacheLookups - prev.lookups
-	a.cacheH += st.CacheHits - prev.hits
-	a.latestCache[key] = cachePair{st.CacheLookups, st.CacheHits}
+	lv := a.levels[key]
+	if lv == nil {
+		lv = &instLevel{scope: a.scope(key)}
+		a.levels[key] = lv
+	}
+	if !lv.live {
+		lv.live = true
+		a.live++
+	}
+	a.qSum += float64(st.Queue) - lv.queue
+	a.kvSum += st.KVFrac - lv.kv
+	lv.queue = float64(st.Queue)
+	lv.kv = st.KVFrac
+	a.cacheL += st.CacheLookups - lv.lookups
+	a.cacheH += st.CacheHits - lv.hits
+	lv.lookups, lv.hits = st.CacheLookups, st.CacheHits
 	a.fleet.queue.set(e.Time, a.cfg.Interval, a.qSum)
-	a.fleet.kv.set(e.Time, a.cfg.Interval, a.kvSum/float64(len(a.instKV)))
+	a.fleet.kv.set(e.Time, a.cfg.Interval, a.kvSum/float64(a.live))
 	w := a.window(e.Time)
 	a.fleet.cacheSample(w, a.cacheL, a.cacheH)
-	if s := a.scope(e.Instance); s != nil {
+	if s := lv.scope; s != nil {
 		s.queue.set(e.Time, a.cfg.Interval, float64(st.Queue))
 		s.kv.set(e.Time, a.cfg.Interval, st.KVFrac)
 		s.cacheSample(w, st.CacheLookups, st.CacheHits)
@@ -289,20 +302,21 @@ func (a *Aggregator) stateSample(e serve.Event) {
 // too. Its cumulative cache counters stay in the fleet total — that
 // history happened.
 func (a *Aggregator) dropInstanceState(t sim.Time, instance string) {
-	if _, ok := a.instQueue[instance]; !ok {
+	lv := a.levels[instance]
+	if lv == nil || !lv.live {
 		return
 	}
-	a.qSum -= a.instQueue[instance]
-	a.kvSum -= a.instKV[instance]
-	delete(a.instQueue, instance)
-	delete(a.instKV, instance)
+	a.qSum -= lv.queue
+	a.kvSum -= lv.kv
+	lv.queue, lv.kv, lv.live = 0, 0, false
+	a.live--
 	a.fleet.queue.set(t, a.cfg.Interval, a.qSum)
 	level := 0.0
-	if len(a.instKV) > 0 {
-		level = a.kvSum / float64(len(a.instKV))
+	if a.live > 0 {
+		level = a.kvSum / float64(a.live)
 	}
 	a.fleet.kv.set(t, a.cfg.Interval, level)
-	if s := a.instances[instance]; s != nil {
+	if s := lv.scope; s != nil {
 		s.queue.set(t, a.cfg.Interval, 0)
 		s.kv.set(t, a.cfg.Interval, 0)
 	}

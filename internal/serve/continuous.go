@@ -69,6 +69,10 @@ type contRequest struct {
 	// chunk is the prompt chunk the in-flight iteration prefills for
 	// this request; 0 means the iteration decodes one token for it.
 	chunk int64
+	// running mirrors membership of contSim.running: set where the
+	// request joins the batch (admit), cleared wherever it leaves
+	// (preemption, completion, handoff, kill).
+	running bool
 }
 
 func (r *contRequest) kvLen() int64 { return r.req.PromptLen + r.generated }
@@ -419,6 +423,7 @@ func (s *contSim) admit(now sim.Time) {
 		}
 		head.kvBytes = need
 		s.kvUsed += need
+		head.running = true
 		s.running = append(s.running, head)
 		s.emit(now, EventAdmitted, head)
 	}
@@ -494,6 +499,7 @@ func (s *contSim) preemptForGrowth(now sim.Time) {
 		}
 		victim := s.running[len(s.running)-1]
 		s.running = s.running[:len(s.running)-1]
+		victim.running = false
 		s.kvUsed -= victim.kvBytes
 		victim.kvBytes = 0
 		victim.promptDone = 0
@@ -593,8 +599,8 @@ func (s *contSim) finishIteration(end sim.Time) {
 		return
 	}
 	for _, r := range s.batch {
-		if !s.isRunning(r) {
-			continue // preempted while... cannot happen mid-iteration, but stay safe
+		if !r.running {
+			continue // defensive: the batch only changes between iterations
 		}
 		if r.chunk > 0 {
 			r.promptDone += r.chunk
@@ -679,16 +685,8 @@ func (s *contSim) emitToken(r *contRequest, end sim.Time) {
 	}
 }
 
-func (s *contSim) isRunning(r *contRequest) bool {
-	for _, x := range s.running {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *contSim) removeRunning(r *contRequest) {
+	r.running = false
 	for i, x := range s.running {
 		if x == r {
 			s.running = append(s.running[:i], s.running[i+1:]...)
@@ -732,7 +730,7 @@ func (s *contSim) sample(now sim.Time) {
 		s.cfg.Observer(Event{
 			Time: now,
 			Type: EventStateSample,
-			State: &StateSample{
+			State: StateSample{
 				Queue:        s.waiting.len(),
 				Running:      len(s.running),
 				KVFrac:       frac,

@@ -443,3 +443,83 @@ func TestWaitQueueMatchesSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestRunningFlagMatchesSlice: every request's running flag agrees with
+// its membership of the running batch after each calendar step of a
+// chunked-prefill run that preempts, on a full instance, a prefill-only
+// instance that hands off, and one killed mid-run.
+func TestRunningFlagMatchesSlice(t *testing.T) {
+	bpt := gpt2KVBytesPerToken()
+	cfg := contConfig()
+	cfg.Policy = ChunkedPrefill
+	cfg.PrefillChunk = 16
+	cfg.Seq = 40
+	cfg.DefaultOutputLen = 12
+	cfg.KVCapacityBytes = 120 * bpt
+	for _, mode := range []string{"full", "handoff", "kill"} {
+		t.Run(mode, func(t *testing.T) {
+			cal := sim.NewCalendar()
+			in, err := NewInstance("i0", cfg, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handed := 0
+			if mode == "handoff" {
+				in.SetHandoff(func(sim.Time, Handoff) { handed++ })
+			}
+			for i := 0; i < 12; i++ {
+				req := Request{ID: i}
+				cal.Schedule(sim.Time(i)*sim.Millisecond, func(now sim.Time) {
+					if err := in.Accept(now, req); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			s := in.s
+			var seen []*contRequest
+			check := func(step int) {
+				for _, r := range s.waiting.items() {
+					if !slices.Contains(seen, r) {
+						seen = append(seen, r)
+					}
+				}
+				for _, r := range seen {
+					if r.running != slices.Contains(s.running, r) {
+						t.Fatalf("step %d: request %d has running=%v, batch membership %v",
+							step, r.req.ID, r.running, !r.running)
+					}
+				}
+			}
+			killed := 0
+			for step := 0; cal.Step(); step++ {
+				check(step)
+				if mode == "kill" && killed == 0 && s.preemptions > 0 && len(s.running) > 0 && s.waiting.len() > 0 {
+					killed = len(in.Kill(cal.Now()))
+					check(step)
+				}
+			}
+			if s.err != nil {
+				t.Fatal(s.err)
+			}
+			switch mode {
+			case "full":
+				if s.preemptions == 0 || s.completed != 12 {
+					t.Fatalf("want preemptions and 12 completions, got %d preemptions, %d completed", s.preemptions, s.completed)
+				}
+			case "handoff":
+				if handed != 12 {
+					t.Fatalf("handed off %d of 12", handed)
+				}
+			case "kill":
+				if killed == 0 {
+					t.Fatal("the run never reached a kill point")
+				}
+			}
+			for _, r := range seen {
+				if r.running {
+					t.Fatalf("request %d still flagged running after the run", r.req.ID)
+				}
+			}
+		})
+	}
+}

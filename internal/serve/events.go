@@ -180,9 +180,10 @@ type Event struct {
 	// Tokens is the request's delivered output-token count, stamped on
 	// EventCompleted.
 	Tokens int64
-	// State carries the EventStateSample payload (nil for every other
-	// event type).
-	State *StateSample
+	// State carries the EventStateSample payload by value, so emitting a
+	// sample allocates nothing. It is the zero value on every other
+	// event type; MarshalJSON writes it only for EventStateSample.
+	State StateSample
 }
 
 // StateSample is an instance-state snapshot: the EventStateSample
@@ -244,8 +245,13 @@ func (e Event) String() string {
 // with stable snake_case keys: `{"seq":…,"t_ns":…,"type":"admitted",…}`.
 // The type is its string name, the time its raw virtual-nanosecond
 // count. RequestID serializes unconditionally (request 0 is real);
-// everything optional is omitted when empty.
+// everything optional is omitted when empty. "state" appears on
+// EventStateSample only, even when every field of the sample is zero.
 func (e Event) MarshalJSON() ([]byte, error) {
+	var state *StateSample
+	if e.Type == EventStateSample {
+		state = &e.State
+	}
 	return json.Marshal(struct {
 		Seq       int64        `json:"seq"`
 		TimeNs    int64        `json:"t_ns"`
@@ -263,9 +269,11 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		State     *StateSample `json:"state,omitempty"`
 	}{e.Seq, int64(e.Time), e.Type.String(), e.RequestID,
 		e.SessionID, e.Instance, e.Link, e.Detail, e.Completed, e.Total,
-		int64(e.TTFT), int64(e.TPOT), e.Tokens, e.State})
+		int64(e.TTFT), int64(e.TPOT), e.Tokens, state})
 }
 
 // Observer receives simulation events as they happen. Observers must
-// not retain the simulator's internal state; the Event value is theirs.
+// not retain the simulator's internal state; the Event value is theirs,
+// State included: the sample is copied in, not shared with the
+// simulator.
 type Observer func(Event)

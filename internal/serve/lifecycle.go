@@ -99,6 +99,7 @@ func (in *Instance) Kill(now sim.Time) []Handoff {
 		// leave the cache ledger balanced even though the instance's
 		// cache dies with it.
 		s.releaseBlocks(cr)
+		cr.running = false
 		s.killed++
 		out = append(out, cr.handoffRecord())
 	}

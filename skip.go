@@ -525,7 +525,8 @@ type (
 	// wall time, events processed, events/sec, allocation churn.
 	SimProfile = metrics.Profile
 	// StateSample is the queue/KV/cache snapshot an EventStateSample
-	// carries.
+	// carries by value in Event.State (the zero value on every other
+	// event type).
 	StateSample = serve.StateSample
 )
 
