@@ -507,13 +507,8 @@ func printServeReport(sp *skip.Spec, rep *skip.Report) {
 	fmt.Printf("%s / %s  policy=%s workload=%s  %d requests\n",
 		platformLabel(sp), sp.Model, policy, workloadLabel(sp.Workload), rep.Offered)
 	fmt.Printf("  mean batch   %.1f over %d iterations\n", stats.MeanBatch, stats.Batches)
-	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
-		stats.MeanTTFT, stats.P50TTFT, stats.P95TTFT, stats.P99TTFT, stats.MaxTTFT)
+	printLatency(&stats.Latency, continuous)
 	if continuous {
-		fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n",
-			stats.MeanTPOT, stats.P50TPOT, stats.P95TPOT)
-		fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
-			stats.MeanE2E, stats.P50E2E, stats.P95E2E, stats.MaxE2E)
 		fmt.Printf("  KV cache     peak %.1f%% of %.1f GB budget  (time-weighted mean %.1f%%)\n",
 			stats.PeakKVFrac*100, stats.KVCapacityBytes/1e9, stats.MeanKVFrac*100)
 		printKVCache(stats.KVCache)
@@ -571,17 +566,25 @@ func printClusterReport(sp *skip.Spec, rep *skip.Report) {
 // printPooled renders a fleet report's pooled latencies, rates and
 // load spread; spread names what the imbalance CV is taken over.
 func printPooled(p *cluster.Pooled, sloSet bool, spread string) {
-	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
-		p.MeanTTFT, p.P50TTFT, p.P95TTFT, p.P99TTFT, p.MaxTTFT)
-	fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n", p.MeanTPOT, p.P50TPOT, p.P95TPOT)
-	fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
-		p.MeanE2E, p.P50E2E, p.P95E2E, p.MaxE2E)
+	printLatency(&p.Latency, true)
 	fmt.Printf("  throughput   %.1f req/s  (%.0f tok/s)", p.Throughput, p.TokensPerSec)
 	if sloSet {
 		fmt.Printf("  goodput %.1f req/s, %.0f%% in SLO", p.Goodput, p.SLOAttainment*100)
 	}
 	fmt.Println()
 	fmt.Printf("  imbalance    %.3f (CV of per-instance %s)\n", p.LoadImbalance, spread)
+}
+
+// printLatency renders the TTFT line and, for reports whose requests
+// decode, the TPOT and E2E lines.
+func printLatency(l *skip.Latency, decode bool) {
+	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
+		l.MeanTTFT, l.P50TTFT, l.P95TTFT, l.P99TTFT, l.MaxTTFT)
+	if decode {
+		fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n", l.MeanTPOT, l.P50TPOT, l.P95TPOT)
+		fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
+			l.MeanE2E, l.P50E2E, l.P95E2E, l.MaxE2E)
+	}
 }
 
 // platformShare is one instance's contribution to the per-platform

@@ -253,7 +253,7 @@ func runExtKVCache() (*Result, error) {
 	ledgerOK := true
 	//skiplint:allow maprange — all-true ledger check: only ever clears one flag, so the result is order-independent
 	for _, k := range single {
-		if k.Lookups != k.Hits+k.Restored+k.Misses+k.Unallocated || k.Evictions > k.Misses+k.Restored {
+		if k.Reconcile() != nil {
 			ledgerOK = false
 		}
 	}

@@ -68,7 +68,7 @@ func runTable1() (*Result, error) {
 	// Note: at BS=1/seq=1024 the simulated Gemma-2B run is GPU-dominated,
 	// so default/reduce-overhead gains (host-side only) land below the
 	// paper's 1.20/1.24 — the directional shape (every compiled mode ≥
-	// eager, max-autotune best) is what we hold; see EXPERIMENTS.md.
+	// eager, max-autotune best) is what we hold.
 	res.Checks = append(res.Checks,
 		checkBand("default speedup", speedups[1], 1.0, 1.45, "1.203"),
 		checkBand("reduce-overhead speedup", speedups[2], 1.0, 1.50, "1.239"),

@@ -66,9 +66,7 @@ type Stats struct {
 // request's first token was served, TPOT and E2E samples from wherever
 // it finished.
 type Pooled struct {
-	MeanTTFT, P50TTFT, P95TTFT, P99TTFT, MaxTTFT sim.Time
-	MeanTPOT, P50TPOT, P95TPOT                   sim.Time
-	MeanE2E, P50E2E, P95E2E, MaxE2E              sim.Time
+	serve.Latency
 
 	// Horizon is the last completion across the fleet.
 	Horizon sim.Time
@@ -165,15 +163,7 @@ func (f *fleetSim) tally() (*totals, error) {
 	}
 
 	p := &t.Pooled
-	p.MeanTTFT, p.MaxTTFT = meanMax(ttfts)
-	pt := serve.Percentiles(ttfts, 50, 95, 99)
-	p.P50TTFT, p.P95TTFT, p.P99TTFT = pt[0], pt[1], pt[2]
-	p.MeanTPOT, _ = meanMax(tpots)
-	pp := serve.Percentiles(tpots, 50, 95)
-	p.P50TPOT, p.P95TPOT = pp[0], pp[1]
-	p.MeanE2E, p.MaxE2E = meanMax(e2es)
-	pe := serve.Percentiles(e2es, 50, 95)
-	p.P50E2E, p.P95E2E = pe[0], pe[1]
+	p.Latency = serve.SummarizeLatency(ttfts, tpots, e2es)
 	if p.Horizon > 0 {
 		sec := p.Horizon.Seconds()
 		p.Throughput = float64(t.completed) / sec
@@ -227,22 +217,6 @@ func (f *fleetSim) finishChaos() *ChaosStats {
 		f.chaos.FinalActive = f.active(RoleBoth)
 	}
 	return f.chaos
-}
-
-// meanMax returns the mean and maximum of a latency sample set (0, 0
-// when empty).
-func meanMax(ts []sim.Time) (mean, max sim.Time) {
-	if len(ts) == 0 {
-		return 0, 0
-	}
-	var sum sim.Time
-	for _, t := range ts {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	return sum / sim.Time(len(ts)), max
 }
 
 // imbalanceCV is the coefficient of variation (stddev/mean) of

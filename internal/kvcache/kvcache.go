@@ -108,11 +108,13 @@ type Grant struct {
 }
 
 // Stats is the cache ledger. Every counter is cumulative and the set
-// reconciles exactly:
+// reconciles exactly (see Reconcile):
 //
-//	Lookups     == Hits + Restored + Misses + Unallocated
-//	Evictions   == Spills + device drops, and every evicted block had a
-//	               prior device placement, so Evictions ≤ Misses + Restored
+//	Lookups       == Hits + Restored + Misses + Unallocated
+//	Evictions     == Spills + device drops, and every evicted block had a
+//	                 prior device placement: a miss, a restore, or a
+//	                 transferred acquire's host promotion (counted as a
+//	                 hit), so Evictions ≤ Misses + Restored + promotions
 //	HostEvictions ≤ Spills
 type Stats struct {
 	// Lookups counts prefix blocks wanted across all Acquires.
@@ -130,6 +132,46 @@ type Stats struct {
 	// ReusedTokens is the total prefill reuse credit granted (fresh
 	// requests only; transferred caches arrive with their prefill done).
 	ReusedTokens int64
+
+	// promoted counts transferred acquires' host-to-device promotions:
+	// device placements the ledger reports as hits. Unexported, so
+	// reports omit it; only the eviction bound reads it.
+	promoted int64
+}
+
+// Add sums another ledger into s, counter by counter. Ledgers of
+// separate caches add into a fleet ledger that reconciles whenever its
+// parts do.
+func (s *Stats) Add(o Stats) {
+	s.Lookups += o.Lookups
+	s.Hits += o.Hits
+	s.Restored += o.Restored
+	s.Misses += o.Misses
+	s.Unallocated += o.Unallocated
+	s.Evictions += o.Evictions
+	s.Spills += o.Spills
+	s.HostEvictions += o.HostEvictions
+	s.ReusedTokens += o.ReusedTokens
+	s.promoted += o.promoted
+}
+
+// Reconcile checks the ledger's conservation laws (see Stats).
+func (s Stats) Reconcile() error {
+	if s.Lookups != s.Hits+s.Restored+s.Misses+s.Unallocated {
+		return fmt.Errorf("kv cache ledger broken: lookups %d != hits %d + restored %d + misses %d + unallocated %d",
+			s.Lookups, s.Hits, s.Restored, s.Misses, s.Unallocated)
+	}
+	if s.Evictions > s.Misses+s.Restored+s.promoted {
+		return fmt.Errorf("kv cache ledger broken: evictions %d exceed device placements (misses %d + restored %d + transferred promotions %d)",
+			s.Evictions, s.Misses, s.Restored, s.promoted)
+	}
+	if s.Spills > s.Evictions {
+		return fmt.Errorf("kv cache ledger broken: spills %d exceed evictions %d", s.Spills, s.Evictions)
+	}
+	if s.HostEvictions > s.Spills {
+		return fmt.Errorf("kv cache ledger broken: host evictions %d exceed spills %d", s.HostEvictions, s.Spills)
+	}
+	return nil
 }
 
 // block is one cached prefix block. A block is either device-resident
@@ -368,6 +410,7 @@ func (c *Cache) Acquire(session, promptLen int64, transferred bool) Grant {
 			c.deviceUsed++
 			if transferred {
 				g.Hits++
+				c.stats.promoted++
 			} else {
 				g.Restored++
 			}

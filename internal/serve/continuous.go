@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/kvcache"
@@ -781,27 +780,16 @@ func (s *contSim) cacheStats() *KVCacheStats {
 	if s.cache == nil {
 		return nil
 	}
-	cs := s.cache.Stats()
 	st := &KVCacheStats{
 		BlockTokens:     s.cache.BlockTokens(),
 		DeviceBlocks:    s.cfg.KVCache.DeviceBlocks,
 		HostSpillBlocks: s.cfg.KVCache.HostSpillBlocks,
 		Policy:          s.cfg.KVCache.Policy.String(),
-		Lookups:         cs.Lookups,
-		Hits:            cs.Hits,
-		Restored:        cs.Restored,
-		Misses:          cs.Misses,
-		Unallocated:     cs.Unallocated,
-		Evictions:       cs.Evictions,
-		Spills:          cs.Spills,
-		HostEvictions:   cs.HostEvictions,
-		ReusedTokens:    cs.ReusedTokens,
+		Stats:           s.cache.Stats(),
 		RestoredBytes:   s.restoredBytes,
 		RestoreStall:    s.restoreStall,
 	}
-	if cs.Lookups > 0 {
-		st.HitRate = float64(cs.Hits+cs.Restored) / float64(cs.Lookups)
-	}
+	st.setHitRate()
 	return st
 }
 
@@ -817,6 +805,7 @@ func (s *contSim) stats() *Stats {
 		Resumed:         s.resumed,
 		Preemptions:     s.preemptions,
 		Horizon:         s.lastCompletion,
+		Latency:         SummarizeLatency(s.ttfts, s.tpots, s.e2es),
 		Batches:         s.iterations,
 		KVCapacityBytes: s.capacity,
 		PeakKVBytes:     s.peakKV,
@@ -825,21 +814,6 @@ func (s *contSim) stats() *Stats {
 		KVCache:         s.cacheStats(),
 	}
 	st.QueueDepth, st.KVOccupancy = s.series.split()
-	sort.Slice(s.ttfts, func(i, j int) bool { return s.ttfts[i] < s.ttfts[j] })
-	sort.Slice(s.tpots, func(i, j int) bool { return s.tpots[i] < s.tpots[j] })
-	sort.Slice(s.e2es, func(i, j int) bool { return s.e2es[i] < s.e2es[j] })
-	st.MeanTTFT = meanTime(s.ttfts)
-	st.P50TTFT = percentileSorted(s.ttfts, 50)
-	st.P95TTFT = percentileSorted(s.ttfts, 95)
-	st.P99TTFT = percentileSorted(s.ttfts, 99)
-	st.MaxTTFT = maxTimeOf(s.ttfts)
-	st.MeanTPOT = meanTime(s.tpots)
-	st.P50TPOT = percentileSorted(s.tpots, 50)
-	st.P95TPOT = percentileSorted(s.tpots, 95)
-	st.MeanE2E = meanTime(s.e2es)
-	st.P50E2E = percentileSorted(s.e2es, 50)
-	st.P95E2E = percentileSorted(s.e2es, 95)
-	st.MaxE2E = maxTimeOf(s.e2es)
 	if s.iterations > 0 {
 		st.MeanBatch = float64(s.totalBatch) / float64(s.iterations)
 	}

@@ -106,9 +106,6 @@ func (in *Instance) KVPressure() float64 {
 	return pending / in.s.capacity
 }
 
-// KVCapacityBytes reports the instance's KV budget.
-func (in *Instance) KVCapacityBytes() float64 { return in.s.capacity }
-
 // CachedPrefixTokens reports how many of the request's leading prompt
 // tokens are device-resident in this instance's prefix cache — the
 // overlap a prefix-affinity router maximizes at pick time, and the
@@ -131,11 +128,10 @@ func (in *Instance) Err() error { return in.s.err }
 // shared calendar has drained.
 func (in *Instance) Stats() *Stats { return in.s.stats() }
 
-// Latencies returns copies of the raw per-request samples (TTFT, TPOT,
-// E2E) so a cluster can compute exact fleet-level percentiles instead
-// of averaging per-instance ones.
+// Latencies returns the raw per-request samples (TTFT, TPOT, E2E) so a
+// cluster can compute exact fleet-level percentiles instead of
+// averaging per-instance ones. The slices are the instance's own:
+// callers copy before they modify.
 func (in *Instance) Latencies() (ttfts, tpots, e2es []sim.Time) {
-	return append([]sim.Time(nil), in.s.ttfts...),
-		append([]sim.Time(nil), in.s.tpots...),
-		append([]sim.Time(nil), in.s.e2es...)
+	return in.s.ttfts, in.s.tpots, in.s.e2es
 }

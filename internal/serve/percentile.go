@@ -2,7 +2,7 @@ package serve
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/skipsim/skip/internal/sim"
 )
@@ -10,31 +10,27 @@ import (
 // Percentile returns the nearest-rank p-th percentile of the samples
 // (p in (0,100]): the smallest value such that at least p% of samples
 // are ≤ it. The input need not be sorted; a zero-length input returns 0.
-// Both the legacy prefill-only stats and the continuous-batching stats
-// report percentiles through this one definition, so policies are
-// comparable rank-for-rank.
+// Every report's percentiles (see SummarizeLatency) use this one
+// definition, so policies are comparable rank-for-rank.
 func Percentile(samples []sim.Time, p float64) sim.Time {
 	if len(samples) == 0 {
 		return 0
 	}
-	sorted := make([]sim.Time, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
 	return percentileSorted(sorted, p)
 }
 
 // Percentiles returns the nearest-rank percentiles for every p in ps
-// with a single copy-and-sort of the samples — the stats assemblers
-// ask for three or more percentiles of the same pooled sample set, and
-// one sort serves them all. A zero-length input returns all zeros.
+// with a single copy-and-sort of the samples. A zero-length input
+// returns all zeros.
 func Percentiles(samples []sim.Time, ps ...float64) []sim.Time {
 	out := make([]sim.Time, len(ps))
 	if len(samples) == 0 {
 		return out
 	}
-	sorted := make([]sim.Time, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
 	for i, p := range ps {
 		out[i] = percentileSorted(sorted, p)
 	}
@@ -58,16 +54,47 @@ func percentileSorted(sorted []sim.Time, p float64) sim.Time {
 	return sorted[rank-1]
 }
 
-// meanTime averages a sample slice (0 for empty input).
-func meanTime(samples []sim.Time) sim.Time {
-	if len(samples) == 0 {
-		return 0
+// Latency is the per-request latency block every serving and fleet
+// report carries, in this field order.
+type Latency struct {
+	// TTFT: arrival → first output token.
+	MeanTTFT, P50TTFT, P95TTFT, P99TTFT, MaxTTFT sim.Time
+	// TPOT: mean inter-token time per request, aggregated (zero when no
+	// request decodes more than one token).
+	MeanTPOT, P50TPOT, P95TPOT sim.Time
+	// E2E: arrival → final token.
+	MeanE2E, P50E2E, P95E2E, MaxE2E sim.Time
+}
+
+// SummarizeLatency fills the latency block from raw per-request
+// samples: nearest-rank percentiles, the mean and the maximum of each
+// set, all 0 for an empty one. It sorts the slices in place.
+func SummarizeLatency(ttfts, tpots, e2es []sim.Time) Latency {
+	var mean [3]sim.Time
+	for i, ts := range [][]sim.Time{ttfts, tpots, e2es} {
+		slices.Sort(ts)
+		var sum sim.Time
+		for _, t := range ts {
+			sum += t
+		}
+		if len(ts) > 0 {
+			mean[i] = sum / sim.Time(len(ts))
+		}
 	}
-	var sum sim.Time
-	for _, s := range samples {
-		sum += s
+	return Latency{
+		MeanTTFT: mean[0],
+		P50TTFT:  percentileSorted(ttfts, 50),
+		P95TTFT:  percentileSorted(ttfts, 95),
+		P99TTFT:  percentileSorted(ttfts, 99),
+		MaxTTFT:  percentileSorted(ttfts, 100),
+		MeanTPOT: mean[1],
+		P50TPOT:  percentileSorted(tpots, 50),
+		P95TPOT:  percentileSorted(tpots, 95),
+		MeanE2E:  mean[2],
+		P50E2E:   percentileSorted(e2es, 50),
+		P95E2E:   percentileSorted(e2es, 95),
+		MaxE2E:   percentileSorted(e2es, 100),
 	}
-	return sum / sim.Time(len(samples))
 }
 
 // SLOGoodput computes the SLO block shared by the serving and cluster
@@ -95,15 +122,4 @@ func SLOGoodput(ttfts []sim.Time, slo, horizon sim.Time, throughput float64) (at
 		goodput = float64(met) / horizon.Seconds()
 	}
 	return attainment, goodput
-}
-
-// maxTimeOf returns the largest sample (0 for empty input).
-func maxTimeOf(samples []sim.Time) sim.Time {
-	var m sim.Time
-	for _, s := range samples {
-		if s > m {
-			m = s
-		}
-	}
-	return m
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/skipsim/skip/internal/sim"
@@ -73,5 +75,49 @@ func TestPercentileUnsortedInput(t *testing.T) {
 	// The input slice must not be reordered.
 	if samples[0] != 90 || samples[4] != 70 {
 		t.Error("Percentile mutated its input")
+	}
+}
+
+// TestSummarizeLatencyMatchesReference checks the one latency
+// summarizer against Percentile and a plain mean and max, on shuffled
+// inputs of several sizes, the empty set included.
+func TestSummarizeLatencyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 101} {
+		sets := make([][]sim.Time, 3)
+		for i := range sets {
+			for j := 0; j < n; j++ {
+				sets[i] = append(sets[i], sim.Time(rng.Int63n(1e9)))
+			}
+		}
+		ref := func(ts []sim.Time) (mean, max sim.Time) {
+			for _, t := range ts {
+				mean += t
+				if t > max {
+					max = t
+				}
+			}
+			if len(ts) > 0 {
+				mean /= sim.Time(len(ts))
+			}
+			return mean, max
+		}
+		tm, tx := ref(sets[0])
+		pm, _ := ref(sets[1])
+		em, ex := ref(sets[2])
+		want := Latency{
+			MeanTTFT: tm, P50TTFT: Percentile(sets[0], 50), P95TTFT: Percentile(sets[0], 95),
+			P99TTFT: Percentile(sets[0], 99), MaxTTFT: tx,
+			MeanTPOT: pm, P50TPOT: Percentile(sets[1], 50), P95TPOT: Percentile(sets[1], 95),
+			MeanE2E: em, P50E2E: Percentile(sets[2], 50), P95E2E: Percentile(sets[2], 95), MaxE2E: ex,
+		}
+		if got := SummarizeLatency(sets[0], sets[1], sets[2]); got != want {
+			t.Errorf("n=%d: SummarizeLatency = %+v, want %+v", n, got, want)
+		}
+		for i, ts := range sets {
+			if !slices.IsSorted(ts) {
+				t.Errorf("n=%d: sample set %d not sorted in place", n, i)
+			}
+		}
 	}
 }

@@ -195,11 +195,8 @@ type KVCacheConfig struct {
 }
 
 // KVCacheStats is the per-instance (or fleet-aggregated) prefix-cache
-// ledger. Counts reconcile exactly:
-//
-//	Lookups == Hits + Restored + Misses + Unallocated
-//	Evictions ≤ Misses + Restored (every eviction had a placement)
-//	Spills ≤ Evictions, HostEvictions ≤ Spills
+// ledger: the block counters of kvcache.Stats, whose Reconcile states
+// the conservation laws, plus the configuration and the restore cost.
 type KVCacheStats struct {
 	// Config echo, so a report names the cache it measured.
 	BlockTokens     int64
@@ -207,19 +204,9 @@ type KVCacheStats struct {
 	HostSpillBlocks int
 	Policy          string
 
-	// Block ledger (counts in blocks; see kvcache.Stats).
-	Lookups       int64
-	Hits          int64
-	Restored      int64
-	Misses        int64
-	Unallocated   int64
-	Evictions     int64
-	Spills        int64
-	HostEvictions int64
+	// Block ledger (counts in blocks) and the prefill tokens it saved.
+	kvcache.Stats
 
-	// ReusedTokens is the total prefill work skipped via cached
-	// prefixes, in tokens.
-	ReusedTokens int64
 	// RestoredBytes / RestoreStall price the host-tier restores: bytes
 	// copied back to device and the total interconnect stall charged.
 	RestoredBytes float64
@@ -236,21 +223,15 @@ func (k *KVCacheStats) Reconcile() error {
 	if k == nil {
 		return nil
 	}
-	if k.Lookups != k.Hits+k.Restored+k.Misses+k.Unallocated {
-		return fmt.Errorf("kv cache ledger broken: lookups %d != hits %d + restored %d + misses %d + unallocated %d",
-			k.Lookups, k.Hits, k.Restored, k.Misses, k.Unallocated)
+	return k.Stats.Reconcile()
+}
+
+// setHitRate derives HitRate from the ledger.
+func (k *KVCacheStats) setHitRate() {
+	k.HitRate = 0
+	if k.Lookups > 0 {
+		k.HitRate = float64(k.Hits+k.Restored) / float64(k.Lookups)
 	}
-	if k.Evictions > k.Misses+k.Restored {
-		return fmt.Errorf("kv cache ledger broken: evictions %d exceed device placements (misses %d + restored %d)",
-			k.Evictions, k.Misses, k.Restored)
-	}
-	if k.Spills > k.Evictions {
-		return fmt.Errorf("kv cache ledger broken: spills %d exceed evictions %d", k.Spills, k.Evictions)
-	}
-	if k.HostEvictions > k.Spills {
-		return fmt.Errorf("kv cache ledger broken: host evictions %d exceed spills %d", k.HostEvictions, k.Spills)
-	}
-	return nil
 }
 
 // MergeKVCacheStats sums per-instance cache ledgers into one aggregate,
@@ -268,23 +249,12 @@ func MergeKVCacheStats(parts []*KVCacheStats) *KVCacheStats {
 			out = &cp
 			continue
 		}
-		out.Lookups += p.Lookups
-		out.Hits += p.Hits
-		out.Restored += p.Restored
-		out.Misses += p.Misses
-		out.Unallocated += p.Unallocated
-		out.Evictions += p.Evictions
-		out.Spills += p.Spills
-		out.HostEvictions += p.HostEvictions
-		out.ReusedTokens += p.ReusedTokens
+		out.Stats.Add(p.Stats)
 		out.RestoredBytes += p.RestoredBytes
 		out.RestoreStall += p.RestoreStall
 	}
 	if out != nil {
-		out.HitRate = 0
-		if out.Lookups > 0 {
-			out.HitRate = float64(out.Hits+out.Restored) / float64(out.Lookups)
-		}
+		out.setHitRate()
 	}
 	return out
 }
@@ -338,24 +308,9 @@ type Stats struct {
 	Preemptions int
 	Horizon     sim.Time // last completion time
 
-	// TTFT: arrival → first output token.
-	MeanTTFT sim.Time
-	P50TTFT  sim.Time
-	P95TTFT  sim.Time
-	P99TTFT  sim.Time
-	MaxTTFT  sim.Time
-
-	// TPOT: mean inter-token time per request, aggregated (continuous
-	// policies only; zero when no request decodes more than one token).
-	MeanTPOT sim.Time
-	P50TPOT  sim.Time
-	P95TPOT  sim.Time
-
-	// E2E: arrival → final token (continuous policies only).
-	MeanE2E sim.Time
-	P50E2E  sim.Time
-	P95E2E  sim.Time
-	MaxE2E  sim.Time
+	// Latency summarizes the served requests. The legacy policies fill
+	// the TTFT fields only; TPOT and E2E stay zero.
+	Latency
 
 	Throughput float64 // completed requests per second over the horizon
 	// TokensOut counts generated tokens delivered to users (continuous
@@ -503,13 +458,8 @@ func Simulate(cfg Config, requests []Request) (*Stats, error) {
 		stats.Batches++
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	stats.Completed = stats.Requests
-	stats.MeanTTFT = meanTime(latencies)
-	stats.P50TTFT = percentileSorted(latencies, 50)
-	stats.P95TTFT = percentileSorted(latencies, 95)
-	stats.P99TTFT = percentileSorted(latencies, 99)
-	stats.MaxTTFT = latencies[len(latencies)-1]
+	stats.Latency = SummarizeLatency(latencies, nil, nil)
 	stats.Horizon = deviceFree
 	stats.Throughput = float64(stats.Requests) / stats.Horizon.Seconds()
 	stats.SLOAttainment, stats.Goodput = SLOGoodput(latencies, cfg.TTFTSLO, stats.Horizon, stats.Throughput)

@@ -70,3 +70,12 @@ func TestDynamicReportsBitIdentical(t *testing.T) {
 		{"disagg_chaos_chat.json", "golden_disagg_chaos_chat.json"},
 	}, "autoscale, faults and requeues must stay bit-identical")
 }
+
+// TestPrefixCacheReportBitIdentical pins a fleet report that carries a
+// prefix-cache section: the pooled ledger and every instance's, with
+// hits, restores, spills and reuse credit all nonzero.
+func TestPrefixCacheReportBitIdentical(t *testing.T) {
+	checkGoldens(t, []goldenCase{
+		{"prefix_cache_agentic.json", "golden_prefix_cache_agentic.json"},
+	}, "the cache ledger and its report block must stay bit-identical")
+}

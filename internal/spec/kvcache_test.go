@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -217,5 +218,39 @@ func TestKVCacheSpecValidation(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDisaggPrefixCacheReconciles runs the shipped cached,
+// disaggregated spec. Its decode instances promote host-tier blocks
+// for handed-off requests, which the ledger counts as hits, so some
+// instance evicts more blocks than it missed and restored: the run
+// must still reconcile, per instance and pooled.
+func TestDisaggPrefixCacheReconciles(t *testing.T) {
+	s, err := Load(filepath.Join("..", "..", "examples", "specs", "disagg_prefix_cache.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Simulate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Disagg
+	if st == nil || st.KVCache == nil {
+		t.Fatal("no disaggregated report with a cache ledger")
+	}
+	if err := st.KVCache.Reconcile(); err != nil {
+		t.Fatalf("pooled: %v", err)
+	}
+	promoting := false
+	for _, is := range st.Instances {
+		k := is.Serve.KVCache
+		if err := k.Reconcile(); err != nil {
+			t.Fatalf("%s: %v", is.Name, err)
+		}
+		promoting = promoting || k.Evictions > k.Misses+k.Restored
+	}
+	if !promoting {
+		t.Error("no instance evicted past misses + restored: the spec no longer exercises transferred promotions")
 	}
 }

@@ -268,6 +268,9 @@ type (
 	ServePolicy = serve.Policy
 	// ServeSample is one (time, value) point of a server state series.
 	ServeSample = serve.SamplePoint
+	// Latency is the TTFT/TPOT/E2E block embedded in ServeStats and in
+	// every fleet report.
+	Latency = serve.Latency
 	// KVCacheStats is the reconciled prefix-cache ledger a report
 	// carries when the spec has a fleet.kv_cache section.
 	KVCacheStats = serve.KVCacheStats
