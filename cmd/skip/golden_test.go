@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -47,5 +49,36 @@ func TestSimTextGolden(t *testing.T) {
 				t.Errorf("skip sim text report diverged from testdata/sim_%s.txt:\n--- got\n%s--- want\n%s", name, got, want)
 			}
 		})
+	}
+}
+
+// TestPlatformSLOWeightsFirstTokens: on a disaggregated fleet the
+// per-platform SLO column weighs each member by the first tokens it
+// served. Every first token of disagg_chat comes from the Intel+H100
+// prefill pool, so that platform's row reads the pooled attainment,
+// and the decode-only GH200 pool, which served none, reads "-".
+func TestPlatformSLOWeightsFirstTokens(t *testing.T) {
+	out := string(captureStdout(t, func() error {
+		return cmdSim([]string{"-spec", filepath.Join("..", "..", "examples", "specs", "disagg_chat.json")})
+	}))
+	pooled := regexp.MustCompile(`(\d+%) in SLO`).FindStringSubmatch(out)
+	if pooled == nil {
+		t.Fatalf("no pooled SLO line in:\n%s", out)
+	}
+	if pooled[1] != "100%" {
+		t.Errorf("pooled attainment %s, want 100%%", pooled[1])
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 6 && (f[0] == "Intel+H100" || f[0] == "GH200") {
+			rows[f[0]] = f[5]
+		}
+	}
+	if got := rows["Intel+H100"]; got != pooled[1] {
+		t.Errorf("Intel+H100 (prefill) platform SLO %q, want the pooled %q\n%s", got, pooled[1], out)
+	}
+	if got := rows["GH200"]; got != "-" {
+		t.Errorf("GH200 (decode-only) platform SLO %q, want \"-\"\n%s", got, out)
 	}
 }

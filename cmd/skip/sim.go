@@ -558,6 +558,7 @@ func printClusterReport(sp *skip.Spec, rep *skip.Report) {
 		shares[i] = platformShare{
 			platform: is.Platform, placed: is.Routed, done: is.Serve.Completed,
 			tokps: is.Serve.TokensPerSec, slo: is.Serve.SLOAttainment,
+			firsts: firstTokens(&is.Serve),
 		}
 	}
 	printPlatformBreakdown(sloSet, shares)
@@ -595,13 +596,26 @@ type platformShare struct {
 	done     int
 	tokps    float64
 	slo      float64
+	// firsts weighs slo: the first tokens the instance served.
+	firsts int
+}
+
+// firstTokens estimates how many first tokens an instance served, the
+// sample count behind its TTFT percentiles and SLO attainment: every
+// completion and every prefill handed away, less the requests resumed
+// from another instance's prefill. A monolithic instance's count is its
+// Completed. Under crash requeue the estimate is approximate: a killed
+// request whose first token was already served is not counted.
+func firstTokens(s *skip.ServeStats) int {
+	return s.Completed + s.HandedOff - s.Resumed
 }
 
 // printPlatformBreakdown aggregates the per-instance table by platform —
 // the heterogeneous-fleet view: which hardware carried the load, and how
 // each platform class fared against the TTFT SLO. Single-platform fleets
 // skip it (the instance table above already is the breakdown); the SLO
-// column is the per-instance attainment weighted by completions.
+// column is the per-instance attainment weighted by first tokens served,
+// "-" for a platform that served none.
 func printPlatformBreakdown(sloSet bool, shares []platformShare) {
 	type row struct {
 		inst, placed, done int
@@ -621,8 +635,8 @@ func printPlatformBreakdown(sloSet bool, shares []platformShare) {
 		r.placed += sh.placed
 		r.done += sh.done
 		r.tokps += sh.tokps
-		r.sloW += sh.slo * float64(sh.done)
-		r.sloN += sh.done
+		r.sloW += sh.slo * float64(sh.firsts)
+		r.sloN += sh.firsts
 	}
 	if len(order) < 2 {
 		return
@@ -637,11 +651,11 @@ func printPlatformBreakdown(sloSet bool, shares []platformShare) {
 		r := agg[p]
 		line := fmt.Sprintf("  %-16s %5d %7d %7d %9.0f", p, r.inst, r.placed, r.done, r.tokps)
 		if sloSet {
-			slo := 0.0
+			slo := "-"
 			if r.sloN > 0 {
-				slo = r.sloW / float64(r.sloN)
+				slo = fmt.Sprintf("%.0f%%", r.sloW/float64(r.sloN)*100)
 			}
-			line += fmt.Sprintf(" %7.0f%%", slo*100)
+			line += fmt.Sprintf(" %8s", slo)
 		}
 		fmt.Println(line)
 	}
@@ -697,17 +711,20 @@ func printDisaggReport(sp *skip.Spec, rep *skip.Report) {
 
 	fmt.Printf("  %-24s %7s %7s %7s %12s %9s %8s\n",
 		"instance", "routed", "resumed", "done", "P95 TTFT", "tok/s", "peak KV")
-	for _, is := range stats.Instances {
-		fmt.Printf("  %-24s %7d %7d %7d %12v %9.0f %7.1f%%\n",
-			is.Name, is.Routed, is.Resumed, is.Serve.Completed,
-			is.Serve.P95TTFT, is.Serve.TokensPerSec, is.Serve.PeakKVFrac*100)
-	}
-
 	shares := make([]platformShare, len(stats.Instances))
 	for i, is := range stats.Instances {
+		// A decode-only member serves no first tokens: it has no TTFT
+		// to show and no weight in its platform's SLO attainment.
+		p95TTFT, firsts := "-", 0
+		if is.Role != cluster.RoleDecode.String() {
+			p95TTFT, firsts = is.Serve.P95TTFT.String(), firstTokens(&is.Serve)
+		}
+		fmt.Printf("  %-24s %7d %7d %7d %12s %9.0f %7.1f%%\n",
+			is.Name, is.Routed, is.Resumed, is.Serve.Completed,
+			p95TTFT, is.Serve.TokensPerSec, is.Serve.PeakKVFrac*100)
 		shares[i] = platformShare{
 			platform: is.Platform, placed: is.Routed + is.Resumed, done: is.Serve.Completed,
-			tokps: is.Serve.TokensPerSec, slo: is.Serve.SLOAttainment,
+			tokps: is.Serve.TokensPerSec, slo: is.Serve.SLOAttainment, firsts: firsts,
 		}
 	}
 	printPlatformBreakdown(sloSet, shares)

@@ -77,18 +77,28 @@ func decoderModels(t testing.TB) []*models.Config {
 }
 
 // TestStepModelPrefillMatchesRun: the oracle's trace-free prefill equals
-// Run's traced TTFT bit for bit on every platform, mode and decoder
-// model. Bucket 1 keeps each length unquantized.
+// Run's traced TTFT bit for bit on every platform, mode and catalog
+// model, encoders included (at lengths within their 512-token limit):
+// the legacy static/greedy serving walk prices its batches through
+// this oracle. Bucket 1 keeps each length unquantized.
 func TestStepModelPrefillMatchesRun(t *testing.T) {
 	for _, p := range catalogPlatforms(t) {
-		for _, m := range decoderModels(t) {
+		for _, name := range models.ModelNames() {
+			m, err := models.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs := []int64{64, 200, 1024}
+			if m.Kind == models.Encoder {
+				seqs = []int64{64, 200, 512}
+			}
 			for _, mode := range Modes() {
 				sm, err := NewStepModel(p, m, mode, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, batch := range []int64{1, 3, 16} {
-					for _, seq := range []int64{64, 200, 1024} {
+					for _, seq := range seqs {
 						got, err := sm.Prefill(batch, seq)
 						if err != nil {
 							t.Fatal(err)

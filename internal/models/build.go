@@ -49,7 +49,7 @@ func BuildPrefill(c *Config, batch, seq int64, attn AttnImpl) (*ops.Graph, error
 		buildEncoder(g, c, batch, seq, attn)
 		g.OutputBytes = float64(batch * c.Hidden * 2) // pooled output
 	case Decoder:
-		buildDecoder(g, c, batch, seq, attn)
+		buildDecoder(g, c, batch, seq, decoderLayer(c, batch, seq, attn))
 		g.OutputBytes = float64(batch * c.Vocab * 2) // next-token logits
 	}
 	return g, nil
@@ -93,7 +93,8 @@ func buildEncoder(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
 }
 
 // encoderLayer builds one encoder layer's operator block, including
-// its attention-mask broadcast copies.
+// its attention-mask broadcast copies. The layer is post-norm: a
+// LayerNorm follows each residual.
 func encoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 	h, hd := c.Heads, c.HeadDim()
 	rows := b * s
@@ -123,45 +124,20 @@ func encoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 			ops.Copy("contiguous", "context", hiddenElems),
 		)
 	}
-	layer = append(layer,
-		ops.Linear("attn_out", b, s, c.Hidden, c.Hidden),
-		ops.Pointwise("add", "attn_residual", hiddenElems, 2, 1),
-		ops.LayerNorm("attn", rows, c.Hidden),
-		ops.Linear("mlp_in", b, s, c.Hidden, c.Intermediate),
-		ops.GELU("mlp", rows*c.Intermediate),
-		ops.Linear("mlp_out", b, s, c.Intermediate, c.Hidden),
-		ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1),
-		ops.LayerNorm("mlp", rows, c.Hidden),
-	)
-	for i := 0; i < batchMaskKernels(b); i++ {
-		layer = append(layer, ops.Copy("expand", "mask_bcast", b*s))
-	}
-	return layer
+	layer = append(layer, ops.Linear("attn_out", b, s, c.Hidden, c.Hidden))
+	layer = appendFFN(layer, c, b, s, ops.LayerNorm("attn", rows, c.Hidden))
+	layer = append(layer, ops.LayerNorm("mlp", rows, c.Hidden))
+	return appendMaskBroadcast(layer, b, s)
 }
 
-func buildDecoder(g *ops.Graph, c *Config, b, s int64, attn AttnImpl) {
-	// Embeddings.
-	rows := b * s
-	hiddenElems := rows * c.Hidden
-	g.Nodes = append(g.Nodes, ops.Embedding("wte", rows, c.Hidden))
-	if c.Position == Learned {
-		g.Nodes = append(g.Nodes,
-			ops.Embedding("wpe", rows, c.Hidden),
-			ops.Pointwise("add", "emb_add_pos", hiddenElems, 2, 1),
-		)
-	}
-
-	appendLayers(g, decoderLayer(c, b, s, attn), c.Layers)
-
-	// Final norm + LM head (next-token logits over the full vocab; the
-	// dominant single GEMM for large-vocab models).
-	switch c.Norm {
-	case RMSNorm:
-		g.Nodes = append(g.Nodes, ops.RMSNorm("final", rows, c.Hidden))
-	default:
-		g.Nodes = append(g.Nodes, ops.LayerNorm("final", rows, c.Hidden))
-	}
-	g.Nodes = append(g.Nodes, ops.Linear("lm_head", b, s, c.Hidden, c.Vocab))
+// buildDecoder composes a decoder-only graph around one layer block:
+// the token (and learned position) embeddings, the block once per
+// layer, then the final norm and LM head. Prefill passes its prompt
+// length as s; a decode step passes s = 1, one new token per sequence.
+func buildDecoder(g *ops.Graph, c *Config, b, s int64, layer []*ops.Node) {
+	g.Nodes = appendDecoderEmbeddings(g.Nodes, c, b*s)
+	appendLayers(g, layer, c.Layers)
+	g.Nodes = appendDecoderHead(g.Nodes, c, b, s)
 }
 
 // decoderLayer builds one decoder layer's prefill operator block,
@@ -170,19 +146,11 @@ func decoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 	h, hd, kvh := c.Heads, c.HeadDim(), c.KVHeads
 	rows := b * s
 	hiddenElems := rows * c.Hidden
-	kvElems := rows * c.KVDim()
 	scoreElems := b * h * s * s
 	// At most: norm, 4 projection ops, 2 RoPE, 14 attention ops, output
 	// projection, residual, norm, 5 MLP ops, residual.
 	layer := make([]*ops.Node, 0, 30+batchMaskKernels(b))
-
-	// Pre-attention norm.
-	switch c.Norm {
-	case RMSNorm:
-		layer = append(layer, ops.RMSNorm("input", rows, c.Hidden))
-	default:
-		layer = append(layer, ops.LayerNorm("ln_1", rows, c.Hidden))
-	}
+	layer = append(layer, norm(c, "input", "ln_1", rows))
 
 	// QKV projection: GPT-2 uses one fused Conv1D; Llama-family uses
 	// three separate linears (GQA-shaped K/V).
@@ -195,17 +163,7 @@ func decoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 			ops.Copy("split", "v_split", hiddenElems),
 		)
 	} else {
-		layer = append(layer,
-			ops.Linear("q_proj", b, s, c.Hidden, c.Hidden),
-			ops.Linear("k_proj", b, s, c.Hidden, c.KVDim()),
-			ops.Linear("v_proj", b, s, c.Hidden, c.KVDim()),
-		)
-	}
-	if c.Position == RoPE {
-		layer = append(layer,
-			ops.RoPE("q", hiddenElems),
-			ops.RoPE("k", kvElems),
-		)
+		layer = appendLlamaQKV(layer, c, b, s)
 	}
 
 	if attn == AttnFlash {
@@ -255,24 +213,74 @@ func decoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 		}
 	}
 
-	// Output projection + residual.
+	// Output projection, then the residual, norm and MLP tail.
 	if gpt2Style {
 		layer = append(layer, ops.Conv1D("c_proj", b, s, c.Hidden, c.Hidden))
 	} else {
 		layer = append(layer, ops.Linear("o_proj", b, s, c.Hidden, c.Hidden))
 	}
-	layer = append(layer, ops.Pointwise("add", "attn_residual", hiddenElems, 2, 1))
+	layer = appendFFN(layer, c, b, s, norm(c, "post_attn", "ln_2", rows))
+	return appendMaskBroadcast(layer, b, s)
+}
 
-	// Pre-MLP norm.
-	switch c.Norm {
-	case RMSNorm:
-		layer = append(layer, ops.RMSNorm("post_attn", rows, c.Hidden))
-	default:
-		layer = append(layer, ops.LayerNorm("ln_2", rows, c.Hidden))
+// appendDecoderEmbeddings appends the token embedding gather and, for
+// learned positions (GPT-2), the position gather and its add.
+func appendDecoderEmbeddings(nodes []*ops.Node, c *Config, rows int64) []*ops.Node {
+	nodes = append(nodes, ops.Embedding("wte", rows, c.Hidden))
+	if c.Position == Learned {
+		nodes = append(nodes,
+			ops.Embedding("wpe", rows, c.Hidden),
+			ops.Pointwise("add", "emb_add_pos", rows*c.Hidden, 2, 1),
+		)
 	}
+	return nodes
+}
 
-	// MLP.
+// appendDecoderHead appends the final norm and the LM head (next-token
+// logits over the full vocab; the dominant single GEMM for large-vocab
+// models) into the two tail slots appendLayers reserves.
+func appendDecoderHead(nodes []*ops.Node, c *Config, b, s int64) []*ops.Node {
+	return append(nodes,
+		norm(c, "final", "final", b*s),
+		ops.Linear("lm_head", b, s, c.Hidden, c.Vocab),
+	)
+}
+
+// norm is the model's normalization node: an RMSNorm labeled rmsName
+// (Llama family) or a LayerNorm labeled lnName.
+func norm(c *Config, rmsName, lnName string, rows int64) *ops.Node {
+	if c.Norm == RMSNorm {
+		return ops.RMSNorm(rmsName, rows, c.Hidden)
+	}
+	return ops.LayerNorm(lnName, rows, c.Hidden)
+}
+
+// appendLlamaQKV appends Llama-style attention projections: three
+// separate linears (GQA-shaped K/V) and, under RoPE, the q/k rotations.
+func appendLlamaQKV(layer []*ops.Node, c *Config, b, s int64) []*ops.Node {
+	rows := b * s
+	layer = append(layer,
+		ops.Linear("q_proj", b, s, c.Hidden, c.Hidden),
+		ops.Linear("k_proj", b, s, c.Hidden, c.KVDim()),
+		ops.Linear("v_proj", b, s, c.Hidden, c.KVDim()),
+	)
+	if c.Position == RoPE {
+		layer = append(layer,
+			ops.RoPE("q", rows*c.Hidden),
+			ops.RoPE("k", rows*c.KVDim()),
+		)
+	}
+	return layer
+}
+
+// appendFFN appends the tail that follows the attention output
+// projection: the attention residual, the given pre-MLP norm, the MLP
+// in the model's activation flavor, and the MLP residual.
+func appendFFN(layer []*ops.Node, c *Config, b, s int64, mlpNorm *ops.Node) []*ops.Node {
+	rows := b * s
+	hiddenElems := rows * c.Hidden
 	interElems := rows * c.Intermediate
+	layer = append(layer, ops.Pointwise("add", "attn_residual", hiddenElems, 2, 1), mlpNorm)
 	switch c.Activation {
 	case SiLUGate:
 		layer = append(layer,
@@ -302,9 +310,14 @@ func decoderLayer(c *Config, b, s int64, attn AttnImpl) []*ops.Node {
 			ops.Linear("mlp_out", b, s, c.Intermediate, c.Hidden),
 		)
 	}
-	layer = append(layer, ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1))
+	return append(layer, ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1))
+}
+
+// appendMaskBroadcast appends a prefill layer's attention-mask
+// broadcast copies, whose count grows with the batch.
+func appendMaskBroadcast(layer []*ops.Node, b, s int64) []*ops.Node {
 	for i := 0; i < batchMaskKernels(b); i++ {
-		layer = append(layer, ops.Copy("expand", "mask_bcast", rows))
+		layer = append(layer, ops.Copy("expand", "mask_bcast", b*s))
 	}
 	return layer
 }

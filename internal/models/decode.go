@@ -26,30 +26,16 @@ func BuildDecodeStep(c *Config, batch, kvLen int64, attn AttnImpl) (*ops.Graph, 
 	g.InputBytes = float64(batch * 8) // one token id per sequence
 	g.OutputBytes = float64(batch * c.Vocab * 2)
 
-	rows := batch // one token per sequence
-	hiddenElems := rows * c.Hidden
-
-	g.Nodes = append(g.Nodes, ops.Embedding("wte", rows, c.Hidden))
-	if c.Position == Learned {
-		g.Nodes = append(g.Nodes,
-			ops.Embedding("wpe", rows, c.Hidden),
-			ops.Pointwise("add", "emb_add_pos", hiddenElems, 2, 1),
-		)
-	}
-
-	appendLayers(g, decodeLayer(c, batch, kvLen, attn), c.Layers)
-
-	switch c.Norm {
-	case RMSNorm:
-		g.Nodes = append(g.Nodes, ops.RMSNorm("final", rows, c.Hidden))
-	default:
-		g.Nodes = append(g.Nodes, ops.LayerNorm("final", rows, c.Hidden))
-	}
-	g.Nodes = append(g.Nodes, ops.Linear("lm_head", batch, 1, c.Hidden, c.Vocab))
+	buildDecoder(g, c, batch, 1, decodeLayer(c, batch, kvLen, attn))
 	return g, nil
 }
 
 // decodeLayer builds one decoder layer's decode-step operator block.
+// It shares the norm, projection and MLP builders with decoderLayer,
+// but projects with separate q/k/v/o linears for every family, GPT-2
+// included. GPT-2 prefill instead runs the fused c_attn/c_proj Conv1D
+// plus its split and head-permute copies, so GPT-2 decode steps
+// understate that family's launch count.
 func decodeLayer(c *Config, batch, kvLen int64, attn AttnImpl) []*ops.Node {
 	rows := batch // one token per sequence
 	hiddenElems := rows * c.Hidden
@@ -58,20 +44,8 @@ func decodeLayer(c *Config, batch, kvLen int64, attn AttnImpl) []*ops.Node {
 	// At most: norm, 3 projections, 2 RoPE, 2 KV appends, 6 attention
 	// ops, output projection, residual, norm, 5 MLP ops, residual.
 	layer := make([]*ops.Node, 0, 23)
-	switch c.Norm {
-	case RMSNorm:
-		layer = append(layer, ops.RMSNorm("input", rows, c.Hidden))
-	default:
-		layer = append(layer, ops.LayerNorm("ln_1", rows, c.Hidden))
-	}
-	layer = append(layer,
-		ops.Linear("q_proj", batch, 1, c.Hidden, c.Hidden),
-		ops.Linear("k_proj", batch, 1, c.Hidden, c.KVDim()),
-		ops.Linear("v_proj", batch, 1, c.Hidden, c.KVDim()),
-	)
-	if c.Position == RoPE {
-		layer = append(layer, ops.RoPE("q", hiddenElems), ops.RoPE("k", kvElems))
-	}
+	layer = append(layer, norm(c, "input", "ln_1", rows))
+	layer = appendLlamaQKV(layer, c, batch, 1)
 	// KV-cache append: the new K/V rows are written next to the
 	// cached ones.
 	layer = append(layer,
@@ -92,46 +66,6 @@ func decodeLayer(c *Config, batch, kvLen int64, attn AttnImpl) []*ops.Node {
 			ops.Copy("contiguous", "context", hiddenElems),
 		)
 	}
-	layer = append(layer,
-		ops.Linear("o_proj", batch, 1, c.Hidden, c.Hidden),
-		ops.Pointwise("add", "attn_residual", hiddenElems, 2, 1),
-	)
-	switch c.Norm {
-	case RMSNorm:
-		layer = append(layer, ops.RMSNorm("post_attn", rows, c.Hidden))
-	default:
-		layer = append(layer, ops.LayerNorm("ln_2", rows, c.Hidden))
-	}
-	interElems := rows * c.Intermediate
-	switch c.Activation {
-	case SiLUGate:
-		layer = append(layer,
-			ops.Linear("gate_proj", batch, 1, c.Hidden, c.Intermediate),
-			ops.Linear("up_proj", batch, 1, c.Hidden, c.Intermediate),
-			ops.SiLUMul("mlp", interElems),
-			ops.Linear("down_proj", batch, 1, c.Intermediate, c.Hidden),
-		)
-	case GELUGate:
-		layer = append(layer,
-			ops.Linear("gate_proj", batch, 1, c.Hidden, c.Intermediate),
-			ops.Linear("up_proj", batch, 1, c.Hidden, c.Intermediate),
-			ops.GELU("mlp_gate", interElems),
-			ops.Pointwise("mul", "gate_mul", interElems, 2, 1),
-			ops.Linear("down_proj", batch, 1, c.Intermediate, c.Hidden),
-		)
-	case GELUNew:
-		layer = append(layer,
-			ops.Conv1D("c_fc", batch, 1, c.Hidden, c.Intermediate),
-			ops.NewGELU("mlp", interElems),
-			ops.Conv1D("c_proj_mlp", batch, 1, c.Intermediate, c.Hidden),
-		)
-	default:
-		layer = append(layer,
-			ops.Linear("mlp_in", batch, 1, c.Hidden, c.Intermediate),
-			ops.GELU("mlp", interElems),
-			ops.Linear("mlp_out", batch, 1, c.Intermediate, c.Hidden),
-		)
-	}
-	layer = append(layer, ops.Pointwise("add", "mlp_residual", hiddenElems, 2, 1))
-	return layer
+	layer = append(layer, ops.Linear("o_proj", batch, 1, c.Hidden, c.Hidden))
+	return appendFFN(layer, c, batch, 1, norm(c, "post_attn", "ln_2", rows))
 }

@@ -17,6 +17,10 @@
 //     KV-cache capacity model gating admission, and decode-phase
 //     execution — see continuous.go.
 //
+// Both generations price their iterations through the process-wide
+// engine.StepModel oracle: the legacy walk one prefill per batch, the
+// continuous simulator prefill chunks and decode steps.
+//
 // A continuous Instance can also share one calendar with others as a
 // fleet member (internal/cluster). A request that moves between
 // instances is one Handoff record: a prefill-only instance
@@ -351,29 +355,6 @@ type Stats struct {
 	KVCache *KVCacheStats `json:",omitempty"`
 }
 
-// latencyModel caches per-batch-size prefill latency from the engine:
-// the legacy serving layer treats the device as busy for TTFT(batch)
-// per batch.
-type latencyModel struct {
-	cfg   *Config
-	cache map[int]sim.Time
-}
-
-func (lm *latencyModel) ttft(batch int) (sim.Time, error) {
-	if t, ok := lm.cache[batch]; ok {
-		return t, nil
-	}
-	res, err := engine.Run(engine.Request{
-		Platform: lm.cfg.Platform, Model: lm.cfg.Model,
-		Batch: int64(batch), Seq: lm.cfg.Seq, Mode: lm.cfg.Mode,
-	})
-	if err != nil {
-		return 0, err
-	}
-	lm.cache[batch] = res.TTFT
-	return res.TTFT, nil
-}
-
 // Simulate runs the server over the request stream (sorted by arrival)
 // and returns latency statistics. Legacy policies use a deterministic
 // event walk where the device serves one batch at a time; continuous
@@ -393,7 +374,13 @@ func Simulate(cfg Config, requests []Request) (*Stats, error) {
 		return simulateContinuous(cfg, reqs)
 	}
 
-	lm := &latencyModel{cfg: &cfg, cache: make(map[int]sim.Time)}
+	// The device is busy for one prefill of the whole batch. Bucket 1
+	// keeps every length exact, so each batch costs what Run's traced
+	// TTFT would.
+	sm, err := engine.SharedStepModel(cfg.Platform, cfg.Model, cfg.Mode, 1)
+	if err != nil {
+		return nil, err
+	}
 	stats := &Stats{Requests: len(reqs)}
 	latencies := make([]sim.Time, 0, len(reqs))
 
@@ -444,7 +431,7 @@ func Simulate(cfg Config, requests []Request) (*Stats, error) {
 			}
 		}
 
-		dur, err := lm.ttft(batch)
+		dur, err := sm.Prefill(int64(batch), cfg.Seq)
 		if err != nil {
 			return nil, err
 		}

@@ -50,11 +50,14 @@ func checkGoldens(t *testing.T, cases []goldenCase, why string) {
 // specs before instances could join or leave a running calendar; any
 // diff here means the dynamic-membership machinery leaked into the
 // static code path (a new JSON field, a changed routing decision, a
-// perturbed event order).
+// perturbed event order). The legacy_policies golden pins the legacy
+// prefill-only static/greedy walk; it was captured before that walk
+// priced its batches through the shared step oracle.
 func TestStaticReportsBitIdentical(t *testing.T) {
 	checkGoldens(t, []goldenCase{
 		{"fleet_replay.json", "golden_fleet_replay.json"},
 		{"disagg_chat.json", "golden_disagg_chat.json"},
+		{"legacy_policies.json", "golden_legacy_policies.json"},
 	}, "the static path must stay bit-identical")
 }
 
