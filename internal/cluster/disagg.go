@@ -399,7 +399,9 @@ type DisaggInstanceStats struct {
 	Name     string
 	Platform string
 	Role     string
-	// Routed counts fresh arrivals the front door placed here; Resumed
+	// Routed counts fresh arrivals the front door placed here plus
+	// requests requeued here after a crash, so a decode-only member
+	// that took mid-stream crash victims has Routed > 0. Resumed
 	// counts handoffs absorbed from the prefill pool.
 	Routed  int
 	Resumed int

@@ -13,7 +13,9 @@ import (
 type InstanceStats struct {
 	Name     string
 	Platform string
-	// Routed counts requests the router placed on this instance.
+	// Routed counts requests placed on this instance: fresh arrivals
+	// and requests requeued here after a crash. Summed over instances
+	// it is Stats.Routed (fresh arrivals only) plus Chaos.Requeued.
 	Routed int
 	Serve  serve.Stats
 }

@@ -161,8 +161,12 @@ func Run(req Request) (*Result, error) {
 	b.Meta("mode", req.Mode.String())
 	b.Meta("batch", fmt.Sprintf("%d", req.Batch))
 	b.Meta("seq", fmt.Sprintf("%d", req.Seq))
-	ex, err := runPrefill(req, b)
+	graph, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, req.Mode.attention())
 	if err != nil {
+		return nil, err
+	}
+	ex := newExecutor(req, b)
+	if err := ex.run(graph); err != nil {
 		return nil, err
 	}
 
@@ -191,22 +195,6 @@ func (m Mode) attention() models.AttnImpl {
 		return models.AttnFlash
 	}
 	return models.AttnEager
-}
-
-// runPrefill builds the request's prefill graph and executes it in the
-// request's mode on a fresh runtime recording into b. A nil b records
-// nothing; the run's timing is then read off the returned executor's
-// clocks. Run and the step oracle both execute prefill through here.
-func runPrefill(req Request, b *trace.Builder) (*executor, error) {
-	graph, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, req.Mode.attention())
-	if err != nil {
-		return nil, err
-	}
-	ex := newExecutor(req, b)
-	if err := ex.run(graph); err != nil {
-		return nil, err
-	}
-	return ex, nil
 }
 
 type executor struct {

@@ -37,7 +37,7 @@ func cloneNode(n *ops.Node) *ops.Node {
 // checkSharedLayers asserts that g's layer region is one block of nodes
 // referenced once per layer: every node occurs either once or exactly
 // layers times, and the repeated nodes form layers back-to-back copies
-// of the same block.
+// of the same block, which g.Repeat records.
 func checkSharedLayers(t *testing.T, g *ops.Graph, layers int64) {
 	t.Helper()
 	count := make(map[*ops.Node]int64)
@@ -61,6 +61,9 @@ func checkSharedLayers(t *testing.T, g *ops.Graph, layers int64) {
 		t.Fatalf("%s: no node is shared across its %d layers", g.Name, layers)
 	}
 	block := repeated / int(layers)
+	if want := (ops.Repeat{Start: first, Len: block, Count: int(layers)}); g.Repeat != want {
+		t.Fatalf("%s: Repeat = %+v, want %+v", g.Name, g.Repeat, want)
+	}
 	for l := 1; l < int(layers); l++ {
 		for j := 0; j < block; j++ {
 			if g.Nodes[first+l*block+j] != g.Nodes[first+j] {

@@ -12,14 +12,20 @@ import (
 
 // StepModel is a cached iteration-latency oracle for serving
 // simulators: per-(batch, seq) prefill latency and per-(batch, kvLen)
-// decode-step latency, both measured by executing the operator graph on
-// the platform model. Sequence and KV lengths are quantized to Bucket
-// tokens before caching, so a long simulation touches each engine
-// configuration once — the serving layer replays cached iteration
-// latencies thousands of times while the engine runs tens of graphs.
-// A miss runs the executor with a nil trace builder, so it records no
-// trace and costs only the timing walk; the latencies equal those of
-// traced runs (Run's TTFT) bit for bit.
+// decode-step latency of the operator graph on the platform model.
+// Sequence and KV lengths are quantized to Bucket tokens before
+// caching, so a long simulation touches each engine configuration once
+// — the serving layer replays cached iteration latencies thousands of
+// times while the engine times tens of graphs.
+//
+// A miss builds the graph and times it without the executor wherever
+// the executor would walk it eagerly: decode steps in every mode and
+// prefill in eager and flash. The walk only adds and takes maxima, so
+// eagerTime folds it into one max-plus span and times the shared
+// layer block once, composing its span once per layer. Compiled-mode
+// prefill lowers the graph first and runs the executor with a nil
+// trace builder. Either way the latency equals a traced run's (Run's
+// TTFT) bit for bit.
 //
 // A StepModel is safe for concurrent use. Its fields are read-only after
 // construction; a model from SharedStepModel is used by every serving
@@ -152,17 +158,10 @@ func (sm *StepModel) Prefill(batch, seq int64) (sim.Time, error) {
 	if t, ok := sm.prefill[key]; ok {
 		return t, nil
 	}
-	// A trace-free run: every run starts at t = 0 and ends in a
-	// synchronize that covers all stream work, so the host clock after
-	// the run equals Run's trace span, the TTFT.
-	ex, err := runPrefill(Request{
-		Platform: sm.Platform, Model: sm.Model,
-		Batch: batch, Seq: key.tokens, Mode: sm.Mode,
-	}, nil)
+	d, err := sm.prefillTime(batch, key.tokens)
 	if err != nil {
 		return 0, err
 	}
-	d := ex.rt.CPU.Now()
 	oracleRuns.Add(1)
 	sm.prefill[key] = d
 	return d, nil
@@ -189,12 +188,30 @@ func (sm *StepModel) DecodeStep(batch, kvLen int64) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	ex := newExecutor(Request{Platform: sm.Platform, Model: sm.Model, Batch: batch, Seq: key.tokens, Mode: sm.Mode}, nil)
-	ex.runEager(g)
-	d := ex.rt.CPU.Now()
+	d := eagerTime(sm.Platform, g)
 	oracleRuns.Add(1)
 	sm.decode[key] = d
 	return d, nil
+}
+
+// prefillTime computes one prefill latency. Eager modes fold the graph
+// (eagerTime); compiled modes lower it first, so they run the executor
+// with no trace builder. Every run starts at t = 0 and ends in a
+// synchronize that covers all stream work, so the host clock after the
+// run equals Run's trace span, the TTFT.
+func (sm *StepModel) prefillTime(batch, seq int64) (sim.Time, error) {
+	g, err := models.BuildPrefill(sm.Model, batch, seq, sm.Mode.attention())
+	if err != nil {
+		return 0, err
+	}
+	if sm.Mode == Eager || sm.Mode == Flash {
+		return eagerTime(sm.Platform, g), nil
+	}
+	ex := newExecutor(Request{Platform: sm.Platform, Model: sm.Model, Batch: batch, Seq: seq, Mode: sm.Mode}, nil)
+	if err := ex.run(g); err != nil {
+		return 0, err
+	}
+	return ex.rt.CPU.Now(), nil
 }
 
 // CachedRuns reports how many distinct engine configurations have been

@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"github.com/skipsim/skip/internal/ops"
 )
@@ -41,7 +42,7 @@ func BuildPrefill(c *Config, batch, seq int64, attn AttnImpl) (*ops.Graph, error
 	if c.MaxSeq > 0 && seq > c.MaxSeq {
 		return nil, fmt.Errorf("models: %s: seq %d exceeds max %d", c.Name, seq, c.MaxSeq)
 	}
-	g := &ops.Graph{Name: fmt.Sprintf("%s-prefill-bs%d-sl%d-%s", c.Name, batch, seq, attn)}
+	g := &ops.Graph{Name: graphName(c, "-prefill-bs", batch, "-sl", seq, attn)}
 	// Token ids (int64) and attention mask in, logits/pooled output out.
 	g.InputBytes = float64(batch * seq * (8 + 8))
 	switch c.Kind {
@@ -55,14 +56,30 @@ func BuildPrefill(c *Config, batch, seq int64, attn AttnImpl) (*ops.Graph, error
 	return g, nil
 }
 
+// graphName labels a graph as name + phase + batch + lenTag + length +
+// "-" + attention, for example "gpt2-decode-bs8-kv512-eager".
+func graphName(c *Config, phase string, batch int64, lenTag string, length int64, attn AttnImpl) string {
+	var buf [80]byte
+	b := append(buf[:0], c.Name...)
+	b = append(b, phase...)
+	b = strconv.AppendInt(b, batch, 10)
+	b = append(b, lenTag...)
+	b = strconv.AppendInt(b, length, 10)
+	b = append(b, '-')
+	b = append(b, attn.String()...)
+	return string(b)
+}
+
 // appendLayers appends a layer's operator block to the graph once per
 // layer, reserving room for the model's tail: the final norm and head
 // (decoders) or the pooler (encoders), two nodes either way. Every
 // repetition references the same nodes: nodes are immutable once built,
 // so one block serves all layers and a graph costs one block of nodes,
-// not one per layer.
+// not one per layer. g.Repeat records the region, which lets the step
+// oracle time the block once.
 func appendLayers(g *ops.Graph, block []*ops.Node, layers int64) {
 	const tail = 2
+	g.Repeat = ops.Repeat{Start: len(g.Nodes), Len: len(block), Count: int(layers)}
 	g.Nodes = slices.Grow(g.Nodes, len(block)*int(layers)+tail)
 	for i := int64(0); i < layers; i++ {
 		g.Nodes = append(g.Nodes, block...)

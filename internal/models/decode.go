@@ -22,7 +22,7 @@ func BuildDecodeStep(c *Config, batch, kvLen int64, attn AttnImpl) (*ops.Graph, 
 	if batch <= 0 || kvLen <= 0 {
 		return nil, fmt.Errorf("models: %s: batch (%d) and kvLen (%d) must be positive", c.Name, batch, kvLen)
 	}
-	g := &ops.Graph{Name: fmt.Sprintf("%s-decode-bs%d-kv%d-%s", c.Name, batch, kvLen, attn)}
+	g := &ops.Graph{Name: graphName(c, "-decode-bs", batch, "-kv", kvLen, attn)}
 	g.InputBytes = float64(batch * 8) // one token id per sequence
 	g.OutputBytes = float64(batch * c.Vocab * 2)
 

@@ -179,6 +179,17 @@ type Graph struct {
 	InputBytes float64
 	// OutputBytes is the device→host result volume.
 	OutputBytes float64
+	// Repeat records the layer region a model builder appended, so a
+	// reader may process the repeated block once. The zero value
+	// records no repetition.
+	Repeat Repeat
+}
+
+// Repeat marks Nodes[Start : Start+Len*Count] as Count back-to-back
+// copies of the block Nodes[Start : Start+Len], the same node pointers
+// at each copy. Count == 0 means the graph claims no repetition.
+type Repeat struct {
+	Start, Len, Count int
 }
 
 // KernelCount sums kernels over all parent nodes.

@@ -77,7 +77,9 @@ func (in *Instance) Accept(now sim.Time, req Request) error {
 	return nil
 }
 
-// Routed counts requests accepted so far.
+// Routed counts requests accepted so far: fresh arrivals (Accept) and
+// crash-evicted requests requeued here (AcceptRequeued). Resumed
+// handoffs are not counted.
 func (in *Instance) Routed() int { return in.routed }
 
 // QueueDepth reports the current wait-queue length.
