@@ -10,14 +10,16 @@ import (
 	"github.com/skipsim/skip/internal/models"
 )
 
-// TestStepModelMissAllocs: an oracle miss, measured as
+// TestStepModelMissAllocs: an oracle miss on a fresh model, measured as
 // BenchmarkStepModelMiss does (a fresh private llama-3.2-1B model on
-// GH200, eager, filling one key), costs the graph build's allocations
-// plus the model's few. The fold that times the graph allocates
-// nothing, so a miss is 47 allocations in either phase, not one per
-// operator node. The race detector's instrumentation allocates, hence
-// the build tag; a collection cycle can allocate too, hence no GC while
-// counting.
+// GH200, eager, filling one key), costs one allocation per operator
+// tree it builds (two for a shape-named GEMM) plus the model's few. The
+// fold that times the operators allocates nothing, so a miss is not one
+// allocation per graph node. A prefill miss builds the graph: 45
+// allocations. A decode miss builds each decode part once, into the
+// model's reused buffer, with no graph or node list: 43. The race
+// detector's instrumentation allocates, hence the build tag; a
+// collection cycle can allocate too, hence no GC while counting.
 func TestStepModelMissAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	p, m := hw.GH200(), models.Llama32_1B()
@@ -40,5 +42,30 @@ func TestStepModelMissAllocs(t *testing.T) {
 		if allocs > 49 {
 			t.Errorf("a %s oracle miss allocates %.0f times, want ≤ 49", c.phase, allocs)
 		}
+	}
+}
+
+// TestStepModelSeenBatchMissAllocs: a decode miss at a batch the model
+// has seen builds only the attention's operators, six under eager
+// attention, two of them shape-named GEMMs: 8 allocations. The key is
+// deleted after each fill so every run misses at the same KV length,
+// as BenchmarkStepModelMiss's decode-seen-batch case does.
+func TestStepModelSeenBatchMissAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sm, err := NewStepModel(hw.GH200(), models.Llama32_1B(), Eager, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sm.DecodeStep(8, 64); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sm.DecodeStep(8, 512); err != nil {
+			t.Fatal(err)
+		}
+		delete(sm.decode, stepKey{8, 512})
+	})
+	if allocs > 8 {
+		t.Errorf("a decode miss at a seen batch allocates %.0f times, want ≤ 8", allocs)
 	}
 }

@@ -105,21 +105,27 @@ func (fo folder) copySpan(bytes float64) span {
 }
 
 // eagerTime returns the host clock at the end of executor.runEager(g) on
-// a fresh runtime, without running it: the input copy, the graph, a
-// synchronize, and, without unified virtual memory, the output copy and
-// a second synchronize. The run starts at t = 0 and its last act is a
-// synchronize, so the result is also the run's trace span.
+// a fresh runtime, without running it: g's fold inside the bracket.
 func eagerTime(p *hw.Platform, g *ops.Graph) sim.Time {
 	fo := newFolder(p)
+	return fo.bracket(fo.graph(g), g.InputBytes, g.OutputBytes)
+}
+
+// bracket returns the host clock at the end of an eager run of s on a
+// fresh runtime: the input copy of in bytes, body, a synchronize, and,
+// without unified virtual memory, the output copy of out bytes and a
+// second synchronize. The run starts at t = 0 and its last act is a
+// synchronize, so the result is also the run's trace span.
+func (fo folder) bracket(body span, in, out float64) sim.Time {
 	var c, f sim.Time
 	apply := func(s span) { c, f = c+s.cpu, max(f+s.stream, c+s.launch) }
-	if !p.UnifiedVirtualMemory {
-		apply(fo.copySpan(g.InputBytes))
+	if !fo.p.UnifiedVirtualMemory {
+		apply(fo.copySpan(in))
 	}
-	apply(fo.graph(g))
+	apply(body)
 	c = max(c, f)
-	if !p.UnifiedVirtualMemory {
-		apply(fo.copySpan(g.OutputBytes))
+	if !fo.p.UnifiedVirtualMemory {
+		apply(fo.copySpan(out))
 		c = max(c, f)
 	}
 	return c

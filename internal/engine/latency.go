@@ -7,6 +7,7 @@ import (
 
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
+	"github.com/skipsim/skip/internal/ops"
 	"github.com/skipsim/skip/internal/sim"
 )
 
@@ -18,14 +19,23 @@ import (
 // — the serving layer replays cached iteration latencies thousands of
 // times while the engine times tens of graphs.
 //
-// A miss builds the graph and times it without the executor wherever
-// the executor would walk it eagerly: decode steps in every mode and
-// prefill in eager and flash. The walk only adds and takes maxima, so
-// eagerTime folds it into one max-plus span and times the shared
-// layer block once, composing its span once per layer. Compiled-mode
-// prefill lowers the graph first and runs the executor with a nil
-// trace builder. Either way the latency equals a traced run's (Run's
-// TTFT) bit for bit.
+// A decode miss never builds the graph. The executor's eager walk only
+// adds and takes maxima, so every stretch of it has an exact max-plus
+// span (fold.go), and spans compose associatively. A decode step is
+//
+//	bracket(head · (pre · attention(kv) · post)^layers · tail)
+//
+// in models.DecodePart's terms, with bracket the input copy,
+// synchronize and output copy around it. Only the attention depends on
+// the KV length. The model keeps the head, pre, post and tail spans
+// and the bracket's copy sizes per batch, so a miss at a batch it has
+// seen folds only the attention's operators (six eager, one flash);
+// the first miss at a batch folds the other parts once. A prefill miss
+// builds the graph: eager and flash prefill fold it (eagerTime),
+// timing the shared layer block once and composing its span once per
+// layer; compiled-mode prefill lowers it first and runs the executor
+// with a nil trace builder. Either way the latency equals a traced
+// run's bit for bit: Run's TTFT, or the decode-step graph's eager walk.
 //
 // A StepModel is safe for concurrent use. Its fields are read-only after
 // construction; a model from SharedStepModel is used by every serving
@@ -43,6 +53,17 @@ type StepModel struct {
 	mu      sync.Mutex
 	prefill map[stepKey]sim.Time
 	decode  map[stepKey]sim.Time
+	// parts holds each decode batch's KV-independent spans; nodes is
+	// the reused buffer decode misses build operators into.
+	parts map[int64]decodeSpans
+	nodes []*ops.Node
+}
+
+// decodeSpans are a decode step's KV-independent part spans at one
+// batch and its bracket's input and output copy sizes.
+type decodeSpans struct {
+	head, pre, post, tail span
+	in, out               float64
 }
 
 type stepKey struct{ batch, tokens int64 }
@@ -184,14 +205,42 @@ func (sm *StepModel) DecodeStep(batch, kvLen int64) (sim.Time, error) {
 	if t, ok := sm.decode[key]; ok {
 		return t, nil
 	}
-	g, err := models.BuildDecodeStep(sm.Model, batch, key.tokens, sm.Mode.attention())
-	if err != nil {
-		return 0, err
-	}
-	d := eagerTime(sm.Platform, g)
+	d := sm.decodeTime(batch, key.tokens)
 	oracleRuns.Add(1)
 	sm.decode[key] = d
 	return d, nil
+}
+
+// decodeTime computes one decode-step latency by partial evaluation:
+// the batch's cached part spans around a fold of the attention alone.
+// The caller holds mu and has checked DecodeStep's arguments.
+func (sm *StepModel) decodeTime(batch, kvLen int64) sim.Time {
+	fo, attn := newFolder(sm.Platform), sm.Mode.attention()
+	fold := func(part models.DecodePart) span {
+		sm.nodes = models.AppendDecodePart(sm.nodes[:0], sm.Model, part, batch, kvLen, attn)
+		return fo.nodes(idle, sm.nodes)
+	}
+	ps, ok := sm.parts[batch]
+	if !ok {
+		if sm.parts == nil {
+			// The largest part, a GELU-gated post, is 9 operators.
+			sm.parts, sm.nodes = make(map[int64]decodeSpans), make([]*ops.Node, 0, 16)
+		}
+		ps = decodeSpans{
+			head: fold(models.DecodeHead),
+			pre:  fold(models.DecodePre),
+			post: fold(models.DecodePost),
+			tail: fold(models.DecodeTail),
+		}
+		ps.in, ps.out = models.DecodeIOBytes(sm.Model, batch)
+		sm.parts[batch] = ps
+	}
+	layer := ps.pre.then(fold(models.DecodeAttention)).then(ps.post)
+	s := ps.head
+	for i := int64(0); i < sm.Model.Layers; i++ {
+		s = s.then(layer)
+	}
+	return fo.bracket(s.then(ps.tail), ps.in, ps.out)
 }
 
 // prefillTime computes one prefill latency. Eager modes fold the graph

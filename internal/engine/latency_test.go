@@ -469,7 +469,9 @@ func TestPrefillBucketClampsToMaxSeq(t *testing.T) {
 
 // BenchmarkStepModelMiss times one oracle miss: each iteration fills one
 // key on a fresh private model (llama-3.2-1B on GH200, eager, the
-// benchmark fleets' configuration).
+// benchmark fleets' configuration). decode-seen-batch times a decode
+// miss at a batch the model has already priced, which folds only the
+// attention: one model, the key deleted after each fill.
 func BenchmarkStepModelMiss(b *testing.B) {
 	for _, phase := range []string{"prefill", "decode"} {
 		b.Run(phase, func(b *testing.B) {
@@ -490,6 +492,23 @@ func BenchmarkStepModelMiss(b *testing.B) {
 			}
 		})
 	}
+	b.Run("decode-seen-batch", func(b *testing.B) {
+		sm, err := NewStepModel(hw.GH200(), models.Llama32_1B(), Eager, 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sm.DecodeStep(8, 64); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if benchLatency, err = sm.DecodeStep(8, 512); err != nil {
+				b.Fatal(err)
+			}
+			delete(sm.decode, stepKey{8, 512})
+		}
+	})
 }
 
 // BenchmarkStepModelHit times one warm decode-step lookup.

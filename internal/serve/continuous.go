@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/kvcache"
@@ -449,19 +450,51 @@ func (s *contSim) emitCache(now sim.Time, cr *contRequest, g kvcache.Grant) {
 	ev := Event{Time: now, RequestID: cr.req.ID, SessionID: cr.req.SessionID}
 	if g.Hits+g.Restored > 0 {
 		ev.Type = EventBlockHit
-		ev.Detail = fmt.Sprintf("hits=%d restored=%d misses=%d credit=%d", g.Hits, g.Restored, g.Misses, g.CreditTokens)
+		ev.Detail = blockHitDetail(g)
 		s.cfg.Observer(ev)
 	}
 	if g.Evicted > 0 {
 		ev.Type = EventBlockEvict
-		ev.Detail = fmt.Sprintf("evicted=%d spilled=%d host_dropped=%d", g.Evicted, g.Spilled, g.HostEvicted)
+		ev.Detail = blockEvictDetail(g)
 		s.cfg.Observer(ev)
 	}
 	if g.Restored > 0 {
 		ev.Type = EventBlockRestore
-		ev.Detail = fmt.Sprintf("blocks=%d bytes=%.0f", g.Restored, float64(g.Restored)*float64(s.cache.BlockTokens())*s.bytesPerTok)
+		ev.Detail = blockRestoreDetail(g.Restored, float64(g.Restored)*float64(s.cache.BlockTokens())*s.bytesPerTok)
 		s.cfg.Observer(ev)
 	}
+}
+
+// blockHitDetail, blockEvictDetail and blockRestoreDetail build the
+// cache events' Detail text with one allocation each, the text
+// fmt.Sprintf would give for "hits=%d restored=%d misses=%d
+// credit=%d", "evicted=%d spilled=%d host_dropped=%d" and "blocks=%d
+// bytes=%.0f".
+func blockHitDetail(g kvcache.Grant) string {
+	var buf [128]byte
+	b := appendCount(buf[:0], "hits=", int64(g.Hits))
+	b = appendCount(b, " restored=", int64(g.Restored))
+	b = appendCount(b, " misses=", int64(g.Misses))
+	return string(appendCount(b, " credit=", g.CreditTokens))
+}
+
+func blockEvictDetail(g kvcache.Grant) string {
+	var buf [128]byte
+	b := appendCount(buf[:0], "evicted=", int64(g.Evicted))
+	b = appendCount(b, " spilled=", int64(g.Spilled))
+	return string(appendCount(b, " host_dropped=", int64(g.HostEvicted)))
+}
+
+func blockRestoreDetail(blocks int, bytes float64) string {
+	var buf [128]byte
+	b := appendCount(buf[:0], "blocks=", int64(blocks))
+	b = append(b, " bytes="...)
+	return string(strconv.AppendFloat(b, bytes, 'f', 0, 64))
+}
+
+// appendCount appends label and then v in decimal.
+func appendCount(b []byte, label string, v int64) []byte {
+	return strconv.AppendInt(append(b, label...), v, 10)
 }
 
 // willEmitToken reports whether r produces an output token in the next

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -8,6 +10,7 @@ import (
 
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/hw"
+	"github.com/skipsim/skip/internal/kvcache"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/sim"
 )
@@ -521,5 +524,31 @@ func TestRunningFlagMatchesSlice(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBlockDetailMatchesFmt: the cache events' strconv-built Detail
+// text equals the fmt formats it replaces, over a grid of grant counts
+// from 0 to the int64 extremes and of byte sizes that round both ways.
+func TestBlockDetailMatchesFmt(t *testing.T) {
+	counts := []int{0, 1, 7, 64, 999, 123456, 1<<31 - 1, math.MaxInt64, math.MinInt64}
+	for i, a := range counts {
+		for j, b := range counts {
+			c, d := counts[(i+j)%len(counts)], counts[(i+2*j+1)%len(counts)]
+			g := kvcache.Grant{Hits: a, Restored: b, Misses: c, CreditTokens: int64(d), Evicted: a, Spilled: c, HostEvicted: b}
+			if got, want := blockHitDetail(g), fmt.Sprintf("hits=%d restored=%d misses=%d credit=%d", g.Hits, g.Restored, g.Misses, g.CreditTokens); got != want {
+				t.Errorf("block-hit detail %q, want %q", got, want)
+			}
+			if got, want := blockEvictDetail(g), fmt.Sprintf("evicted=%d spilled=%d host_dropped=%d", g.Evicted, g.Spilled, g.HostEvicted); got != want {
+				t.Errorf("block-evict detail %q, want %q", got, want)
+			}
+		}
+	}
+	for _, blocks := range counts {
+		for _, bytes := range []float64{0, 0.4, 0.5, 1.5, 2.5, 1023.49, 16 * 2 * 128 * 1024, 3.2e12 + 0.5, 1e20, 1.7976931348623157e308} {
+			if got, want := blockRestoreDetail(blocks, bytes), fmt.Sprintf("blocks=%d bytes=%.0f", blocks, bytes); got != want {
+				t.Errorf("block-restore detail %q, want %q", got, want)
+			}
+		}
 	}
 }
