@@ -131,7 +131,12 @@ type totals struct {
 // or a crash.
 func (f *fleetSim) tally() (*totals, error) {
 	t := &totals{serve: make([]*serve.Stats, len(f.members))}
-	var ttfts, tpots, e2es []sim.Time
+	// runs holds each member's TTFT, TPOT and E2E samples, which its
+	// Stats call has sorted.
+	var runs [3][][]sim.Time
+	for i := range runs {
+		runs[i] = make([][]sim.Time, 0, len(f.members))
+	}
 	var tokensOut int64
 	caches := make([]*serve.KVCacheStats, len(f.members))
 	placed := make([]int, len(f.members))
@@ -148,9 +153,7 @@ func (f *fleetSim) tally() (*totals, error) {
 		}
 		tokensOut += is.TokensOut
 		tt, tp, e := m.in.Latencies()
-		ttfts = append(ttfts, tt...)
-		tpots = append(tpots, tp...)
-		e2es = append(e2es, e...)
+		runs[0], runs[1], runs[2] = append(runs[0], tt), append(runs[1], tp), append(runs[2], e)
 		// Everything an instance was given (routed arrivals and
 		// requeues, resumed handoffs) must settle there: completed,
 		// abandoned, handed off, or killed in a crash.
@@ -165,7 +168,8 @@ func (f *fleetSim) tally() (*totals, error) {
 	}
 
 	p := &t.Pooled
-	p.Latency = serve.SummarizeLatency(ttfts, tpots, e2es)
+	ttfts := mergeSorted(runs[0])
+	p.Latency = serve.SummarizeLatency(ttfts, mergeSorted(runs[1]), mergeSorted(runs[2]))
 	if p.Horizon > 0 {
 		sec := p.Horizon.Seconds()
 		p.Throughput = float64(t.completed) / sec
@@ -206,6 +210,58 @@ func (f *fleetSim) tally() (*totals, error) {
 			f.placed, t.completed, t.abandoned, drops)
 	}
 	return t, nil
+}
+
+// mergeSorted returns the ascending merge of ascending runs in one
+// buffer sized to their total. The non-empty runs' remainders form a
+// min-heap on their first elements; each step moves the smallest first
+// element to the output, so a merge of n samples from k runs costs
+// O(n log k). A sorted sequence is unique, so the result equals sorting
+// the concatenation.
+func mergeSorted(runs [][]sim.Time) []sim.Time {
+	n := 0
+	heap := make([][]sim.Time, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			n += len(r)
+			heap = append(heap, r)
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	out := make([]sim.Time, 0, n)
+	for len(heap) > 0 {
+		r := heap[0]
+		out = append(out, r[0])
+		if len(r) > 1 {
+			heap[0] = r[1:]
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(heap, 0)
+	}
+	return out
+}
+
+// siftDown restores the min-heap order of h, by first element, below
+// h[i].
+func siftDown(h [][]sim.Time, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1][0] < h[c][0] {
+			c++
+		}
+		if h[i][0] <= h[c][0] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // finishChaos closes the churn ledger: session repins summed once per

@@ -15,9 +15,11 @@ import (
 // GH200, eager, filling one key), costs one allocation per operator
 // tree it builds (two for a shape-named GEMM) plus the model's few. The
 // fold that times the operators allocates nothing, so a miss is not one
-// allocation per graph node. A prefill miss builds the graph: 45
+// allocation per graph node. A prefill miss builds the graph: 48
 // allocations. A decode miss builds each decode part once, into the
-// model's reused buffer, with no graph or node list: 43. The race
+// model's reused buffer, with no graph or node list: 46. Either count
+// includes the six that make the first key's latency table row and
+// page. The race
 // detector's instrumentation allocates, hence the build tag; a
 // collection cycle can allocate too, hence no GC while counting.
 func TestStepModelMissAllocs(t *testing.T) {
@@ -48,7 +50,7 @@ func TestStepModelMissAllocs(t *testing.T) {
 // TestStepModelSeenBatchMissAllocs: a decode miss at a batch the model
 // has seen builds only the attention's operators, six under eager
 // attention, two of them shape-named GEMMs: 8 allocations. The key is
-// deleted after each fill so every run misses at the same KV length,
+// forgotten after each fill so every run misses at the same KV length,
 // as BenchmarkStepModelMiss's decode-seen-batch case does.
 func TestStepModelSeenBatchMissAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -63,9 +65,36 @@ func TestStepModelSeenBatchMissAllocs(t *testing.T) {
 		if _, err := sm.DecodeStep(8, 512); err != nil {
 			t.Fatal(err)
 		}
-		delete(sm.decode, stepKey{8, 512})
+		sm.forgetDecode(8, 512)
 	})
 	if allocs > 8 {
 		t.Errorf("a decode miss at a seen batch allocates %.0f times, want ≤ 8", allocs)
+	}
+}
+
+// TestStepModelHitAllocs: a warm hit in either phase allocates nothing;
+// it reads the phase's latency table through atomic loads.
+func TestStepModelHitAllocs(t *testing.T) {
+	sm, err := NewStepModel(hw.GH200(), models.Llama32_1B(), Eager, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		phase string
+		hit   func() error
+	}{
+		{"prefill", func() error { _, err := sm.Prefill(1, 512); return err }},
+		{"decode", func() error { _, err := sm.DecodeStep(8, 512); return err }},
+	} {
+		if err := c.hit(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if err := c.hit(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("a warm %s hit allocates %.1f times, want 0", c.phase, allocs)
+		}
 	}
 }

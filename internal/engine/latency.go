@@ -37,9 +37,14 @@ import (
 // with a nil trace builder. Either way the latency equals a traced
 // run's bit for bit: Run's TTFT, or the decode-step graph's eager walk.
 //
-// A StepModel is safe for concurrent use. Its fields are read-only after
-// construction; a model from SharedStepModel is used by every serving
-// instance in the process with that configuration.
+// Each phase's latencies live in a latencyTable: one row per batch, one
+// slot per bucket index, read without a lock. A hit costs one division
+// and three atomic loads; a miss takes the model's mutex, so each key is
+// computed once.
+//
+// A StepModel is safe for concurrent use. Its exported fields are
+// read-only after construction; a model from SharedStepModel is used by
+// every serving instance in the process with that configuration.
 type StepModel struct {
 	Platform *hw.Platform
 	Model    *models.Config
@@ -47,14 +52,15 @@ type StepModel struct {
 	// Bucket quantizes seq/kvLen for caching (tokens; default 64).
 	Bucket int64
 
-	// mu guards the caches. It is held across a miss's engine run, so
+	prefill, decode latencyTable
+
+	// mu serializes misses. It is held across a miss's engine run, so
 	// each key is computed once; values are pure functions of the key,
 	// so the order concurrent callers fill them in cannot change them.
-	mu      sync.Mutex
-	prefill map[stepKey]sim.Time
-	decode  map[stepKey]sim.Time
-	// parts holds each decode batch's KV-independent spans; nodes is
-	// the reused buffer decode misses build operators into.
+	// It also guards parts and nodes: parts holds each decode batch's
+	// KV-independent spans, and nodes is the reused buffer decode misses
+	// build operators into.
+	mu    sync.Mutex
 	parts map[int64]decodeSpans
 	nodes []*ops.Node
 }
@@ -66,7 +72,82 @@ type decodeSpans struct {
 	in, out               float64
 }
 
-type stepKey struct{ batch, tokens int64 }
+// latencyTable caches one phase's latencies by batch and bucket index,
+// ceil(tokens/Bucket) − 1, which maps every key bucketTokens can produce
+// (the MaxSeq-clamped prefill key included) to its own slot. A row is a
+// list of fixed-size pages allocated on first touch, so memory follows
+// the keys filled: a page per 64 touched buckets, plus one pointer per
+// 64 buckets up to the row's highest. Readers take no lock. The row
+// directory and each row's page list are immutable slices published
+// through atomic pointers and replaced by a grown copy under the
+// model's mutex; a slot is read only after its filled bit, set after
+// the value is written, says the value is there. A zero latency is not
+// ruled out, so emptiness is the bit, not the value.
+type latencyTable struct {
+	rows atomic.Pointer[[]*latencyRow]
+	keys int // filled slots; guarded by StepModel.mu
+}
+
+// A latencyRow is one batch's page list, indexed by idx / pageSlots.
+type latencyRow = atomic.Pointer[[]*latencyPage]
+
+const pageSlots = 64
+
+type latencyPage struct {
+	filled atomic.Uint64 // bit i is set once vals[i] is written
+	vals   [pageSlots]sim.Time
+}
+
+// at returns (*dir)[i], or nil when dir is not that long or the slot is
+// empty.
+func at[T any](dir *atomic.Pointer[[]*T], i int64) *T {
+	if p := dir.Load(); p != nil && i < int64(len(*p)) {
+		return (*p)[i]
+	}
+	return nil
+}
+
+// grow returns (*dir)[i], first publishing a copy of the directory with
+// a new element there when it has none. A published directory is never
+// written again, so lock-free readers see either copy whole. The caller
+// holds StepModel.mu.
+func grow[T any](dir *atomic.Pointer[[]*T], i int64) *T {
+	if e := at(dir, i); e != nil {
+		return e
+	}
+	var old []*T
+	if p := dir.Load(); p != nil {
+		old = *p
+	}
+	s := make([]*T, max(int64(len(old)), i+1))
+	copy(s, old)
+	s[i] = new(T)
+	dir.Store(&s)
+	return s[i]
+}
+
+// get returns the latency at (batch, idx) if it has been put.
+func (t *latencyTable) get(batch, idx int64) (sim.Time, bool) {
+	row := at(&t.rows, batch-1)
+	if row == nil {
+		return 0, false
+	}
+	pg := at(row, idx/pageSlots)
+	if pg == nil || pg.filled.Load()&(1<<(idx%pageSlots)) == 0 {
+		return 0, false
+	}
+	return pg.vals[idx%pageSlots], true
+}
+
+// put records a newly computed latency at (batch, idx) and counts the
+// engine run. The caller holds StepModel.mu.
+func (t *latencyTable) put(batch, idx int64, d sim.Time) {
+	pg := grow(grow(&t.rows, batch-1), idx/pageSlots)
+	pg.vals[idx%pageSlots] = d
+	pg.filled.Store(pg.filled.Load() | 1<<(idx%pageSlots))
+	t.keys++
+	oracleRuns.Add(1)
+}
 
 // NewStepModel validates the configuration and returns an empty cache.
 // bucket <= 0 selects the 64-token default.
@@ -80,11 +161,7 @@ func NewStepModel(p *hw.Platform, m *models.Config, mode Mode, bucket int64) (*S
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &StepModel{
-		Platform: p, Model: m, Mode: mode, Bucket: resolveBucket(bucket),
-		prefill: make(map[stepKey]sim.Time),
-		decode:  make(map[stepKey]sim.Time),
-	}, nil
+	return &StepModel{Platform: p, Model: m, Mode: mode, Bucket: resolveBucket(bucket)}, nil
 }
 
 // resolveBucket applies the 64-token default to bucket <= 0.
@@ -173,18 +250,20 @@ func (sm *StepModel) Prefill(batch, seq int64) (sim.Time, error) {
 	if maxSeq > 0 && seq > maxSeq {
 		return 0, fmt.Errorf("engine: %s: prefill seq %d exceeds max %d", sm.Model.Name, seq, maxSeq)
 	}
-	key := stepKey{batch, sm.bucketTokens(seq, maxSeq)}
+	idx := (seq - 1) / sm.Bucket
+	if d, ok := sm.prefill.get(batch, idx); ok {
+		return d, nil
+	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if t, ok := sm.prefill[key]; ok {
-		return t, nil
+	if d, ok := sm.prefill.get(batch, idx); ok {
+		return d, nil // a concurrent miss filled it
 	}
-	d, err := sm.prefillTime(batch, key.tokens)
+	d, err := sm.prefillTime(batch, sm.bucketTokens(seq, maxSeq))
 	if err != nil {
 		return 0, err
 	}
-	oracleRuns.Add(1)
-	sm.prefill[key] = d
+	sm.prefill.put(batch, idx, d)
 	return d, nil
 }
 
@@ -199,15 +278,17 @@ func (sm *StepModel) DecodeStep(batch, kvLen int64) (sim.Time, error) {
 	if sm.Model.Kind != models.Decoder {
 		return 0, fmt.Errorf("engine: decode step requires a decoder-only model, %s is %v", sm.Model.Name, sm.Model.Kind)
 	}
-	key := stepKey{batch, sm.bucketTokens(kvLen, 0)}
+	idx := (kvLen - 1) / sm.Bucket
+	if d, ok := sm.decode.get(batch, idx); ok {
+		return d, nil
+	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if t, ok := sm.decode[key]; ok {
-		return t, nil
+	if d, ok := sm.decode.get(batch, idx); ok {
+		return d, nil // a concurrent miss filled it
 	}
-	d := sm.decodeTime(batch, key.tokens)
-	oracleRuns.Add(1)
-	sm.decode[key] = d
+	d := sm.decodeTime(batch, sm.bucketTokens(kvLen, 0))
+	sm.decode.put(batch, idx, d)
 	return d, nil
 }
 
@@ -268,5 +349,5 @@ func (sm *StepModel) prefillTime(batch, seq int64) (sim.Time, error) {
 func (sm *StepModel) CachedRuns() int {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	return len(sm.prefill) + len(sm.decode)
+	return sm.prefill.keys + sm.decode.keys
 }

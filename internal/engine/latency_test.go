@@ -427,6 +427,83 @@ func TestStepModelConcurrentFill(t *testing.T) {
 	}
 }
 
+// TestStepModelConcurrentHitsAndGrowth: goroutines interleave warm hits
+// with misses that add new batch rows and new pages to both phases'
+// tables while other goroutines read them. Every latency matches a
+// serially filled model and every new key is computed once. Run under
+// -race, this checks the lock-free hit path's publication order.
+func TestStepModelConcurrentHitsAndGrowth(t *testing.T) {
+	type key struct{ batch, tokens int64 }
+	var keys []key
+	for _, b := range []int64{1, 2, 5, 9, 17, 33} {
+		// Bucket 8: lengths up to GPT-2's MaxSeq fill two pages of a
+		// row, and the decode-only lengths reach page 39.
+		for _, n := range []int64{1, 8, 9, 100, 511, 513, 1000, 1024, 2000, 20000} {
+			keys = append(keys, key{b, n})
+		}
+	}
+	lookup := func(sm *StepModel, k key) (p, d sim.Time, err error) {
+		if k.tokens <= sm.Model.MaxSeq {
+			if p, err = sm.Prefill(k.batch, k.tokens); err != nil {
+				return 0, 0, err
+			}
+		}
+		d, err = sm.DecodeStep(k.batch, k.tokens)
+		return p, d, err
+	}
+	serial, err := NewStepModel(hw.GH200(), models.GPT2(), Flash, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantP, wantD := make([]sim.Time, len(keys)), make([]sim.Time, len(keys))
+	for i, k := range keys {
+		if wantP[i], wantD[i], err = lookup(serial, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sm, err := NewStepModel(hw.GH200(), models.GPT2(), Flash, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm = 3 // keys[:warm] are filled before the goroutines start
+	for _, k := range keys[:warm] {
+		if _, _, err := lookup(sm, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs, warmRuns := OracleRuns(), sm.CachedRuns()
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts at its own offset, so the workers race
+			// to fill different keys while others hit them.
+			for j := range keys {
+				i := (j + w*len(keys)/workers) % len(keys)
+				for _, at := range []int{i, j % warm} {
+					p, d, err := lookup(sm, keys[at])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if p != wantP[at] || d != wantD[at] {
+						t.Errorf("worker %d: %+v = (%v, %v), serial fill gives (%v, %v)", w, keys[at], p, d, wantP[at], wantD[at])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if sm.CachedRuns() != serial.CachedRuns() {
+		t.Errorf("concurrent fill cached %d keys, serial %d", sm.CachedRuns(), serial.CachedRuns())
+	}
+	if d, want := OracleRuns()-runs, int64(serial.CachedRuns()-warmRuns); d != want {
+		t.Errorf("oracle run counter moved by %d, want %d: each new key once", d, want)
+	}
+}
+
 // TestPrefillBucketClampsToMaxSeq: a legal prefill length whose bucket
 // would round past the model's MaxSeq runs at MaxSeq instead of
 // failing, and equals a direct engine run at MaxSeq. Lengths past
@@ -471,7 +548,7 @@ func TestPrefillBucketClampsToMaxSeq(t *testing.T) {
 // key on a fresh private model (llama-3.2-1B on GH200, eager, the
 // benchmark fleets' configuration). decode-seen-batch times a decode
 // miss at a batch the model has already priced, which folds only the
-// attention: one model, the key deleted after each fill.
+// attention: one model, the key forgotten after each fill.
 func BenchmarkStepModelMiss(b *testing.B) {
 	for _, phase := range []string{"prefill", "decode"} {
 		b.Run(phase, func(b *testing.B) {
@@ -506,27 +583,66 @@ func BenchmarkStepModelMiss(b *testing.B) {
 			if benchLatency, err = sm.DecodeStep(8, 512); err != nil {
 				b.Fatal(err)
 			}
-			delete(sm.decode, stepKey{8, 512})
+			sm.forgetDecode(8, 512)
 		}
 	})
 }
 
-// BenchmarkStepModelHit times one warm decode-step lookup.
+// BenchmarkStepModelHit times one warm lookup in either phase
+// (llama-3.2-1B on GH200, eager). decode-parallel runs the decode hit
+// on every GOMAXPROCS goroutine at once: the hit path takes no lock and
+// writes nothing, so the goroutines do not wait on one another.
 func BenchmarkStepModelHit(b *testing.B) {
 	sm, err := NewStepModel(hw.GH200(), models.Llama32_1B(), Eager, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
+	if _, err := sm.Prefill(1, 512); err != nil {
+		b.Fatal(err)
+	}
 	if _, err := sm.DecodeStep(8, 512); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if benchLatency, err = sm.DecodeStep(8, 512); err != nil {
-			b.Fatal(err)
-		}
+	for _, phase := range []string{"decode", "prefill"} {
+		b.Run(phase, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if phase == "prefill" {
+					benchLatency, err = sm.Prefill(1, 512)
+				} else {
+					benchLatency, err = sm.DecodeStep(8, 512)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+	b.Run("decode-parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := sm.DecodeStep(8, 512); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+}
+
+// forgetDecode empties the decode slot of (batch, kvLen), so the next
+// DecodeStep there misses as if the key had never been filled.
+func (sm *StepModel) forgetDecode(batch, kvLen int64) {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	idx := (kvLen - 1) / sm.Bucket
+	if _, ok := sm.decode.get(batch, idx); !ok {
+		return
+	}
+	pg := at(at(&sm.decode.rows, batch-1), idx/pageSlots)
+	pg.filled.Store(pg.filled.Load() &^ (1 << (idx % pageSlots)))
+	sm.decode.keys--
 }
 
 // benchLatency keeps the benchmarked lookups observable to the compiler.

@@ -199,6 +199,11 @@ type contSim struct {
 	// kickFn is the deferred scheduling decision an idle arrival
 	// schedules (see arrive), bound once like finish.
 	kickFn func(now sim.Time)
+
+	// slab is the chunk new requests are carved from (see newSlot);
+	// slab[slabNext:] is unused.
+	slab     []contRequest
+	slabNext int
 }
 
 // newContSim builds a continuous-batching simulator on the given
@@ -282,7 +287,24 @@ func (s *contSim) newRequest(req Request) (*contRequest, error) {
 		return nil, fmt.Errorf("serve: request %d needs %.2f GB of KV (prompt %d + output %d tokens) but the budget is %.2f GB",
 			req.ID, need/1e9, req.PromptLen, req.OutputLen, s.capacity/1e9)
 	}
-	return &contRequest{req: req}, nil
+	return s.newSlot(contRequest{req: req}), nil
+}
+
+// newSlot places r in the next unused slot of the request slab and
+// returns it. Requests are allocated a chunk at a time, the chunks
+// doubling from 16 to 256 slots, so a long simulation makes one
+// allocation per 256 requests and a short one wastes little. A slot is
+// never reused: a request has one owner, and another instance resuming
+// or requeueing it takes a new slot from the Handoff record. A chunk is
+// freed once none of its requests is referenced.
+func (s *contSim) newSlot(r contRequest) *contRequest {
+	if s.slabNext == len(s.slab) {
+		s.slab, s.slabNext = make([]contRequest, min(max(2*len(s.slab), 16), 256)), 0
+	}
+	cr := &s.slab[s.slabNext]
+	s.slabNext++
+	*cr = r
+	return cr
 }
 
 // emit reports a lifecycle event for cr to the configured observer.

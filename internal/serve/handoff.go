@@ -79,7 +79,7 @@ func (in *Instance) Resume(now sim.Time, h Handoff) error {
 			in.name, h.Req.ID, h.Req.PromptLen, h.Req.OutputLen)
 	}
 	in.s.resumed++
-	in.s.arrive(now, &contRequest{
+	in.s.arrive(now, in.s.newSlot(contRequest{
 		req:        h.Req,
 		promptDone: h.Req.PromptLen,
 		generated:  h.Delivered,
@@ -87,6 +87,6 @@ func (in *Instance) Resume(now sim.Time, h Handoff) error {
 		firstTok:   h.FirstToken,
 		hasFirst:   true,
 		resumed:    true,
-	})
+	}))
 	return nil
 }

@@ -133,7 +133,8 @@ func (in *Instance) Stats() *Stats { return in.s.stats() }
 // Latencies returns the raw per-request samples (TTFT, TPOT, E2E) so a
 // cluster can compute exact fleet-level percentiles instead of
 // averaging per-instance ones. The slices are the instance's own:
-// callers copy before they modify.
+// callers copy before they modify. Stats sorts them in place, so after
+// a Stats call each is ascending.
 func (in *Instance) Latencies() (ttfts, tpots, e2es []sim.Time) {
 	return in.s.ttfts, in.s.tpots, in.s.e2es
 }

@@ -134,13 +134,13 @@ func (in *Instance) AcceptRequeued(now sim.Time, h Handoff) error {
 			in.name, h.Req.ID, h.Req.PromptLen, h.Req.OutputLen)
 	}
 	in.routed++
-	in.s.arrive(now, &contRequest{
+	in.s.arrive(now, in.s.newSlot(contRequest{
 		req:       h.Req,
 		delivered: h.Delivered,
 		firstTok:  h.FirstToken,
 		hasFirst:  h.HasFirst,
 		resumed:   h.HasFirst, // mid-stream requests never abandon
-	})
+	}))
 	return nil
 }
 
