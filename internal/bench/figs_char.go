@@ -7,6 +7,7 @@ import (
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
+	"github.com/skipsim/skip/internal/sim"
 )
 
 func init() {
@@ -30,10 +31,12 @@ func init() {
 	})
 }
 
-// charPoint is one (platform, batch) measurement.
+// charPoint is one (platform, batch) measurement: the run's timings and
+// its SKIP metrics, without the trace, so a sweep holds no trace past
+// its analysis.
 type charPoint struct {
-	res     *engine.Result
-	metrics *core.Metrics
+	ttft, gpuIdle, cpuIdle sim.Time
+	metrics                *core.Metrics
 }
 
 // sweepChar runs the characterization sweep for one model on the three
@@ -50,7 +53,7 @@ func sweepChar(model *models.Config, batches []int64) (map[string][]charPoint, e
 			if err != nil {
 				return nil, err
 			}
-			out[p.Name] = append(out[p.Name], charPoint{res: r, metrics: m})
+			out[p.Name] = append(out[p.Name], charPoint{ttft: r.TTFT, gpuIdle: r.GPUIdle, cpuIdle: r.CPUIdle, metrics: m})
 		}
 	}
 	return out, nil
@@ -60,7 +63,7 @@ func toSeries(points []charPoint, batches []int64) []core.SeriesPoint {
 	series := make([]core.SeriesPoint, len(points))
 	for i, pt := range points {
 		series[i] = core.SeriesPoint{
-			Batch: batches[i], TKLQT: pt.metrics.TKLQT, TTFT: pt.res.TTFT, Metrics: pt.metrics,
+			Batch: batches[i], TKLQT: pt.metrics.TKLQT, TTFT: pt.ttft, Metrics: pt.metrics,
 		}
 	}
 	return series
@@ -150,9 +153,9 @@ func runCharFig(id, title string, modelNames []string, batches []int64,
 			title string
 			get   func(charPoint) float64
 		}{
-			{"Inference time (ms)", func(p charPoint) float64 { return p.res.TTFT.Milliseconds() }},
-			{"GPU idle time (ms)", func(p charPoint) float64 { return p.res.GPUIdle.Milliseconds() }},
-			{"CPU idle time (ms)", func(p charPoint) float64 { return p.res.CPUIdle.Milliseconds() }},
+			{"Inference time (ms)", func(p charPoint) float64 { return p.ttft.Milliseconds() }},
+			{"GPU idle time (ms)", func(p charPoint) float64 { return p.gpuIdle.Milliseconds() }},
+			{"CPU idle time (ms)", func(p charPoint) float64 { return p.cpuIdle.Milliseconds() }},
 		} {
 			tbl := Table{
 				Title:   fmt.Sprintf("%s vs batch size — %s (seq 512, eager)", metric.title, name),
@@ -178,10 +181,10 @@ func checkFig10(all map[string]map[string][]charPoint) []Check {
 		points := all[name]
 		intel, amd, gh := points[hw.IntelH100Name], points[hw.AMDA100Name], points[hw.GH200Name]
 		last := len(encoderBatches) - 1
-		bs1Intel := float64(gh[0].res.TTFT) / float64(intel[0].res.TTFT)
-		bs1AMD := float64(gh[0].res.TTFT) / float64(amd[0].res.TTFT)
-		spIntel := float64(intel[last].res.TTFT) / float64(gh[last].res.TTFT)
-		spAMD := float64(amd[last].res.TTFT) / float64(gh[last].res.TTFT)
+		bs1Intel := float64(gh[0].ttft) / float64(intel[0].ttft)
+		bs1AMD := float64(gh[0].ttft) / float64(amd[0].ttft)
+		spIntel := float64(intel[last].ttft) / float64(gh[last].ttft)
+		spAMD := float64(amd[last].ttft) / float64(gh[last].ttft)
 		checks = append(checks,
 			checkBand(name+" BS=1 GH200/Intel latency ratio", bs1Intel, 2.1, 3.5, "2.8 (Bert)"),
 			checkBand(name+" BS=1 GH200/AMD latency ratio", bs1AMD, 1.4, 2.4, "1.9 (Bert)"),
@@ -209,9 +212,9 @@ func checkFig11(all map[string]map[string][]charPoint) []Check {
 	llamaCP, _ := core.Crossover(toSeries(llama[hw.GH200Name], decoderBatches),
 		toSeries(llama[hw.IntelH100Name], decoderBatches))
 
-	llamaBS1 := float64(llama[hw.GH200Name][0].res.TTFT) / float64(llama[hw.IntelH100Name][0].res.TTFT)
-	spIntel := float64(llama[hw.IntelH100Name][last].res.TTFT) / float64(llama[hw.GH200Name][last].res.TTFT)
-	spAMD := float64(llama[hw.AMDA100Name][last].res.TTFT) / float64(llama[hw.GH200Name][last].res.TTFT)
+	llamaBS1 := float64(llama[hw.GH200Name][0].ttft) / float64(llama[hw.IntelH100Name][0].ttft)
+	spIntel := float64(llama[hw.IntelH100Name][last].ttft) / float64(llama[hw.GH200Name][last].ttft)
+	spAMD := float64(llama[hw.AMDA100Name][last].ttft) / float64(llama[hw.GH200Name][last].ttft)
 
 	checks = append(checks,
 		checkBool("gpt2 crossover exists", gpt2CP != 0, fmt.Sprintf("BS=%d", gpt2CP), "BS=4"),
@@ -220,8 +223,8 @@ func checkFig11(all map[string]map[string][]charPoint) []Check {
 		checkBand("llama BS=16 GH200 speedup over Intel", spIntel, 1.4, 2.3, "1.9"),
 		checkBand("llama BS=16 GH200 speedup over AMD", spAMD, 2.0, 3.2, "2.7"),
 		checkBool("llama GPU idle significant at BS=1 on GH200",
-			float64(llama[hw.GH200Name][0].res.GPUIdle) > 0.1*float64(llama[hw.GH200Name][0].res.TTFT),
-			f2(float64(llama[hw.GH200Name][0].res.GPUIdle)/float64(llama[hw.GH200Name][0].res.TTFT)),
+			float64(llama[hw.GH200Name][0].gpuIdle) > 0.1*float64(llama[hw.GH200Name][0].ttft),
+			f2(float64(llama[hw.GH200Name][0].gpuIdle)/float64(llama[hw.GH200Name][0].ttft)),
 			"significant GPU idle"),
 	)
 	return checks

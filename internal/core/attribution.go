@@ -120,16 +120,29 @@ func hostWork(e *trace.Event) bool {
 }
 
 // busyIntervals returns the merged union of spans selected by keep.
+// Spans arriving in start order, as in a sorted trace, merge as they
+// come; only a trace with out-of-order spans pays for a sort.
 func busyIntervals(tr *trace.Trace, keep func(*trace.Event) bool) []interval {
 	var ivs []interval
+	inOrder := true
 	for i := range tr.Events {
 		e := &tr.Events[i]
-		if keep(e) && e.Dur > 0 {
-			ivs = append(ivs, interval{e.Ts, e.End()})
+		if !keep(e) || e.Dur <= 0 {
+			continue
 		}
+		if n := len(ivs); n > 0 && inOrder {
+			last := &ivs[n-1]
+			if e.Ts < last.s {
+				inOrder = false
+			} else if e.Ts <= last.e {
+				last.e = max(last.e, e.End())
+				continue
+			}
+		}
+		ivs = append(ivs, interval{e.Ts, e.End()})
 	}
-	if len(ivs) == 0 {
-		return nil
+	if inOrder {
+		return ivs
 	}
 	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.s, b.s) })
 	merged := ivs[:1]

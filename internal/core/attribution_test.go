@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/skipsim/skip/internal/sim"
 	"github.com/skipsim/skip/internal/trace"
 )
 
@@ -90,5 +93,32 @@ func TestAttributionSumsToIL(t *testing.T) {
 	}
 	if got := a.CPUOnly + a.GPUOnly + a.Overlap + a.Bubble; got != a.IL {
 		t.Errorf("phases sum to %d, IL = %d", got, a.IL)
+	}
+}
+
+// TestBusyIntervalsOrderFree: the union of spans does not depend on
+// event order. A shuffled copy of a trace, whose spans take the sorting
+// path, yields the intervals its sorted original merges in one pass:
+// nested, overlapping, touching, disjoint and empty spans alike.
+func TestBusyIntervalsOrderFree(t *testing.T) {
+	spans := [][2]sim.Time{{0, 100}, {10, 20}, {50, 80}, {100, 30}, {200, 10}, {205, 0}, {205, 50}, {300, 5}, {305, 5}, {400, 1}}
+	sorted := trace.New()
+	for i, s := range spans {
+		sorted.Append(trace.Event{Name: "op", Cat: trace.CatOperator, Ts: s[0], Dur: s[1], TID: i})
+	}
+	all := func(*trace.Event) bool { return true }
+	want := busyIntervals(sorted, all)
+	if len(want) != 4 || want[0] != (interval{0, 130}) || want[3] != (interval{400, 401}) {
+		t.Fatalf("sorted union = %v", want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 20; k++ {
+		shuffled := &trace.Trace{Events: slices.Clone(sorted.Events)}
+		rng.Shuffle(len(spans), func(i, j int) {
+			shuffled.Events[i], shuffled.Events[j] = shuffled.Events[j], shuffled.Events[i]
+		})
+		if got := busyIntervals(shuffled, all); !slices.Equal(got, want) {
+			t.Fatalf("shuffle %d: union %v, want %v", k, got, want)
+		}
 	}
 }

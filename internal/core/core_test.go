@@ -57,8 +57,8 @@ func TestBuildGraphStructure(t *testing.T) {
 	if len(g.Parents[1].Launches) != 1 {
 		t.Error("second parent should own one launch")
 	}
-	if len(g.Launches) != 2 || len(g.Kernels) != 2 {
-		t.Errorf("launches=%d kernels=%d", len(g.Launches), len(g.Kernels))
+	if len(g.Launches) != 2 || len(g.KernelLaunches()) != 2 {
+		t.Errorf("launches=%d kernel launches=%d", len(g.Launches), len(g.KernelLaunches()))
 	}
 }
 

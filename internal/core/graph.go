@@ -21,8 +21,11 @@ import (
 
 // OpNode is one host operator in the dependency graph, with its nested
 // children and the kernel launches attributed to it.
+//
+// Event points into the source trace's Events, as do a LaunchRecord's
+// Launch and Kernel: a graph is valid while that trace is unmodified.
 type OpNode struct {
-	Event    trace.Event
+	Event    *trace.Event
 	Children []*OpNode
 	Launches []*LaunchRecord
 }
@@ -40,7 +43,7 @@ func (n *OpNode) Walk(visit func(*OpNode)) {
 type LaunchRecord struct {
 	// Launch is the cudaLaunchKernel / cudaGraphLaunch /cudaMemcpyAsync
 	// runtime event.
-	Launch trace.Event
+	Launch *trace.Event
 	// Kernel is the correlated device event (kernel or copy); nil when
 	// the launch never materialized device work.
 	Kernel *trace.Event
@@ -66,9 +69,8 @@ type Graph struct {
 	Parents []*OpNode
 	// Launches are all launch records, in launch order.
 	Launches []*LaunchRecord
-	// Kernels are the device kernel events, in execution order.
-	Kernels []trace.Event
-	// Trace is the source trace.
+	// Trace is the source trace, whose events the nodes and launch
+	// records point into.
 	Trace *trace.Trace
 }
 
@@ -80,12 +82,13 @@ type Graph struct {
 // The graph is built in a fixed number of allocations, whatever the
 // trace size: the nodes and launch records live in two slabs, and every
 // node's Children and Launches are capacity-limited windows of two
-// shared backing arrays, sized by a counting pass first.
+// shared backing arrays, sized by a counting pass first. No event is
+// copied: nodes and records point into tr.Events.
 func BuildGraph(tr *trace.Trace) (*Graph, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	g := &Graph{Trace: tr, Kernels: tr.Kernels()}
+	g := &Graph{Trace: tr}
 
 	// Collect the device events (kernels and copies) carrying a
 	// correlation and the host events (operators and runtime calls), in
@@ -121,18 +124,26 @@ func BuildGraph(tr *trace.Trace) (*Graph, error) {
 			host = append(host, int32(i))
 		}
 	}
-	// A launch finds its device event by binary search over the device
-	// events stably sorted by correlation; should several share one,
-	// the last in trace order wins.
+	// A launch finds its device event among the device events stably
+	// sorted by correlation; should several share one, the last in
+	// trace order wins. Launches walked in correlation order, as one
+	// executor thread emits them, find theirs at the cursor just past
+	// the previous match; any other launch binary-searches.
 	byCorr := func(a, b int32) int {
 		return cmp.Compare(tr.Events[a].Correlation, tr.Events[b].Correlation)
 	}
 	if !slices.IsSortedFunc(device, byCorr) {
 		slices.SortStableFunc(device, byCorr)
 	}
+	corrAt := func(i int) uint64 { return tr.Events[device[i]].Correlation }
+	next := 0 // the first device index past the previous launch's correlation
 	deviceFor := func(corr uint64) *trace.Event {
-		i := sort.Search(len(device), func(i int) bool { return tr.Events[device[i]].Correlation > corr })
-		if i > 0 && tr.Events[device[i-1]].Correlation == corr {
+		i := next + 1
+		if next >= len(device) || corrAt(next) != corr || (i < len(device) && corrAt(i) == corr) {
+			i = sort.Search(len(device), func(i int) bool { return corrAt(i) > corr })
+		}
+		next = i
+		if i > 0 && corrAt(i-1) == corr {
 			return &tr.Events[device[i-1]]
 		}
 		return nil
@@ -146,13 +157,15 @@ func BuildGraph(tr *trace.Trace) (*Graph, error) {
 	}
 
 	// Containment pass: create every node and launch record in walk
-	// order, remembering each one's containing operator (-1 for none).
-	// An operator is the parent of every later host event on its thread
-	// whose start falls inside its span (§IV-A).
+	// order. A record links its containing operator at once; a node
+	// remembers its parent's index (-1 for none) in nodeUp, which reuses
+	// host's array: node n is created at or after host position n, so
+	// it overwrites only positions already walked. An operator is the
+	// parent of every later host event on its thread whose start falls
+	// inside its span (§IV-A).
 	nodes := make([]OpNode, nOps)
 	records := make([]LaunchRecord, nLaunches)
-	up := make([]int32, nOps+nLaunches) // nodes first, then records
-	nodeUp, recordUp := up[:nOps], up[nOps:]
+	nodeUp := host[:nOps]
 	var stack []int32
 	var nParents, nAttached, n, r int
 	tid := 0
@@ -170,7 +183,7 @@ func BuildGraph(tr *trace.Trace) (*Graph, error) {
 			top = stack[len(stack)-1]
 		}
 		if he.Cat == trace.CatOperator {
-			nodes[n].Event = *he
+			nodes[n].Event = he
 			nodeUp[n] = top
 			if top < 0 {
 				nParents++
@@ -184,9 +197,9 @@ func BuildGraph(tr *trace.Trace) (*Graph, error) {
 		if he.Correlation == 0 {
 			continue
 		}
-		records[r] = LaunchRecord{Launch: *he, Kernel: deviceFor(he.Correlation)}
-		recordUp[r] = top
+		records[r] = LaunchRecord{Launch: he, Kernel: deviceFor(he.Correlation)}
 		if top >= 0 {
+			records[r].Op = &nodes[top]
 			nAttached++
 		}
 		r++
@@ -195,29 +208,29 @@ func BuildGraph(tr *trace.Trace) (*Graph, error) {
 	// Carve each node's Children and Launches out of shared backing
 	// arrays (nil when empty, as appending would leave them), then fill
 	// them in creation order, which is the order the containment pass
-	// found them.
-	counts := make([]int32, 2*nOps)
-	nChildren, nOwned := counts[:nOps], counts[nOps:]
-	for _, p := range nodeUp {
-		if p >= 0 {
-			nChildren[p]++
-		}
-	}
-	for _, p := range recordUp {
-		if p >= 0 {
-			nOwned[p]++
-		}
-	}
+	// found them. The counting pass keeps each node's counts in the
+	// lengths of its slices.
 	children := make([]*OpNode, nOps-nParents)
 	owned := make([]*LaunchRecord, nAttached)
-	var co, lo int32
+	for _, p := range nodeUp {
+		if p >= 0 {
+			nodes[p].Children = children[:len(nodes[p].Children)+1]
+		}
+	}
+	for i := range records {
+		if op := records[i].Op; op != nil {
+			op.Launches = owned[:len(op.Launches)+1]
+		}
+	}
+	var co, lo int
 	for i := range nodes {
-		if c := nChildren[i]; c > 0 {
-			nodes[i].Children = children[co : co : co+c]
+		nd := &nodes[i]
+		if c := len(nd.Children); c > 0 {
+			nd.Children = children[co : co : co+c]
 			co += c
 		}
-		if c := nOwned[i]; c > 0 {
-			nodes[i].Launches = owned[lo : lo : lo+c]
+		if c := len(nd.Launches); c > 0 {
+			nd.Launches = owned[lo : lo : lo+c]
 			lo += c
 		}
 	}
@@ -230,12 +243,11 @@ func BuildGraph(tr *trace.Trace) (*Graph, error) {
 		}
 	}
 	g.Launches = make([]*LaunchRecord, nLaunches)
-	for i, p := range recordUp {
+	for i := range records {
 		lr := &records[i]
 		g.Launches[i] = lr
-		if p >= 0 {
-			lr.Op = &nodes[p]
-			nodes[p].Launches = append(nodes[p].Launches, lr)
+		if lr.Op != nil {
+			lr.Op.Launches = append(lr.Op.Launches, lr)
 		}
 	}
 	return g, nil
@@ -256,7 +268,7 @@ func (g *Graph) OpCount() int {
 // KernelLaunches returns launch records that produced a device kernel
 // (excluding memcpys), in launch order.
 func (g *Graph) KernelLaunches() []*LaunchRecord {
-	var out []*LaunchRecord
+	out := make([]*LaunchRecord, 0, len(g.Launches))
 	for _, lr := range g.Launches {
 		if lr.Kernel != nil && lr.Kernel.Cat == trace.CatKernel {
 			out = append(out, lr)

@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -22,7 +21,7 @@ func referenceBuildGraph(tr *trace.Trace) (*core.Graph, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	g := &core.Graph{Trace: tr, Kernels: tr.Kernels()}
+	g := &core.Graph{Trace: tr}
 	kernelByCorr := make(map[uint64]*trace.Event)
 	for i := range tr.Events {
 		e := &tr.Events[i]
@@ -30,9 +29,10 @@ func referenceBuildGraph(tr *trace.Trace) (*core.Graph, error) {
 			kernelByCorr[e.Correlation] = e
 		}
 	}
-	byTID := make(map[int][]trace.Event)
+	byTID := make(map[int][]*trace.Event)
 	var tids []int
-	for _, e := range tr.Events {
+	for i := range tr.Events {
+		e := &tr.Events[i]
 		if e.Cat == trace.CatOperator || e.Cat == trace.CatRuntime {
 			if _, ok := byTID[e.TID]; !ok {
 				tids = append(tids, e.TID)
@@ -44,8 +44,7 @@ func referenceBuildGraph(tr *trace.Trace) (*core.Graph, error) {
 	for _, tid := range tids {
 		var stack []*core.OpNode
 		for _, ev := range byTID[tid] {
-			ev := ev
-			for len(stack) > 0 && !stack[len(stack)-1].Event.Contains(&ev) {
+			for len(stack) > 0 && !stack[len(stack)-1].Event.Contains(ev) {
 				stack = stack[:len(stack)-1]
 			}
 			if ev.Cat == trace.CatOperator {
@@ -75,13 +74,11 @@ func referenceBuildGraph(tr *trace.Trace) (*core.Graph, error) {
 
 // sameGraph compares two graphs of one trace: the operator forest node
 // by node in children order, every launch in launch order with its
-// kernel pointer and Op link, and each node's launch list. It also
-// checks that every node's Children and Launches are capacity-limited,
-// so an append through one node cannot overwrite a neighbour's.
+// event and kernel pointers and Op link, and each node's launch list.
+// It also checks that every node's Children and Launches are
+// capacity-limited, so an append through one node cannot overwrite a
+// neighbour's.
 func sameGraph(want, got *core.Graph) error {
-	if !reflect.DeepEqual(want.Kernels, got.Kernels) {
-		return fmt.Errorf("kernel lists differ")
-	}
 	nodes := make(map[*core.OpNode]*core.OpNode)
 	var walk func(path string, w, g []*core.OpNode) error
 	walk = func(path string, w, g []*core.OpNode) error {
@@ -91,7 +88,7 @@ func sameGraph(want, got *core.Graph) error {
 		for i := range w {
 			p := fmt.Sprintf("%s/%d", path, i)
 			if w[i].Event != g[i].Event {
-				return fmt.Errorf("%s: event %+v, want %+v", p, g[i].Event, w[i].Event)
+				return fmt.Errorf("%s: event %+v, want %+v", p, *g[i].Event, *w[i].Event)
 			}
 			if cap(g[i].Children) != len(g[i].Children) || cap(g[i].Launches) != len(g[i].Launches) {
 				return fmt.Errorf("%s: children or launches not capacity-limited", p)
@@ -117,7 +114,7 @@ func sameGraph(want, got *core.Graph) error {
 		g := got.Launches[i]
 		records[w] = g
 		if w.Launch != g.Launch || w.Kernel != g.Kernel {
-			return fmt.Errorf("launch %d: %+v → %p, want %+v → %p", i, g.Launch, g.Kernel, w.Launch, w.Kernel)
+			return fmt.Errorf("launch %d: %+v → %p, want %+v → %p", i, *g.Launch, g.Kernel, *w.Launch, w.Kernel)
 		}
 		if (w.Op == nil) != (g.Op == nil) || (w.Op != nil && nodes[w.Op] != g.Op) {
 			return fmt.Errorf("launch %d: Op link differs", i)
@@ -168,10 +165,10 @@ func multiThreadTrace() *trace.Trace {
 	return b.Trace()
 }
 
-// TestBuildGraphMatchesReference: the slab-built graph equals the
-// original construction on engine traces of every mode, a multi-thread
+// graphTraces returns engine traces of every mode, a multi-thread
 // synthetic trace and a JSON round-tripped trace.
-func TestBuildGraphMatchesReference(t *testing.T) {
+func graphTraces(t *testing.T) map[string]*trace.Trace {
+	t.Helper()
 	traces := map[string]*trace.Trace{"multi-tid": multiThreadTrace()}
 	for _, mode := range engine.Modes() {
 		res, err := engine.Run(engine.Request{Platform: hw.IntelH100(), Model: models.GPT2(), Batch: 2, Seq: 128, Mode: mode})
@@ -189,7 +186,13 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces["json"] = loaded
-	for name, tr := range traces {
+	return traces
+}
+
+// TestBuildGraphMatchesReference: the slab-built graph equals the
+// original construction on every graphTraces trace.
+func TestBuildGraphMatchesReference(t *testing.T) {
+	for name, tr := range graphTraces(t) {
 		want, err := referenceBuildGraph(tr)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -200,6 +203,34 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 		}
 		if err := sameGraph(want, got); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestBuildGraphPointsIntoTrace: the graph copies no event. Every
+// node's Event and every record's Launch and Kernel is the address of
+// an element of tr.Events, on every graphTraces trace.
+func TestBuildGraphPointsIntoTrace(t *testing.T) {
+	for name, tr := range graphTraces(t) {
+		g, err := core.BuildGraph(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		in := make(map[*trace.Event]bool, len(tr.Events))
+		for i := range tr.Events {
+			in[&tr.Events[i]] = true
+		}
+		for _, p := range g.Parents {
+			p.Walk(func(n *core.OpNode) {
+				if !in[n.Event] {
+					t.Errorf("%s: operator %s does not point into the trace", name, n.Event.Name)
+				}
+			})
+		}
+		for i, lr := range g.Launches {
+			if !in[lr.Launch] || (lr.Kernel != nil && !in[lr.Kernel]) {
+				t.Errorf("%s: launch %d does not point into the trace", name, i)
+			}
 		}
 	}
 }

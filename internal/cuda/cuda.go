@@ -306,7 +306,12 @@ func MeasureNullKernel(p *hw.Platform, n int) NullKernelResult {
 			launches[e.Correlation] = e.Ts
 		}
 	}
-	for _, e := range tr.Kernels() {
+	// The built trace is sorted, so its kernels come in start order.
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		if e.Cat != trace.CatKernel {
+			continue
+		}
 		if ls, ok := launches[e.Correlation]; ok {
 			launchSum += float64(e.Ts - ls)
 			durSum += float64(e.Dur)

@@ -3,6 +3,7 @@ package fusion
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,22 @@ func TestKernelSequence(t *testing.T) {
 	// Execution order (by kernel start), memcpys excluded.
 	if len(seq) != 2 || seq[0] != "a_kernel" || seq[1] != "b_kernel" {
 		t.Errorf("seq = %v", seq)
+	}
+}
+
+// TestKernelSequenceUnsortedTrace: a trace whose kernels were appended
+// out of start order, and never sorted, still yields the execution
+// order.
+func TestKernelSequenceUnsortedTrace(t *testing.T) {
+	tr := trace.New()
+	tr.Append(trace.Event{Name: "c_kernel", Cat: trace.CatKernel, Ts: 30})
+	tr.Append(trace.Event{Name: "op", Cat: trace.CatOperator, Ts: 0})
+	tr.Append(trace.Event{Name: "d_kernel", Cat: trace.CatKernel, Ts: 40})
+	tr.Append(trace.Event{Name: "a_kernel", Cat: trace.CatKernel, Ts: 10})
+	tr.Append(trace.Event{Name: "b_kernel", Cat: trace.CatKernel, Ts: 10})
+	seq := KernelSequence(tr)
+	if want := []string{"a_kernel", "b_kernel", "c_kernel", "d_kernel"}; !slices.Equal(seq, want) {
+		t.Errorf("seq = %v, want %v", seq, want)
 	}
 }
 

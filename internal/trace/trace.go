@@ -13,6 +13,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/skipsim/skip/internal/sim"
@@ -129,10 +130,67 @@ func (t *Trace) Append(e Event) { t.Events = append(t.Events, e) }
 
 // Sort orders events by start time, stably, so same-timestamp events keep
 // emission order.
-func (t *Trace) Sort() { slices.SortStableFunc(t.Events, byTs) }
+//
+// A sorted trace costs one comparison pass. Otherwise Sort never moves
+// events while it compares them: it sorts one pointer-free uint64 key per
+// event, (Ts − min Ts) shifted above the event's index, so equal starts
+// order by index, and then applies the sorted permutation in place along
+// its cycles, moving each event once. That is O(n log n) on 8-byte keys
+// plus n event moves, and one n-key allocation. A trace whose Ts range
+// and index do not fit one key together (a span near 2⁶⁴ ns) sorts its
+// indices stably by Ts instead.
+func (t *Trace) Sort() { sortByTs(t.Events) }
 
 // byTs orders events by start time.
 func byTs(a, b Event) int { return cmp.Compare(a.Ts, b.Ts) }
+
+// sortByTs sorts events stably by start time; see Trace.Sort.
+func sortByTs(ev []Event) {
+	if slices.IsSortedFunc(ev, byTs) {
+		return
+	}
+	lo, hi := ev[0].Ts, ev[0].Ts
+	for i := range ev {
+		lo, hi = min(lo, ev[i].Ts), max(hi, ev[i].Ts)
+	}
+	// perm[j] ends up holding the index of the event that belongs at j.
+	perm := make([]uint64, len(ev))
+	shift := bits.Len(uint(len(ev) - 1))
+	if span := uint64(hi) - uint64(lo); bits.Len64(span)+shift <= 64 {
+		for i := range ev {
+			perm[i] = (uint64(ev[i].Ts)-uint64(lo))<<shift | uint64(i)
+		}
+		slices.Sort(perm)
+		mask := uint64(1)<<shift - 1
+		for j := range perm {
+			perm[j] &= mask
+		}
+	} else {
+		for i := range perm {
+			perm[i] = uint64(i)
+		}
+		slices.SortStableFunc(perm, func(a, b uint64) int { return cmp.Compare(ev[a].Ts, ev[b].Ts) })
+	}
+	// Follow each cycle of the permutation from its first position,
+	// pulling every event into place and marking the position done.
+	for j := range perm {
+		if perm[j] == uint64(j) {
+			continue
+		}
+		first := ev[j]
+		k := j
+		for {
+			src := int(perm[k])
+			perm[k] = uint64(k)
+			if src == j {
+				ev[k] = first
+				break
+			}
+			ev[k] = ev[src]
+			k = src
+		}
+	}
+}
 
 // Count returns the number of events of one category, without copying
 // them.
@@ -166,9 +224,7 @@ func (t *Trace) Filter(cat Category) []Event {
 // runs only for traces whose events were appended out of order.
 func (t *Trace) Kernels() []Event {
 	ks := t.Filter(CatKernel)
-	if !slices.IsSortedFunc(ks, byTs) {
-		slices.SortStableFunc(ks, byTs)
-	}
+	sortByTs(ks)
 	return ks
 }
 
@@ -193,26 +249,42 @@ func (t *Trace) Span() (start, end sim.Time) {
 // Validate checks structural invariants: non-negative durations, kernels
 // carrying correlation IDs, and every kernel correlation matched by
 // exactly one runtime launch.
+//
+// When launch and kernel correlations each strictly increase in trace
+// order, as one stream of launches emits them, a single forward merge
+// matches them and nothing is allocated. Otherwise the launch ids are
+// sorted and each kernel binary-searches them.
 func (t *Trace) Validate() error {
-	n := 0
+	n, merge := 0, true
+	var lastLaunch, lastKernel uint64
 	for i := range t.Events {
 		e := &t.Events[i]
 		if e.Dur < 0 {
 			return fmt.Errorf("trace: event %d (%s) has negative duration %d", i, e.Name, e.Dur)
 		}
-		if e.Cat == CatRuntime && e.Correlation != 0 {
+		switch {
+		case e.launch():
 			n++
+			merge = merge && e.Correlation > lastLaunch
+			lastLaunch = e.Correlation
+		case e.Cat == CatKernel:
+			merge = merge && e.Correlation > lastKernel
+			lastKernel = e.Correlation
 		}
 	}
-	// The launch correlations, sorted: a kernel's launch count is the
-	// length of its run of equal ids.
-	launches := make([]uint64, 0, n)
-	for i := range t.Events {
-		if e := &t.Events[i]; e.Cat == CatRuntime && e.Correlation != 0 {
-			launches = append(launches, e.Correlation)
+	// Off the merge path, the launch correlations, sorted: a kernel's
+	// launch count is the length of its run of equal ids.
+	var launches []uint64
+	if !merge {
+		launches = make([]uint64, 0, n)
+		for i := range t.Events {
+			if e := &t.Events[i]; e.launch() {
+				launches = append(launches, e.Correlation)
+			}
 		}
+		slices.Sort(launches)
 	}
-	slices.Sort(launches)
+	next := 0 // merge cursor: no launch before it carries the current kernel's id
 	for i := range t.Events {
 		e := &t.Events[i]
 		if e.Cat != CatKernel {
@@ -221,17 +293,31 @@ func (t *Trace) Validate() error {
 		if e.Correlation == 0 {
 			return fmt.Errorf("trace: kernel event %d (%s) lacks a correlation id", i, e.Name)
 		}
-		lo, _ := slices.BinarySearch(launches, e.Correlation)
-		hi := lo
-		for hi < len(launches) && launches[hi] == e.Correlation {
-			hi++
+		matched := 0
+		if merge {
+			for next < len(t.Events) && (!t.Events[next].launch() || t.Events[next].Correlation < e.Correlation) {
+				next++
+			}
+			if next < len(t.Events) && t.Events[next].Correlation == e.Correlation {
+				matched = 1
+			}
+		} else {
+			lo, _ := slices.BinarySearch(launches, e.Correlation)
+			hi := lo
+			for hi < len(launches) && launches[hi] == e.Correlation {
+				hi++
+			}
+			matched = hi - lo
 		}
-		if n := hi - lo; n != 1 {
-			return fmt.Errorf("trace: kernel %s correlation %d matched by %d launches, want 1", e.Name, e.Correlation, n)
+		if matched != 1 {
+			return fmt.Errorf("trace: kernel %s correlation %d matched by %d launches, want 1", e.Name, e.Correlation, matched)
 		}
 	}
 	return nil
 }
+
+// launch reports whether e is a runtime call that launched device work.
+func (e *Event) launch() bool { return e.Cat == CatRuntime && e.Correlation != 0 }
 
 // Builder emits well-formed traces, allocating correlation IDs.
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -109,6 +110,19 @@ func TestValidateCatchesBrokenTraces(t *testing.T) {
 	if tr.Validate() == nil {
 		t.Error("duplicated correlation must fail")
 	}
+
+	// Launches 1, 2, 4 and kernels 1–4, each in increasing correlation
+	// order: the allocation-free merge must still find kernel 3 alone.
+	tr = New()
+	for _, c := range []uint64{1, 2, 4} {
+		tr.Append(Event{Name: "l", Cat: CatRuntime, Ts: sim.Time(c), Dur: 1, Correlation: c})
+	}
+	for c := uint64(1); c <= 4; c++ {
+		tr.Append(Event{Name: "k", Cat: CatKernel, Ts: sim.Time(10 + c), Dur: 1, Correlation: c})
+	}
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "correlation 3 matched by 0") {
+		t.Errorf("unmatched kernel among in-order launches: %v", err)
+	}
 }
 
 func TestSortIsStable(t *testing.T) {
@@ -121,6 +135,88 @@ func TestSortIsStable(t *testing.T) {
 	if names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Errorf("sorted order = %v", names)
 	}
+}
+
+// stableReference is the plain stable sort Trace.Sort must agree with.
+func stableReference(ev []Event) []Event {
+	want := slices.Clone(ev)
+	slices.SortStableFunc(want, byTs)
+	return want
+}
+
+// tiedEvents returns n events tagged by TID with their emission index,
+// whose starts are offset + scale·d for d drawn from [0, distinct): few
+// distinct values make heavy ties, a negative offset negative starts,
+// and a scale near 2⁶² a span wider than Sort's packed keys can hold.
+func tiedEvents(rng *rand.Rand, n, distinct int, offset, scale int64) []Event {
+	ev := make([]Event, n)
+	for i := range ev {
+		ev[i] = Event{Name: "e", TID: i, Ts: sim.Time(offset + scale*int64(rng.Intn(distinct)))}
+	}
+	return ev
+}
+
+// TestSortMatchesStableReference: on random traces of 0–5000 events,
+// with heavy start ties, negative starts and spans up to ±2⁶², Sort
+// leaves exactly the order a stable comparison sort does, on both its
+// packed-key path and its wide-span fallback.
+func TestSortMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := []struct {
+		distinct      int
+		offset, scale int64
+	}{
+		{1, 0, 1},
+		{3, 0, 1000},
+		{50, -25_000, 1000},
+		{1 << 20, -1 << 40, 1},
+		{2, -1 << 62, 1 << 62},
+		{5, -1 << 62, 1 << 61},
+		{1 << 30, 1 << 62, -4},
+	}
+	for _, n := range []int{0, 1, 2, 3, 17, 256, 1000, 5000} {
+		for _, c := range cases {
+			ev := tiedEvents(rng, n, c.distinct, c.offset, c.scale)
+			want := stableReference(ev)
+			tr := &Trace{Events: ev}
+			tr.Sort()
+			if !slices.Equal(tr.Events, want) {
+				t.Fatalf("n=%d %+v: Sort differs from the stable reference", n, c)
+			}
+			// Reversed input: every event moves.
+			slices.Reverse(tr.Events)
+			want = stableReference(tr.Events)
+			tr.Sort()
+			if !slices.Equal(tr.Events, want) {
+				t.Fatalf("n=%d %+v reversed: Sort differs from the stable reference", n, c)
+			}
+		}
+	}
+}
+
+// FuzzSortMatchesStable: Sort agrees with a stable comparison sort on
+// traces whose starts are offset + scale·b for each input byte b. The
+// byte values repeat, so starts tie; a scale beyond 2⁵⁵ spans more than
+// a packed key holds and exercises the fallback.
+func FuzzSortMatchesStable(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 1, 3, 0}, int64(0), int64(1))
+	f.Add([]byte{9, 9, 0, 9, 0}, int64(-1)<<62, int64(1)<<60)
+	f.Add([]byte{255, 0, 128, 0, 255}, int64(5), int64(-1)<<57)
+	f.Fuzz(func(t *testing.T, data []byte, offset, scale int64) {
+		if len(data) > 5000 {
+			data = data[:5000]
+		}
+		ev := make([]Event, len(data))
+		for i, b := range data {
+			ev[i] = Event{TID: i, Ts: sim.Time(offset + scale*int64(b))}
+		}
+		want := stableReference(ev)
+		tr := &Trace{Events: ev}
+		tr.Sort()
+		if !slices.Equal(tr.Events, want) {
+			t.Fatalf("Sort differs from the stable reference on %d events", len(ev))
+		}
+	})
 }
 
 func TestJSONRoundTrip(t *testing.T) {
