@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"github.com/skipsim/skip/internal/cuda"
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
@@ -135,7 +134,7 @@ func runTable5() (*Result, error) {
 	}
 	var overheads []float64
 	for _, p := range hw.EvaluationPlatforms() {
-		r := cuda.MeasureNullKernel(p, 1000)
+		r := engine.MeasureNullKernel(p, 1000)
 		overheads = append(overheads, r.LaunchOverheadNs)
 		want := paper[p.Name]
 		tbl.Rows = append(tbl.Rows, []string{

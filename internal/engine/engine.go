@@ -3,13 +3,40 @@
 // Fig. 2): eager kernel-to-kernel offload, domain-specific fusion
 // (FlashAttention-2), and whole-graph synthesis (torch.compile with CUDA
 // Graphs), including the compile-time cost model of Table I.
+//
+// One launch model times every mode. A single host dispatch thread
+// feeds one FIFO device stream, and the executor moves the host clock
+// and the stream frontier by five primitives: operator dispatch, kernel
+// launch, CUDA-graph launch, host↔device copy and device synchronize.
+//
+// Timing semantics (paper Fig. 4): a cudaLaunchKernel call occupies the
+// host thread for the platform's launch-CPU time; the kernel may begin
+// executing LaunchOverheadNs after the call started — unless earlier
+// kernels still occupy the stream, in which case it queues. SKIP later
+// measures t_l = tsb(kernel) − tsb(launch) from the trace (Eq. 1), which
+// equals the pure launch overhead on an idle stream and grows with
+// queuing delay on a saturated one. A copy (cudaMemcpyAsync over the
+// platform interconnect) is launched the same way, and is elided
+// entirely on unified physical memory. A synchronize blocks the host
+// until the stream drains. A CUDA-graph replay (torch.compile's
+// reduce-overhead mechanism) pays one launch call and then runs its
+// kernels back to back: device-side dispatch between graph nodes is
+// already in each kernel's NullKernelNs floor, so the whole saving is
+// on the host side.
+//
+// Every mode lowers its graph to one of three bodies: the eager
+// operator walk, a flat dispatch list under one operator span, or one
+// CUDA-graph replay, run inside one copy and synchronize bracket. Each
+// primitive's effect on the clocks is a max-plus span (fold.go). The
+// executor applies the spans one primitive at a time and records the
+// trace; the serving step oracle composes them to price a body without
+// running it.
 package engine
 
 import (
 	"fmt"
 	"math"
 
-	"github.com/skipsim/skip/internal/cuda"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/ops"
@@ -98,9 +125,6 @@ const compiledDispatchNs = 800.0
 // templates over stock library kernels.
 const maxAutotuneGemmSpeedup = 1.12
 
-// mainThreadTID identifies the dispatch thread in traces.
-const mainThreadTID = 1
-
 // Request describes one simulated inference run.
 type Request struct {
 	Platform *hw.Platform
@@ -165,25 +189,12 @@ func Run(req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := newExecutor(req, b)
-	if err := ex.run(graph); err != nil {
+	l, err := lower(req.Mode, graph)
+	if err != nil {
 		return nil, err
 	}
-
-	tr := b.Trace()
-	start, end := tr.Span()
-	res := &Result{
-		Request:      req,
-		Trace:        tr,
-		TTFT:         end - start,
-		CompileTime:  compileTime(req),
-		HostLaunches: ex.rt.Launches(),
-		KernelCount:  tr.Count(trace.CatKernel),
-		GPUBusy:      ex.rt.GPUBusy(),
-		CPUBusy:      ex.cpuBusy,
-	}
-	res.GPUIdle = res.TTFT - res.GPUBusy
-	res.CPUIdle = res.TTFT - res.CPUBusy
+	res := newExecutor(req.Platform, b).result(req, &l)
+	res.CompileTime = compileTime(req)
 	return res, nil
 }
 
@@ -197,139 +208,58 @@ func (m Mode) attention() models.AttnImpl {
 	return models.AttnEager
 }
 
-type executor struct {
-	req     Request
-	rt      *cuda.Runtime
-	builder *trace.Builder
-	cpuBusy sim.Time
+// bodyKind names the three bodies a run can execute.
+type bodyKind uint8
+
+const (
+	// walkBody is the eager operator walk: each operator's host
+	// dispatch, its children in order, then its kernels.
+	walkBody bodyKind = iota
+	// listBody dispatches a flat kernel list under one operator span:
+	// host dispatch, then a launch, per kernel.
+	listBody
+	// replayBody replays a flat kernel list as one CUDA graph.
+	replayBody
+)
+
+// lowering is what one run executes: the graph, whose copies bracket
+// the run, and the body its mode lowers the graph to.
+type lowering struct {
+	g    *ops.Graph
+	body bodyKind
+	// plan substitutes fused chains' kernels on the walk; nil for none.
+	plan *chains
+	// ks is the list or replay body's kernel list.
+	ks []ops.Kernel
+	// op names the list body's operator span; hostNs is its host
+	// dispatch cost per kernel.
+	op     string
+	hostNs float64
 }
 
-// newExecutor returns an executor for req on a fresh runtime (clocks at
-// t = 0) recording into b; a nil b records nothing.
-func newExecutor(req Request, b *trace.Builder) *executor {
-	return &executor{req: req, rt: cuda.NewRuntime(req.Platform, b, mainThreadTID), builder: b}
-}
-
-// run executes one prefill graph the way the request's mode does. A
-// traced run first reserves the trace for every event it will record,
-// so no append regrows it; a trace-free run skips the count.
-func (ex *executor) run(g *ops.Graph) error {
-	switch ex.req.Mode {
+// lower lowers a prefill graph the way mode runs it. Eager and flash
+// walk it. Compiled modes lower it to the kernel list a torch.compile
+// backend would emit: mode="default" dispatches the list from compiled
+// host code (no Python/ATen overhead, but a launch call per kernel);
+// reduce-overhead and max-autotune capture it once into a CUDA graph
+// and replay it with a single launch.
+func lower(mode Mode, g *ops.Graph) (lowering, error) {
+	switch mode {
 	case Eager, Flash:
-		if ex.builder != nil {
-			ex.builder.Grow(ex.traceEvents(g, nil))
-		}
-		ex.runEager(g)
-	case CompileDefault, CompileReduceOverhead, CompileMaxAutotune:
-		ks := ex.compiledKernels(g)
-		ex.builder.Grow(ex.traceEvents(g, ks))
-		if ex.req.Mode == CompileDefault {
-			ex.runCompiledEagerHost(g, ks)
-		} else {
-			ex.runGraphReplay(g, ks)
-		}
-	default:
-		return fmt.Errorf("engine: unknown mode %v", ex.req.Mode)
-	}
-	return nil
-}
-
-// traceEvents returns how many events run records for g: in eager
-// modes an operator span per node visit and a launch plus a kernel per
-// kernel; in compiled modes one host span, a graph launch when
-// replayed, and a launch plus a kernel per compiled kernel in ks. Both
-// end in a synchronize; platforms without unified virtual memory add
-// the input and output copies (a call and a copy each) and the output
-// synchronize. The count is exact unless the platform elides a copy.
-func (ex *executor) traceEvents(g *ops.Graph, ks []ops.Kernel) int {
-	n := 1
-	if !ex.req.Platform.UnifiedVirtualMemory {
-		n += 5
-	}
-	switch ex.req.Mode {
-	case Eager, Flash:
-		return n + g.NodeCount() + 2*g.KernelCount()
+		return lowering{g: g}, nil
 	case CompileDefault:
-		return n + 1 + 2*len(ks)
-	default:
-		return n + 2 + 2*len(ks)
+		return lowering{g: g, body: listBody, ks: compiledKernels(mode, g), op: "CompiledFunction", hostNs: compiledDispatchNs}, nil
+	case CompileReduceOverhead, CompileMaxAutotune:
+		return lowering{g: g, body: replayBody, ks: compiledKernels(mode, g)}, nil
 	}
+	return lowering{}, fmt.Errorf("engine: unknown mode %v", mode)
 }
 
-// advanceCPU spends host time (scaled by the platform's single-thread
-// score) and accounts it as busy.
-func (ex *executor) advanceCPU(baseNs float64) {
-	d := ex.req.Platform.CPUTime(baseNs)
-	ex.rt.CPU.Advance(d)
-	ex.cpuBusy += d
-}
-
-// launch issues one kernel, accounting the launch-call CPU time.
-func (ex *executor) launch(k ops.Kernel) {
-	before := ex.rt.CPU.Now()
-	ex.rt.LaunchKernel(k.Name, k.Cost, cuda.DefaultStream)
-	ex.cpuBusy += ex.rt.CPU.Now() - before
-}
-
-// transferInputs moves token ids/masks to the device on platforms
-// without unified virtual memory (the GH200 reads host memory directly
-// over NVLink-C2C; MI300A shares physical memory).
-func (ex *executor) transferInputs(g *ops.Graph) {
-	if ex.req.Platform.UnifiedVirtualMemory {
-		return
-	}
-	before := ex.rt.CPU.Now()
-	ex.rt.Memcpy(cuda.HostToDevice, g.InputBytes, cuda.DefaultStream)
-	ex.cpuBusy += ex.rt.CPU.Now() - before
-}
-
-// transferOutputs copies results back after synchronization.
-func (ex *executor) transferOutputs(g *ops.Graph) {
-	if ex.req.Platform.UnifiedVirtualMemory {
-		return
-	}
-	before := ex.rt.CPU.Now()
-	ex.rt.Memcpy(cuda.DeviceToHost, g.OutputBytes, cuda.DefaultStream)
-	ex.cpuBusy += ex.rt.CPU.Now() - before
-	ex.rt.Synchronize()
-}
-
-// runEager walks the operator tree in PyTorch-eager order: each operator
-// costs host dispatch time, children execute in order, then the
-// operator's kernels launch. Operator trace spans cover their children,
-// which is the containment structure SKIP's parent linking relies on.
-// The walk continues the executor's timeline and ends in a
-// synchronize, the per-iteration sync a generation loop performs when
-// sampling the next token on the host, so consecutive graphs on one
-// executor model consecutive iterations.
-func (ex *executor) runEager(g *ops.Graph) {
-	ex.transferInputs(g)
-	for _, n := range g.Nodes {
-		ex.execNode(n)
-	}
-	ex.rt.Synchronize()
-	ex.transferOutputs(g)
-}
-
-func (ex *executor) execNode(n *ops.Node) {
-	start := ex.rt.CPU.Now()
-	ex.advanceCPU(n.CPUNs)
-	for _, c := range n.Children {
-		ex.execNode(c)
-	}
-	for _, k := range n.Kernels {
-		ex.launch(k)
-	}
-	end := ex.rt.CPU.Now()
-	ex.builder.Operator(n.Name, mainThreadTID, start, end-start)
-}
-
-// compiledKernels lowers the graph to the kernel list a torch.compile
-// backend would emit for the mode: pointwise fusion always; autotuned
-// GEMM/attention templates for max-autotune.
-func (ex *executor) compiledKernels(g *ops.Graph) []ops.Kernel {
+// compiledKernels is the compiled modes' kernel list: pointwise fusion
+// always; autotuned GEMM/attention templates for max-autotune.
+func compiledKernels(mode Mode, g *ops.Graph) []ops.Kernel {
 	ks := ops.FuseElementwise(g.FlattenKernels(), 2)
-	if ex.req.Mode == CompileMaxAutotune {
+	if mode == CompileMaxAutotune {
 		for i := range ks {
 			if ks[i].Class == ops.ClassGemm || ks[i].Class == ops.ClassAttention {
 				ks[i].Cost = ks[i].Cost.Scale(1 / maxAutotuneGemmSpeedup)
@@ -340,45 +270,31 @@ func (ex *executor) compiledKernels(g *ops.Graph) []ops.Kernel {
 	return ks
 }
 
-// runCompiledEagerHost models torch.compile mode="default": compiled
-// host code dispatches the fused kernel list one launch at a time — no
-// Python/ATen overhead, but still a launch call per kernel.
-func (ex *executor) runCompiledEagerHost(g *ops.Graph, ks []ops.Kernel) {
-	ex.transferInputs(g)
-	start := ex.rt.CPU.Now()
-	for _, k := range ks {
-		ex.advanceCPU(compiledDispatchNs)
-		ex.launch(k)
+// events returns how many trace events running l on p records: on the
+// walk an operator span per node visit and a launch plus a kernel per
+// launched kernel; on a list one operator span and a launch plus a
+// kernel per kernel; on a replay one operator span, the graph launch,
+// and a node launch plus a kernel per kernel. Every run ends in a
+// synchronize; platforms without unified virtual memory add the input
+// and output copies (a call and a copy each) and the output
+// synchronize. The count is exact unless the platform elides a copy.
+func (l *lowering) events(p *hw.Platform) int {
+	n := 1
+	if !p.UnifiedVirtualMemory {
+		n += 5
 	}
-	end := ex.rt.CPU.Now()
-	ex.builder.Operator("CompiledFunction", mainThreadTID, start, end-start)
-	ex.rt.Synchronize()
-	ex.transferOutputs(g)
-}
-
-// runGraphReplay models reduce-overhead/max-autotune: the fused kernel
-// list is captured once into a CUDA graph and replayed with a single
-// launch.
-func (ex *executor) runGraphReplay(g *ops.Graph, ks []ops.Kernel) {
-	ex.transferInputs(g)
-	if err := ex.rt.BeginCapture(); err != nil {
-		panic("engine: " + err.Error()) // impossible: fresh runtime
+	switch l.body {
+	case walkBody:
+		launched := l.g.KernelCount()
+		if l.plan != nil {
+			launched = l.plan.launched()
+		}
+		return n + l.g.NodeCount() + 2*launched
+	case listBody:
+		return n + 1 + 2*len(l.ks)
+	default:
+		return n + 2 + 2*len(l.ks)
 	}
-	for _, k := range ks {
-		ex.rt.LaunchKernel(k.Name, k.Cost, cuda.DefaultStream)
-	}
-	graph, err := ex.rt.EndCapture()
-	if err != nil {
-		panic("engine: " + err.Error())
-	}
-	start := ex.rt.CPU.Now()
-	before := ex.rt.CPU.Now()
-	ex.rt.LaunchGraph(graph, cuda.DefaultStream)
-	ex.cpuBusy += ex.rt.CPU.Now() - before
-	end := ex.rt.CPU.Now()
-	ex.builder.Operator("CUDAGraphReplay", mainThreadTID, start, end-start)
-	ex.rt.Synchronize()
-	ex.transferOutputs(g)
 }
 
 // compileTime models Table I: one-time tracing/compilation cost, scaled

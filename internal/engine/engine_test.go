@@ -7,7 +7,6 @@ import (
 
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
-	"github.com/skipsim/skip/internal/ops"
 	"github.com/skipsim/skip/internal/trace"
 )
 
@@ -332,12 +331,11 @@ func TestRunReservesTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex := newExecutor(req, nil)
-			var ks []ops.Kernel
-			if mode != Eager && mode != Flash {
-				ks = ex.compiledKernels(g)
+			l, err := lower(mode, g)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := ex.traceEvents(g, ks)
+			want := l.events(p)
 			events := mustRun(t, req).Trace.Events
 			if len(events) != want {
 				t.Errorf("%s %v: %d events, reserved %d", p.Name, mode, len(events), want)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/skipsim/skip/internal/hw"
@@ -9,26 +10,77 @@ import (
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// walkTime runs g through the executor's eager walk on a fresh runtime
-// with no trace and returns the host clock at its end.
-func walkTime(p *hw.Platform, g *ops.Graph) sim.Time {
-	ex := newExecutor(Request{Platform: p}, nil)
-	ex.runEager(g)
-	return ex.rt.CPU.Now()
+// walkTime runs l on a fresh executor with no trace and returns the
+// host clock at its end.
+func walkTime(p *hw.Platform, l *lowering) sim.Time {
+	ex := newExecutor(p, nil)
+	ex.run(l)
+	return ex.c
 }
 
-// checkFold asserts that folding g equals walking it, with the layer
-// repeat record and without it.
-func checkFold(t *testing.T, p *hw.Platform, g *ops.Graph) {
+// checkFold asserts that folding l equals running it; a plain walk is
+// checked with the layer repeat record and without it.
+func checkFold(t *testing.T, p *hw.Platform, l lowering) {
 	t.Helper()
-	want := walkTime(p, g)
-	if got := eagerTime(p, g); got != want {
-		t.Errorf("%s on %s: fold %v != walk %v", g.Name, p.Name, got, want)
+	want := walkTime(p, &l)
+	if got := foldTime(p, &l); got != want {
+		t.Errorf("%s on %s (%s): fold %v != walk %v", l.g.Name, p.Name, l.name(), got, want)
 	}
-	flat := *g
+	if l.body != walkBody || l.plan != nil {
+		return
+	}
+	flat := *l.g
 	flat.Repeat = ops.Repeat{}
-	if got := eagerTime(p, &flat); got != want {
-		t.Errorf("%s on %s: node-by-node fold %v != walk %v", g.Name, p.Name, got, want)
+	l.g = &flat
+	if got := foldTime(p, &l); got != want {
+		t.Errorf("%s on %s: node-by-node fold %v != walk %v", l.g.Name, p.Name, got, want)
+	}
+}
+
+// name labels a lowering in failure messages.
+func (l *lowering) name() string {
+	switch {
+	case l.body == replayBody:
+		return "replay"
+	case l.body == listBody:
+		return l.op
+	case l.plan != nil:
+		return fmt.Sprintf("walk, chains of %d", l.plan.l)
+	}
+	return "walk"
+}
+
+// checkPrefillFold asserts that the fold equals the walk for every
+// lowering of prefill graph g, built with attention attn: each mode
+// that runs that attention and, for eager attention, both fusion
+// applications at chain lengths 2 and 4.
+func checkPrefillFold(t *testing.T, p *hw.Platform, g *ops.Graph, attn models.AttnImpl) {
+	t.Helper()
+	for _, mode := range Modes() {
+		if mode.attention() != attn {
+			continue
+		}
+		l, err := lower(mode, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFold(t, p, l)
+	}
+	if attn != models.AttnEager {
+		return
+	}
+	for _, n := range []int{2, 4} {
+		plan, err := planChains(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, app := range []FusionApplication{LaunchSavingsOnly, FullRegionFusion} {
+			l, err := lowerFused(g, plan, app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFold(t, p, l)
+		}
 	}
 }
 
@@ -43,10 +95,12 @@ var (
 const foldDecodeLong = 20000
 
 // TestFoldMatchesWalk: the step oracle's fold equals the executor's
-// eager walk bit for bit on every catalog model and platform, with
-// eager and flash attention, over a batch grid and a length grid of
-// bucket and non-bucket lengths. Prefill runs up to each model's
-// MaxSeq (the encoders' 512 and 514 included); decode runs past it.
+// run bit for bit on every catalog model and platform, with eager and
+// flash attention, over a batch grid and a length grid of bucket and
+// non-bucket lengths. Prefill is checked under every lowering: the
+// eager walk, the three compiled modes and both fusion applications.
+// Prefill runs up to each model's MaxSeq (the encoders' 512 and 514
+// included); decode, an eager walk, runs past it.
 func TestFoldMatchesWalk(t *testing.T) {
 	for _, p := range catalogPlatforms(t) {
 		for _, name := range models.ModelNames() {
@@ -68,7 +122,7 @@ func TestFoldMatchesWalk(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkFold(t, p, g)
+						checkPrefillFold(t, p, g, attn)
 					}
 					if m.Kind != models.Decoder {
 						continue
@@ -78,7 +132,7 @@ func TestFoldMatchesWalk(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkFold(t, p, g)
+						checkFold(t, p, lowering{g: g})
 					}
 				}
 			}
@@ -99,7 +153,7 @@ func checkDecodeStep(t *testing.T, sm *StepModel, b, kv int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := eagerTime(sm.Platform, g); got != want {
+	if want := foldTime(sm.Platform, &lowering{g: g}); got != want {
 		t.Errorf("%s on %s: partial evaluation %v != graph fold %v", g.Name, sm.Platform.Name, got, want)
 	}
 }
@@ -135,12 +189,13 @@ func TestStepModelDecodeMatchesGraph(t *testing.T) {
 	}
 }
 
-// FuzzFoldMatchesWalk: the fold equals the eager walk for any catalog
-// model, platform, attention, batch and length. Prefill lengths wrap
-// into [1, MaxSeq]; decode lengths are not limited, and an encoder
-// draws a prefill. A decode draw also checks the step oracle's partial
-// evaluation at the length and at a shorter one, the second miss
-// reusing the first's part spans.
+// FuzzFoldMatchesWalk: the fold equals the executor's run for any
+// catalog model, platform, attention, batch and length. Prefill lengths
+// wrap into [1, MaxSeq]; decode lengths are not limited, and an encoder
+// draws a prefill. A prefill draw checks every lowering of its
+// attention, as TestFoldMatchesWalk does. A decode draw also checks the
+// step oracle's partial evaluation at the length and at a shorter one,
+// the second miss reusing the first's part spans.
 func FuzzFoldMatchesWalk(f *testing.F) {
 	f.Add(uint8(0), uint8(0), false, false, uint16(1), uint32(512))
 	f.Add(uint8(3), uint8(2), true, true, uint16(8), uint32(513))
@@ -168,10 +223,11 @@ func FuzzFoldMatchesWalk(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFold(t, p, g)
 		if !decode {
+			checkPrefillFold(t, p, g, attn)
 			return
 		}
+		checkFold(t, p, lowering{g: g})
 		mode := Eager
 		if flash {
 			mode = Flash

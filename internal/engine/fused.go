@@ -60,149 +60,109 @@ func RunFused(req Request, chainLen int, app FusionApplication) (*FusedRunResult
 	if err != nil {
 		return nil, err
 	}
-	kernels := graph.FlattenKernels()
-	names := make([]string, len(kernels))
-	for i, k := range kernels {
-		names[i] = k.Name
-	}
-	positions, err := fusion.InstancePositions(names, chainLen)
+	plan, err := planChains(graph, chainLen)
 	if err != nil {
 		return nil, err
 	}
-	fusedStart := make(map[int]bool, len(positions))
-	for _, p := range positions {
-		fusedStart[p] = true
+	l, err := lowerFused(graph, plan, app)
+	if err != nil {
+		return nil, err
 	}
-
 	b := trace.NewBuilder()
 	b.Meta("platform", req.Platform.Name)
 	b.Meta("model", req.Model.Name)
 	b.Meta("mode", fmt.Sprintf("ps-fused-L%d-%s", chainLen, app))
-	ex := newExecutor(req, b)
-	rt := ex.rt
-
-	switch app {
-	case LaunchSavingsOnly:
-		ex.runEagerWithPlan(graph, kernels, fusedStart, chainLen)
-	case FullRegionFusion:
-		ex.runFullRegionFused(graph, kernels, fusedStart, chainLen)
-	default:
-		return nil, fmt.Errorf("engine: unknown fusion application %v", app)
-	}
-
-	tr := b.Trace()
-	start, end := tr.Span()
-	res := &Result{
-		Request:      req,
-		Trace:        tr,
-		TTFT:         end - start,
-		HostLaunches: rt.Launches(),
-		KernelCount:  tr.Count(trace.CatKernel),
-		GPUBusy:      rt.GPUBusy(),
-		CPUBusy:      ex.cpuBusy,
-	}
-	res.GPUIdle = res.TTFT - res.GPUBusy
-	res.CPUIdle = res.TTFT - res.CPUBusy
 	return &FusedRunResult{
-		Result:         res,
+		Result:         newExecutor(req.Platform, b).result(req, &l),
 		ChainLength:    chainLen,
-		FusedInstances: len(positions),
-		LaunchesSaved:  len(positions) * (chainLen - 1),
+		FusedInstances: len(plan.starts),
+		LaunchesSaved:  len(plan.starts) * (chainLen - 1),
 	}, nil
 }
 
-// runEagerWithPlan is the conservative application: the operator walk is
-// unchanged; kernels whose flat index starts a fused chain launch the
-// merged kernel, interior kernels are skipped (their cost was merged).
-func (ex *executor) runEagerWithPlan(g *ops.Graph, kernels []ops.Kernel, fusedStart map[int]bool, l int) {
-	merged := mergeChains(kernels, fusedStart, l)
-	ex.transferInputs(g)
-	idx := 0
-	var walk func(n *ops.Node)
-	walk = func(n *ops.Node) {
-		start := ex.rt.CPU.Now()
-		ex.advanceCPU(n.CPUNs)
-		for _, c := range n.Children {
-			walk(c)
+// chains is a fusion plan over a graph's kernels in launch order, ks:
+// the sorted starts of its non-overlapping chains of l kernels, each of
+// which launches as one merged kernel.
+type chains struct {
+	ks     []ops.Kernel
+	starts []int
+	l      int
+	name   string // the merged kernels' name
+}
+
+// planChains mines g's kernel sequence for deterministic chains of
+// length l.
+func planChains(g *ops.Graph, l int) (*chains, error) {
+	ks := g.FlattenKernels()
+	names := make([]string, len(ks))
+	for i := range ks {
+		names[i] = ks[i].Name
+	}
+	starts, err := fusion.InstancePositions(names, l)
+	if err != nil {
+		return nil, err
+	}
+	return &chains{ks: ks, starts: starts, l: l, name: fmt.Sprintf("ps_fused_chain_L%d", l)}, nil
+}
+
+// launched reports how many kernels the plan launches: one per chain
+// and one per kernel outside every chain.
+func (ch *chains) launched() int { return len(ch.ks) - len(ch.starts)*(ch.l-1) }
+
+// lowerFused lowers g under the plan. Launch-savings-only keeps the
+// eager walk and substitutes kernels; full-region fusion dispatches the
+// substituted kernel list under one operator span, each launch paying
+// the unfused walk's mean host cost per kernel.
+func lowerFused(g *ops.Graph, plan *chains, app FusionApplication) (lowering, error) {
+	switch app {
+	case LaunchSavingsOnly:
+		return lowering{g: g, plan: plan}, nil
+	case FullRegionFusion:
+		var totalCPU float64
+		for _, n := range g.Nodes {
+			n.Walk(func(m *ops.Node) { totalCPU += m.CPUNs })
 		}
-		for range n.Kernels {
-			switch mk, ok := merged[idx]; {
-			case ok:
-				ex.launch(mk)
-			case insideChain(idx, fusedStart, l):
-				// Interior of a fused chain: the work rides the merged
-				// kernel; no launch.
-			default:
-				ex.launch(kernels[idx])
+		ks := make([]ops.Kernel, 0, plan.launched())
+		cu := cursor{plan: plan}
+		for i := range plan.ks {
+			if k := cu.at(&plan.ks[i]); k != nil {
+				ks = append(ks, *k)
 			}
-			idx++
 		}
-		end := ex.rt.CPU.Now()
-		ex.builder.Operator(n.Name, mainThreadTID, start, end-start)
+		return lowering{g: g, body: listBody, ks: ks, op: "PSFusedFunction", hostNs: totalCPU / float64(len(plan.ks))}, nil
 	}
-	for _, n := range g.Nodes {
-		walk(n)
-	}
-	ex.rt.Synchronize()
-	ex.transferOutputs(g)
+	return lowering{}, fmt.Errorf("engine: unknown fusion application %v", app)
 }
 
-// runFullRegionFused is the aggressive application: fused regions cost a
-// single compiled dispatch + launch; unfused kernels keep a full eager
-// dispatch cost approximated by the graph's mean per-kernel host cost.
-func (ex *executor) runFullRegionFused(g *ops.Graph, kernels []ops.Kernel, fusedStart map[int]bool, l int) {
-	merged := mergeChains(kernels, fusedStart, l)
-	// Mean host cost per kernel of the unfused walk: total node CPU over
-	// kernel count.
-	var totalCPU float64
-	for _, n := range g.Nodes {
-		n.Walk(func(m *ops.Node) { totalCPU += m.CPUNs })
-	}
-	perKernel := totalCPU / float64(len(kernels))
-
-	ex.transferInputs(g)
-	start := ex.rt.CPU.Now()
-	for idx := 0; idx < len(kernels); idx++ {
-		mk, isStart := merged[idx]
-		if !isStart {
-			if insideChain(idx, fusedStart, l) {
-				continue
-			}
-			ex.advanceCPU(perKernel)
-			ex.launch(kernels[idx])
-			continue
-		}
-		ex.advanceCPU(perKernel) // one dispatch for the whole region
-		ex.launch(mk)
-	}
-	end := ex.rt.CPU.Now()
-	ex.builder.Operator("PSFusedFunction", mainThreadTID, start, end-start)
-	ex.rt.Synchronize()
-	ex.transferOutputs(g)
+// cursor substitutes a plan's kernels during one walk of its graph,
+// visiting the kernels in launch order. A nil cursor substitutes
+// nothing.
+type cursor struct {
+	plan   *chains
+	i      int // flat index of the next kernel
+	next   int // index in plan.starts of the first chain not yet begun
+	merged ops.Kernel
 }
 
-// mergeChains builds the merged kernel for every fused start index.
-func mergeChains(kernels []ops.Kernel, fusedStart map[int]bool, l int) map[int]ops.Kernel {
-	merged := make(map[int]ops.Kernel, len(fusedStart))
-	for p := range fusedStart {
-		mk := ops.Kernel{
-			Name:  fmt.Sprintf("ps_fused_chain_L%d", l),
-			Class: kernels[p].Class,
-		}
-		for i := p; i < p+l && i < len(kernels); i++ {
-			mk.Cost = mk.Cost.Add(kernels[i].Cost)
-		}
-		merged[p] = mk
+// at returns the kernel to launch for k, the walk's next kernel: the
+// merged kernel where a chain starts, nil inside a chain (its work
+// rides the merged kernel), and k itself elsewhere.
+func (cu *cursor) at(k *ops.Kernel) *ops.Kernel {
+	if cu == nil {
+		return k
 	}
-	return merged
-}
-
-// insideChain reports whether idx falls in the interior of a fused chain.
-func insideChain(idx int, fusedStart map[int]bool, l int) bool {
-	for p := idx - l + 1; p < idx; p++ {
-		if p >= 0 && fusedStart[p] {
-			return true
+	p, i := cu.plan, cu.i
+	cu.i++
+	if cu.next < len(p.starts) && p.starts[cu.next] == i {
+		cu.next++
+		cu.merged = ops.Kernel{Name: p.name, Class: k.Class}
+		for j := i; j < i+p.l && j < len(p.ks); j++ {
+			cu.merged.Cost = cu.merged.Cost.Add(p.ks[j].Cost)
 		}
+		return &cu.merged
 	}
-	return false
+	if cu.next > 0 && i < p.starts[cu.next-1]+p.l {
+		return nil
+	}
+	return k
 }

@@ -55,24 +55,19 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 	b.Meta("platform", req.Platform.Name)
 	b.Meta("model", req.Model.Name)
 	b.Meta("mode", "generate-"+req.Mode.String())
-	ex := newExecutor(req, b)
-	rt := ex.rt
+	ex := newExecutor(req.Platform, b)
 
 	prefill, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, attn)
 	if err != nil {
 		return nil, err
 	}
-	ex.runEager(prefill)
-	ttftEnd := rt.CPU.Now()
-	prefillBusy := rt.GPUBusy()
-	prefillKernels := rt.Launches()
-
+	ex.run(&lowering{g: prefill})
 	res := &GenerateResult{
 		Request:        req,
 		NewTokens:      newTokens,
-		TTFT:           ttftEnd,
-		PrefillKernels: prefillKernels,
-		PrefillGPUBusy: prefillBusy,
+		TTFT:           ex.c,
+		PrefillKernels: ex.launches,
+		PrefillGPUBusy: ex.gpuBusy,
 	}
 
 	for t := 0; t < newTokens; t++ {
@@ -81,14 +76,13 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex.runEager(step)
+		ex.run(&lowering{g: step})
 	}
-	end := rt.CPU.Now()
-	res.DecodeTime = end - ttftEnd
-	res.Total = end
+	res.DecodeTime = ex.c - res.TTFT
+	res.Total = ex.c
 	res.TPOT = res.DecodeTime / sim.Time(newTokens)
-	res.DecodeGPUBusy = rt.GPUBusy() - prefillBusy
-	res.DecodeKernelsPerStep = (rt.Launches() - prefillKernels) / newTokens
+	res.DecodeGPUBusy = ex.gpuBusy - res.PrefillGPUBusy
+	res.DecodeKernelsPerStep = (ex.launches - res.PrefillKernels) / newTokens
 	res.Trace = b.Trace()
 	return res, nil
 }

@@ -89,9 +89,11 @@ func TestExecutionLeavesSharedGraphsUnchanged(t *testing.T) {
 			}
 			checkSharedLayers(t, prefill, m.Layers)
 			snap := cloneGraph(prefill)
-			if err := newExecutor(req, trace.NewBuilder()).run(prefill); err != nil {
+			l, err := lower(mode, prefill)
+			if err != nil {
 				t.Fatal(err)
 			}
+			newExecutor(p, trace.NewBuilder()).run(&l)
 			if !reflect.DeepEqual(prefill, snap) {
 				t.Errorf("%s %v: executing the prefill graph modified it", m.Name, mode)
 			}
@@ -104,7 +106,7 @@ func TestExecutionLeavesSharedGraphsUnchanged(t *testing.T) {
 			}
 			checkSharedLayers(t, decode, m.Layers)
 			snap = cloneGraph(decode)
-			newExecutor(req, trace.NewBuilder()).runEager(decode)
+			newExecutor(p, trace.NewBuilder()).run(&lowering{g: decode})
 			if !reflect.DeepEqual(decode, snap) {
 				t.Errorf("%s %v: executing the decode graph modified it", m.Name, mode)
 			}

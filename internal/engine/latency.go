@@ -31,11 +31,11 @@ import (
 // and the bracket's copy sizes per batch, so a miss at a batch it has
 // seen folds only the attention's operators (six eager, one flash);
 // the first miss at a batch folds the other parts once. A prefill miss
-// builds the graph: eager and flash prefill fold it (eagerTime),
-// timing the shared layer block once and composing its span once per
-// layer; compiled-mode prefill lowers it first and runs the executor
-// with a nil trace builder. Either way the latency equals a traced
-// run's bit for bit: Run's TTFT, or the decode-step graph's eager walk.
+// builds the graph and folds its mode's lowering (foldTime): eager and
+// flash prefill time the shared layer block once and compose its span
+// once per layer; compiled modes fold their kernel list. No miss runs
+// the executor, and either way the latency equals a traced run's bit
+// for bit: Run's TTFT, or the decode-step graph's eager walk.
 //
 // Each phase's latencies live in a latencyTable: one row per batch, one
 // slot per bucket index, read without a lock. A hit costs one division
@@ -299,7 +299,7 @@ func (sm *StepModel) decodeTime(batch, kvLen int64) sim.Time {
 	fo, attn := newFolder(sm.Platform), sm.Mode.attention()
 	fold := func(part models.DecodePart) span {
 		sm.nodes = models.AppendDecodePart(sm.nodes[:0], sm.Model, part, batch, kvLen, attn)
-		return fo.nodes(idle, sm.nodes)
+		return fo.nodes(idle, sm.nodes, nil)
 	}
 	ps, ok := sm.parts[batch]
 	if !ok {
@@ -324,24 +324,21 @@ func (sm *StepModel) decodeTime(batch, kvLen int64) sim.Time {
 	return fo.bracket(s.then(ps.tail), ps.in, ps.out)
 }
 
-// prefillTime computes one prefill latency. Eager modes fold the graph
-// (eagerTime); compiled modes lower it first, so they run the executor
-// with no trace builder. Every run starts at t = 0 and ends in a
-// synchronize that covers all stream work, so the host clock after the
-// run equals Run's trace span, the TTFT.
+// prefillTime computes one prefill latency by folding the graph's
+// lowering for the model's mode: eager and flash time the shared layer
+// block once and compose its span once per layer; compiled modes fold
+// their kernel list. The fold starts at t = 0 and ends in a synchronize
+// that covers all stream work, so it equals Run's trace span, the TTFT.
 func (sm *StepModel) prefillTime(batch, seq int64) (sim.Time, error) {
 	g, err := models.BuildPrefill(sm.Model, batch, seq, sm.Mode.attention())
 	if err != nil {
 		return 0, err
 	}
-	if sm.Mode == Eager || sm.Mode == Flash {
-		return eagerTime(sm.Platform, g), nil
-	}
-	ex := newExecutor(Request{Platform: sm.Platform, Model: sm.Model, Batch: batch, Seq: seq, Mode: sm.Mode}, nil)
-	if err := ex.run(g); err != nil {
+	l, err := lower(sm.Mode, g)
+	if err != nil {
 		return 0, err
 	}
-	return ex.rt.CPU.Now(), nil
+	return foldTime(sm.Platform, &l), nil
 }
 
 // CachedRuns reports how many distinct engine configurations have been

@@ -140,10 +140,10 @@ func TestStepModelDecodeMatchesTraced(t *testing.T) {
 							t.Fatal(err)
 						}
 						b := trace.NewBuilder()
-						ex := newExecutor(Request{Platform: p, Model: m, Batch: batch, Seq: kv, Mode: mode}, b)
-						ex.runEager(g)
+						ex := newExecutor(p, b)
+						ex.run(&lowering{g: g})
 						start, end := b.Trace().Span()
-						if now := ex.rt.CPU.Now(); got != now || got != end-start {
+						if now := ex.c; got != now || got != end-start {
 							t.Errorf("%s %s %v bs%d kv%d: trace-free decode %v, traced clock %v, traced span %v",
 								p.Name, m.Name, mode, batch, kv, got, now, end-start)
 						}

@@ -131,11 +131,18 @@ func (n *Node) Walk(visit func(*Node)) {
 	}
 }
 
-// FlattenKernels returns every kernel in execution order.
+// FlattenKernels returns every kernel in launch order: a node's
+// children's kernels, then its own.
 func (n *Node) FlattenKernels() []Kernel {
-	var out []Kernel
-	n.Walk(func(m *Node) { out = append(out, m.Kernels...) })
-	return out
+	return n.appendKernels(make([]Kernel, 0, n.CountKernels()))
+}
+
+// appendKernels appends the tree's kernels to out in launch order.
+func (n *Node) appendKernels(out []Kernel) []Kernel {
+	for _, c := range n.Children {
+		out = c.appendKernels(out)
+	}
+	return append(out, n.Kernels...)
 }
 
 // CountNodes returns the number of operator nodes in the tree.
@@ -210,11 +217,12 @@ func (g *Graph) NodeCount() int {
 	return total
 }
 
-// FlattenKernels returns the graph's full kernel sequence.
+// FlattenKernels returns the graph's full kernel sequence in launch
+// order, the order the executor's eager walk launches it in.
 func (g *Graph) FlattenKernels() []Kernel {
-	var out []Kernel
+	out := make([]Kernel, 0, g.KernelCount())
 	for _, n := range g.Nodes {
-		out = append(out, n.FlattenKernels()...)
+		out = n.appendKernels(out)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -158,6 +159,45 @@ func TestGraphAccounting(t *testing.T) {
 	}
 	if g.TotalCost().FLOPs <= 0 {
 		t.Error("TotalCost should accumulate")
+	}
+}
+
+// TestFlattenKernelsLaunchOrder: FlattenKernels lists kernels in the
+// order the executor launches them, a node's children's kernels before
+// its own, in one presized slice.
+func TestFlattenKernelsLaunchOrder(t *testing.T) {
+	k := func(name string) Kernel { return Kernel{Name: name, Class: ClassElementwise} }
+	leaf := func(name string, ks ...Kernel) *Node { return &Node{Name: name, Kernels: ks} }
+	for _, c := range []struct {
+		name string
+		g    Graph
+		want []string
+	}{
+		{"empty", Graph{}, nil},
+		{"leaves", Graph{Nodes: []*Node{leaf("a", k("a1"), k("a2")), leaf("b", k("b1"))}}, []string{"a1", "a2", "b1"}},
+		{"linear", Graph{Nodes: []*Node{Linear("q", 1, 4, 4, 4)}}, []string{Linear("q", 1, 4, 4, 4).Children[1].Kernels[0].Name}},
+		{"children then own kernels", Graph{Nodes: []*Node{{
+			Name:     "parent",
+			Children: []*Node{leaf("c1", k("c1k")), {Name: "c2", Children: []*Node{leaf("g", k("gk"))}, Kernels: []Kernel{k("c2k")}}},
+			Kernels:  []Kernel{k("p1"), k("p2")},
+		}, leaf("next", k("nk"))}}, []string{"c1k", "gk", "c2k", "p1", "p2", "nk"}},
+	} {
+		got := c.g.FlattenKernels()
+		var names []string
+		for _, kk := range got {
+			names = append(names, kk.Name)
+		}
+		if !slices.Equal(names, c.want) {
+			t.Errorf("%s: FlattenKernels = %v, want %v", c.name, names, c.want)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: FlattenKernels capacity %d for %d kernels, want presized", c.name, cap(got), len(got))
+		}
+		if len(c.g.Nodes) > 0 {
+			if first := c.g.Nodes[0].FlattenKernels(); len(first) == 0 || first[0].Name != c.want[0] {
+				t.Errorf("%s: Node.FlattenKernels = %v", c.name, first)
+			}
+		}
 	}
 }
 

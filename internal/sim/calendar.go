@@ -49,9 +49,9 @@ func (s *stream) entryAt(i int) Time {
 }
 
 // Calendar is a deterministic future-event list. The core inference
-// simulation uses timelines directly (see package comment), but the
-// calendar supports components that need genuine event interleaving, such
-// as the multi-request pipeline example and the decode-phase scheduler.
+// simulation needs none (see package comment), but the calendar
+// supports components that need genuine event interleaving, such as
+// the multi-request pipeline example and the decode-phase scheduler.
 //
 // Pending events live in a binary min-heap ordered by (time, seq), where
 // seq is the insertion sequence. One arrival stream (see Stream) can

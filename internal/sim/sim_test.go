@@ -57,100 +57,6 @@ func TestFromNs(t *testing.T) {
 	}
 }
 
-func TestClockAdvance(t *testing.T) {
-	c := NewClock(100)
-	if c.Now() != 100 {
-		t.Fatalf("Now = %d", c.Now())
-	}
-	if got := c.Advance(50); got != 150 {
-		t.Errorf("Advance(50) = %d", got)
-	}
-	if got := c.Advance(-10); got != 150 {
-		t.Errorf("Advance(-10) = %d, clock must not run backwards", got)
-	}
-	if got := c.AdvanceTo(120); got != 150 {
-		t.Errorf("AdvanceTo(120) = %d, clock must not run backwards", got)
-	}
-	if got := c.AdvanceTo(500); got != 500 {
-		t.Errorf("AdvanceTo(500) = %d", got)
-	}
-	c.Reset(0)
-	if c.Now() != 0 {
-		t.Errorf("Reset: Now = %d", c.Now())
-	}
-}
-
-func TestTimelineFIFO(t *testing.T) {
-	tl := NewTimeline(0)
-	s, e := tl.Acquire(10, 5)
-	if s != 10 || e != 15 {
-		t.Fatalf("first grant = [%d,%d), want [10,15)", s, e)
-	}
-	// Earlier request after a later frontier must queue.
-	s, e = tl.Acquire(0, 3)
-	if s != 15 || e != 18 {
-		t.Fatalf("queued grant = [%d,%d), want [15,18)", s, e)
-	}
-	// Gap: request far in the future leaves the resource idle in between.
-	s, e = tl.Acquire(100, 1)
-	if s != 100 || e != 101 {
-		t.Fatalf("gapped grant = [%d,%d), want [100,101)", s, e)
-	}
-	if tl.BusyTime() != 9 {
-		t.Errorf("BusyTime = %d, want 9", tl.BusyTime())
-	}
-	if tl.LastEnd() != 101 {
-		t.Errorf("LastEnd = %d, want 101", tl.LastEnd())
-	}
-}
-
-func TestTimelineZeroAndNegativeDuration(t *testing.T) {
-	tl := NewTimeline(0)
-	s, e := tl.Acquire(5, 0)
-	if s != 5 || e != 5 {
-		t.Errorf("zero-duration grant = [%d,%d)", s, e)
-	}
-	s, e = tl.Acquire(0, -7)
-	if s != 5 || e != 5 {
-		t.Errorf("negative-duration grant = [%d,%d), want [5,5)", s, e)
-	}
-	if tl.BusyTime() != 0 {
-		t.Errorf("BusyTime = %d, want 0", tl.BusyTime())
-	}
-}
-
-func TestTimelineReset(t *testing.T) {
-	tl := NewTimeline(0)
-	tl.Acquire(0, 100)
-	tl.Reset(42)
-	if tl.FreeAt() != 42 || tl.BusyTime() != 0 || tl.LastEnd() != 0 {
-		t.Errorf("after Reset: free=%d busy=%d last=%d", tl.FreeAt(), tl.BusyTime(), tl.LastEnd())
-	}
-}
-
-// Property: grants never overlap and never start before their earliest
-// time; the frontier is monotone.
-func TestTimelineProperties(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tl := NewTimeline(0)
-		var prevEnd Time
-		for i := 0; i < int(n%64)+1; i++ {
-			earliest := Time(rng.Int63n(1000))
-			d := Time(rng.Int63n(50))
-			s, e := tl.Acquire(earliest, d)
-			if s < earliest || s < prevEnd || e != s+d {
-				return false
-			}
-			prevEnd = e
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCalendarOrdering(t *testing.T) {
 	c := NewCalendar()
 	var order []int

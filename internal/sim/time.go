@@ -1,14 +1,11 @@
 // Package sim provides the virtual-time foundation for the platform
-// simulator: a nanosecond clock, busy-until resource timelines, and a
-// small event calendar.
+// simulator: nanosecond Time and a small event calendar.
 //
-// All simulated components (the CPU thread that dispatches operators, the
-// GPU streams that execute kernels, the interconnect that carries copies)
-// are expressed as resources whose occupancy is tracked on a Timeline.
-// This is exact for the workloads in this repository: eager-mode inference
-// is a single CPU thread feeding FIFO GPU streams, so forward timestamping
-// over timelines reproduces precisely the schedule a general
-// discrete-event engine would produce, at a fraction of the cost.
+// Inference on one platform needs no calendar: it is a single CPU
+// thread feeding a FIFO GPU stream, so the engine's forward timestamping
+// of a host clock and a stream frontier reproduces exactly the schedule
+// a general discrete-event engine would produce, at a fraction of the
+// cost.
 //
 // The Calendar orders pending events by (time, insertion sequence), so
 // same-instant events fire in the order they were scheduled. A request
@@ -94,36 +91,3 @@ func MinTime(a, b Time) Time {
 	}
 	return b
 }
-
-// Clock tracks the current position of a sequential actor (for example
-// the CPU dispatch thread) in virtual time.
-type Clock struct {
-	now Time
-}
-
-// NewClock returns a clock positioned at the given start time.
-func NewClock(start Time) *Clock { return &Clock{now: start} }
-
-// Now reports the clock's current virtual time.
-func (c *Clock) Now() Time { return c.now }
-
-// Advance moves the clock forward by d and returns the new time.
-// Negative d is treated as zero: virtual time never runs backwards.
-func (c *Clock) Advance(d Time) Time {
-	if d > 0 {
-		c.now += d
-	}
-	return c.now
-}
-
-// AdvanceTo moves the clock to t if t is later than the current time.
-// It returns the (possibly unchanged) current time.
-func (c *Clock) AdvanceTo(t Time) Time {
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}
-
-// Reset rewinds the clock to the given time, for reuse across runs.
-func (c *Clock) Reset(t Time) { c.now = t }

@@ -39,7 +39,6 @@ import (
 	"github.com/skipsim/skip/internal/bench"
 	"github.com/skipsim/skip/internal/cluster"
 	"github.com/skipsim/skip/internal/core"
-	"github.com/skipsim/skip/internal/cuda"
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/fusion"
 	"github.com/skipsim/skip/internal/hw"
@@ -197,12 +196,12 @@ func RecommendFusion(tr *Trace, lengths []int) (*FusionReport, error) {
 }
 
 // NullKernelResult is the Table V microbenchmark outcome.
-type NullKernelResult = cuda.NullKernelResult
+type NullKernelResult = engine.NullKernelResult
 
 // MeasureNullKernel reproduces the paper's §V-A launch-overhead
 // microbenchmark on a platform.
 func MeasureNullKernel(p *Platform, iterations int) NullKernelResult {
-	return cuda.MeasureNullKernel(p, iterations)
+	return engine.MeasureNullKernel(p, iterations)
 }
 
 // Experiments returns every registered paper artifact regenerator, in
