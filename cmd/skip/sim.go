@@ -635,7 +635,7 @@ func printPlatformBreakdown(sloSet bool, shares []platformShare) {
 		r.placed += sh.placed
 		r.done += sh.done
 		r.tokps += sh.tokps
-		r.sloW += sh.slo * float64(sh.firsts)
+		r.sloW += float64(sh.slo * float64(sh.firsts))
 		r.sloN += sh.firsts
 	}
 	if len(order) < 2 {

@@ -32,7 +32,7 @@ func NewTokenBucket(rate, burst float64) *TokenBucket {
 // one token if available.
 func (tb *TokenBucket) Allow(now sim.Time) bool {
 	if now > tb.last {
-		tb.tokens = math.Min(tb.burst, tb.tokens+tb.rate*(now-tb.last).Seconds())
+		tb.tokens = math.Min(tb.burst, tb.tokens+float64(tb.rate*(now-tb.last).Seconds()))
 		tb.last = now
 	}
 	if tb.tokens >= 1 {

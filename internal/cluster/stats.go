@@ -295,7 +295,7 @@ func imbalanceCV(counts []int) float64 {
 	var ss float64
 	for _, c := range counts {
 		d := float64(c) - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss/float64(len(counts))) / mean
 }

@@ -124,11 +124,9 @@ func (ex *executor) launch(k *ops.Kernel) {
 	ex.launches++
 	ex.cpuBusy += ex.fo.launchCPU
 	ex.gpuBusy += d
-	if ex.b != nil {
-		corr := ex.b.NextCorrelation()
-		ex.b.Launch("cudaLaunchKernel", mainThreadTID, t, ex.fo.launchCPU, corr)
-		ex.b.Kernel(k.Name, defaultStream, ex.f-d, d, corr, k.Cost.FLOPs, k.Cost.Bytes())
-	}
+	corr := ex.b.NextCorrelation()
+	ex.b.Launch("cudaLaunchKernel", mainThreadTID, t, ex.fo.launchCPU, corr)
+	ex.b.Kernel(k.Name, defaultStream, ex.f-d, d, corr, k.Cost.FLOPs, k.Cost.Bytes())
 }
 
 // copy issues one cudaMemcpyAsync of bytes, named for its direction.
@@ -165,18 +163,16 @@ func (ex *executor) replay(ks []ops.Kernel) {
 		ex.launches++
 		ex.cpuBusy += s.cpu
 		ex.gpuBusy += s.stream
-	}
-	if ex.b != nil && len(ks) > 0 {
 		ex.b.Launch("cudaGraphLaunch", mainThreadTID, t, s.cpu, ex.b.NextCorrelation())
-		at := ex.f - s.stream
-		for i := range ks {
-			k := &ks[i]
-			d := ex.fo.duration(k.Cost)
-			corr := ex.b.NextCorrelation()
-			ex.b.Launch("cudaGraphNodeLaunch", mainThreadTID, t+s.cpu, 0, corr)
-			ex.b.Kernel(k.Name, defaultStream, at, d, corr, k.Cost.FLOPs, k.Cost.Bytes())
-			at += d
-		}
+	}
+	at := ex.f - s.stream
+	for i := range ks {
+		k := &ks[i]
+		d := ex.fo.duration(k.Cost)
+		corr := ex.b.NextCorrelation()
+		ex.b.Launch("cudaGraphNodeLaunch", mainThreadTID, t+s.cpu, 0, corr)
+		ex.b.Kernel(k.Name, defaultStream, at, d, corr, k.Cost.FLOPs, k.Cost.Bytes())
+		at += d
 	}
 	ex.b.Operator("CUDAGraphReplay", mainThreadTID, t, ex.c-t)
 }

@@ -95,7 +95,7 @@ func (g *integrator) advance(t, interval sim.Time) {
 		for len(g.integral) <= w {
 			g.integral = append(g.integral, 0)
 		}
-		g.integral[w] += g.level * float64(end-g.lastT)
+		g.integral[w] += float64(g.level * float64(end-g.lastT))
 		g.lastT = end
 	}
 }

@@ -341,9 +341,9 @@ func RoPE(label string, elems int64) *Node {
 // HBM (IO-aware, per FlashAttention-2). Kernel count and memory traffic
 // drop; FLOPs are conserved. The label is ignored.
 func FlashAttention(label string, b, h, s, hd int64) *Node {
-	qkFLOPs := 2 * float64(b*h) * float64(s) * float64(hd) * float64(s)
+	qkFLOPs := float64(2 * float64(b*h) * float64(s) * float64(hd) * float64(s))
 	avFLOPs := qkFLOPs
-	softmaxFLOPs := 5 * float64(b*h*s*s)
+	softmaxFLOPs := float64(5 * float64(b*h*s*s))
 	qkvBytes := float64(3 * b * h * s * hd * elemSize)
 	outBytes := float64(b * h * s * hd * elemSize)
 	return wrap("aten::scaled_dot_product_attention", "aten::_flash_attention_forward", Kernel{

@@ -239,7 +239,7 @@ func newContSim(cfg Config, cal *sim.Calendar) (*contSim, error) {
 	if s.capacity <= 0 {
 		hbm := float64(cfg.Platform.GPU.HBMGB) * 1e9
 		weights := float64(cfg.Model.Params()) * 2 // fp16
-		s.capacity = hbm*cfg.KVMemoryUtil - weights
+		s.capacity = float64(hbm*cfg.KVMemoryUtil) - weights
 	}
 	if s.capacity <= 0 {
 		return nil, fmt.Errorf("serve: %s does not fit on %s: KV budget %.2f GB after fp16 weights",
@@ -411,7 +411,7 @@ func (s *contSim) admit(now sim.Time) {
 		if s.cache != nil {
 			credit = s.cache.Peek(head.req.SessionID, head.req.PromptLen)
 		}
-		need := float64(head.req.PromptLen-credit+head.generated) * s.bytesPerTok
+		need := float64(float64(head.req.PromptLen-credit+head.generated) * s.bytesPerTok)
 		if s.kvUsed+need > s.capacity {
 			return
 		}
@@ -434,7 +434,7 @@ func (s *contSim) admit(now sim.Time) {
 					// through the platform interconnect (free on
 					// unified-memory platforms) and charge it to the
 					// request's next iteration.
-					bytes := float64(g.Restored) * float64(s.cache.BlockTokens()) * s.bytesPerTok
+					bytes := float64(float64(g.Restored) * float64(s.cache.BlockTokens()) * s.bytesPerTok)
 					stall := s.cfg.Platform.TransferTime(bytes)
 					head.restoreStall += stall
 					s.restoredBytes += bytes
@@ -758,7 +758,7 @@ func (s *contSim) sample(now sim.Time) {
 	frac := s.kvUsed / s.capacity
 	if now > s.lastSampleT {
 		// Integrate the previous level over the elapsed interval.
-		s.kvIntegral += s.lastKVFrac * float64(now-s.lastSampleT)
+		s.kvIntegral += float64(s.lastKVFrac * float64(now-s.lastSampleT))
 		if s.cfg.StateWindow > 0 {
 			s.integrateWindows(now)
 		}
@@ -803,12 +803,12 @@ func (s *contSim) integrateWindows(now sim.Time) {
 	for t < now {
 		end := s.winStart + w
 		if end > now {
-			s.winQueue += float64(s.lastQueueN) * float64(now-t)
-			s.winKV += s.lastKVFrac * float64(now-t)
+			s.winQueue += float64(float64(s.lastQueueN) * float64(now-t))
+			s.winKV += float64(s.lastKVFrac * float64(now-t))
 			return
 		}
-		s.winQueue += float64(s.lastQueueN) * float64(end-t)
-		s.winKV += s.lastKVFrac * float64(end-t)
+		s.winQueue += float64(float64(s.lastQueueN) * float64(end-t))
+		s.winKV += float64(s.lastKVFrac * float64(end-t))
 		dur := float64(w)
 		s.series.add(end, s.winQueue/dur, s.winKV/dur)
 		s.winQueue, s.winKV = 0, 0

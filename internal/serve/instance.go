@@ -103,7 +103,7 @@ func (in *Instance) KVFrac() float64 { return in.s.kvUsed / in.s.capacity }
 func (in *Instance) KVPressure() float64 {
 	pending := in.s.kvUsed
 	for _, w := range in.s.waiting.items() {
-		pending += float64(w.req.PromptLen) * in.s.bytesPerTok
+		pending += float64(float64(w.req.PromptLen) * in.s.bytesPerTok)
 	}
 	return pending / in.s.capacity
 }

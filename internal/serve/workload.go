@@ -33,8 +33,8 @@ func (d LengthDist) sample(rng *rand.Rand) int64 {
 	}
 	v := d.Mean
 	if d.Sigma > 0 {
-		mu := math.Log(d.Mean) - d.Sigma*d.Sigma/2
-		v = math.Exp(rng.NormFloat64()*d.Sigma + mu)
+		mu := math.Log(d.Mean) - float64(d.Sigma*d.Sigma/2)
+		v = math.Exp(float64(rng.NormFloat64()*d.Sigma) + mu)
 	}
 	n := int64(v + 0.5)
 	if n < d.Min {
@@ -226,7 +226,7 @@ func (w Workload) generateAgentic(rng *rand.Rand, prompt, output LengthDist) []R
 			})
 			id++
 			// Tool-execution think time between turns: 50–250 ms.
-			turnAt += 0.05 + 0.2*rng.Float64()
+			turnAt += 0.05 + float64(0.2*rng.Float64())
 		}
 	}
 	return reqs

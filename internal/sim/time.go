@@ -73,7 +73,7 @@ func FromNs(ns float64) Time {
 	if ns <= 0 {
 		return 0
 	}
-	return Time(ns + 0.5)
+	return Time(float64(ns) + 0.5)
 }
 
 // MaxTime returns the later of two times.

@@ -247,7 +247,7 @@ func (sw *SweepSpec) points() []any {
 		if sw.Scale == "log" {
 			vals[i] = sw.From * math.Pow(sw.To/sw.From, frac)
 		} else {
-			vals[i] = sw.From + (sw.To-sw.From)*frac
+			vals[i] = sw.From + float64((sw.To-sw.From)*frac)
 		}
 	}
 	return vals

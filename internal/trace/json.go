@@ -111,8 +111,8 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		e := Event{
 			Name: ce.Name,
 			Cat:  Category(ce.Cat),
-			Ts:   sim.Time(ce.Ts*1e3 + 0.5),
-			Dur:  sim.Time(ce.Dur*1e3 + 0.5),
+			Ts:   sim.Time(float64(ce.Ts*1e3) + 0.5),
+			Dur:  sim.Time(float64(ce.Dur*1e3) + 0.5),
 			TID:  ce.TID,
 		}
 		if ce.Args != nil {

@@ -323,9 +323,8 @@ func (e *Event) launch() bool { return e.Cat == CatRuntime && e.Correlation != 0
 //
 // A nil *Builder is a valid builder that records nothing: every emitting
 // method returns at once, NextCorrelation returns 0 and Trace returns
-// nil. Executors take a nil builder when only the timing of a run is
-// wanted (the serving step-latency oracle), so one code path serves both
-// traced and trace-free runs.
+// nil. An executor takes a nil builder when only the timing of a run
+// is wanted, so one code path serves both traced and trace-free runs.
 type Builder struct {
 	t        *Trace
 	nextCorr uint64
