@@ -170,7 +170,7 @@ func runExtAblationCPU() (*Result, error) {
 	for _, score := range scores {
 		p := hw.GH200()
 		p.CPU.SingleThreadScore = score
-		r, err := engine.Run(engine.Request{Platform: p, Model: model, Batch: 1, Seq: 512, Mode: engine.Eager})
+		r, err := engine.Time(engine.Request{Platform: p, Model: model, Batch: 1, Seq: 512, Mode: engine.Eager})
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +212,7 @@ func runExtAblationLaunch() (*Result, error) {
 	for _, scale := range []float64{0.5, 1, 2, 4} {
 		p := hw.GH200()
 		p.LaunchOverheadNs *= scale
-		r, err := engine.Run(engine.Request{Platform: p, Model: model, Batch: 1, Seq: 512, Mode: engine.Eager})
+		r, err := engine.Time(engine.Request{Platform: p, Model: model, Batch: 1, Seq: 512, Mode: engine.Eager})
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +245,7 @@ func runExtAblationBandwidth() (*Result, error) {
 	for _, scale := range []float64{0.5, 1, 2} {
 		p := hw.GH200()
 		p.GPU.HBMGBps *= scale
-		r, err := engine.Run(engine.Request{Platform: p, Model: model, Batch: 64, Seq: 512, Mode: engine.Eager})
+		r, err := engine.Time(engine.Request{Platform: p, Model: model, Batch: 64, Seq: 512, Mode: engine.Eager})
 		if err != nil {
 			return nil, err
 		}

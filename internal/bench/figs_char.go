@@ -31,39 +31,50 @@ func init() {
 	})
 }
 
-// charPoint is one (platform, batch) measurement: the run's timings and
-// its SKIP metrics, without the trace, so a sweep holds no trace past
-// its analysis.
+// charPoint is one (platform, batch) measurement: the run's timings
+// and, when the sweep analyzed it, its SKIP metrics. It holds no trace,
+// so a sweep keeps none past its analysis.
 type charPoint struct {
 	ttft, gpuIdle, cpuIdle sim.Time
 	metrics                *core.Metrics
 }
 
 // sweepChar runs the characterization sweep for one model on the three
-// evaluation platforms.
-func sweepChar(model *models.Config, batches []int64) (map[string][]charPoint, error) {
+// evaluation platforms. With analyze, each run is traced and SKIP
+// analyzes it; without, the runs are only timed and carry no metrics.
+func sweepChar(model *models.Config, batches []int64, analyze bool) (map[string][]charPoint, error) {
 	out := make(map[string][]charPoint)
 	for _, p := range hw.EvaluationPlatforms() {
 		for _, bs := range batches {
-			r, err := engine.Run(engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.Eager})
+			req := engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.Eager}
+			run := engine.Time
+			if analyze {
+				run = engine.Run
+			}
+			r, err := run(req)
 			if err != nil {
 				return nil, err
 			}
-			m, _, err := core.Analyze(r.Trace)
-			if err != nil {
-				return nil, err
+			pt := charPoint{ttft: r.TTFT, gpuIdle: r.GPUIdle, cpuIdle: r.CPUIdle}
+			if analyze {
+				if pt.metrics, _, err = core.Analyze(r.Trace); err != nil {
+					return nil, err
+				}
 			}
-			out[p.Name] = append(out[p.Name], charPoint{ttft: r.TTFT, gpuIdle: r.GPUIdle, cpuIdle: r.CPUIdle, metrics: m})
+			out[p.Name] = append(out[p.Name], pt)
 		}
 	}
 	return out, nil
 }
 
+// toSeries lists a platform's points as a SKIP series; a point without
+// metrics has a zero TKLQT.
 func toSeries(points []charPoint, batches []int64) []core.SeriesPoint {
 	series := make([]core.SeriesPoint, len(points))
 	for i, pt := range points {
-		series[i] = core.SeriesPoint{
-			Batch: batches[i], TKLQT: pt.metrics.TKLQT, TTFT: pt.ttft, Metrics: pt.metrics,
+		series[i] = core.SeriesPoint{Batch: batches[i], TTFT: pt.ttft, Metrics: pt.metrics}
+		if pt.metrics != nil {
+			series[i].TKLQT = pt.metrics.TKLQT
 		}
 	}
 	return series
@@ -84,7 +95,7 @@ func runFig6() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		points, err := sweepChar(model, encoderBatches)
+		points, err := sweepChar(model, encoderBatches, true)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +154,7 @@ func runCharFig(id, title string, modelNames []string, batches []int64,
 		if err != nil {
 			return nil, err
 		}
-		points, err := sweepChar(model, batches)
+		points, err := sweepChar(model, batches, false)
 		if err != nil {
 			return nil, err
 		}

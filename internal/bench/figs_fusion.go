@@ -68,7 +68,7 @@ func runFig3() (*Result, error) {
 	for _, m := range models.FusionStudyModels() {
 		var ttft [3]float64
 		for i, mode := range []engine.Mode{engine.Eager, engine.Flash, engine.CompileMaxAutotune} {
-			r, err := engine.Run(engine.Request{Platform: p, Model: m, Batch: 1, Seq: 1024, Mode: mode})
+			r, err := engine.Time(engine.Request{Platform: p, Model: m, Batch: 1, Seq: 1024, Mode: mode})
 			if err != nil {
 				return nil, err
 			}
@@ -275,7 +275,7 @@ func runFig9() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tc, err := engine.Run(engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.CompileReduceOverhead})
+		tc, err := engine.Time(engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.CompileReduceOverhead})
 		if err != nil {
 			return nil, err
 		}

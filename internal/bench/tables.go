@@ -48,7 +48,7 @@ func runTable1() (*Result, error) {
 	}
 	var speedups []float64
 	for _, mode := range modes {
-		r, err := engine.Run(engine.Request{Platform: p, Model: m, Batch: 1, Seq: 1024, Mode: mode})
+		r, err := engine.Time(engine.Request{Platform: p, Model: m, Batch: 1, Seq: 1024, Mode: mode})
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,7 @@ func runExtTCProjection() (*Result, error) {
 		for _, p := range plats {
 			row := []string{p.Name + " (" + p.Coupling.String() + ")"}
 			for _, bs := range batches {
-				r, err := engine.Run(engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.Eager})
+				r, err := engine.Time(engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.Eager})
 				if err != nil {
 					return nil, err
 				}

@@ -11,7 +11,7 @@ var benchResult *Result
 
 // BenchmarkRun times one traced Run per mode (llama-3.2-1B on GH200,
 // batch 4, seq 512): building the prefill graph, lowering it, executing
-// it into a trace builder and sorting the trace.
+// it into a trace builder and merging the trace into start order.
 func BenchmarkRun(b *testing.B) {
 	for _, mode := range Modes() {
 		b.Run(mode.String(), func(b *testing.B) {

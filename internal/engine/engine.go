@@ -36,6 +36,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
@@ -137,9 +138,9 @@ type Request struct {
 // Result is the outcome of a run.
 type Result struct {
 	Request Request
-	// Trace is the profiler trace of the steady-state iteration. It is
-	// excluded from JSON reports — Chrome-trace files have their own
-	// serialization (Trace.SaveFile, the CLI's -o flag).
+	// Trace is the profiler trace of the steady-state iteration; nil
+	// from Time. It is excluded from JSON reports — Chrome-trace files
+	// have their own serialization (Trace.SaveFile, the CLI's -o flag).
 	Trace *trace.Trace `json:"-"`
 	// TTFT is the prefill latency: first operator start to last kernel
 	// end (matches SKIP's IL, Eq. 4).
@@ -175,16 +176,28 @@ func (r Request) validate() error {
 
 // Run simulates one prefill iteration of the request and returns its
 // timing plus the profiler trace.
-func Run(req Request) (*Result, error) {
+func Run(req Request) (*Result, error) { return run(req, true) }
+
+// Time is Run without the trace: the same Result in every field except
+// Trace, which is nil. Callers that read only timings use it and skip
+// recording and ordering the trace.
+func Time(req Request) (*Result, error) { return run(req, false) }
+
+// run simulates one prefill iteration of the request, recording its
+// trace when traced.
+func run(req Request, traced bool) (*Result, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	b := trace.NewBuilder()
-	b.Meta("platform", req.Platform.Name)
-	b.Meta("model", req.Model.Name)
-	b.Meta("mode", req.Mode.String())
-	b.Meta("batch", fmt.Sprintf("%d", req.Batch))
-	b.Meta("seq", fmt.Sprintf("%d", req.Seq))
+	var b *trace.Builder
+	if traced {
+		b = trace.NewBuilder()
+		b.Meta("platform", req.Platform.Name)
+		b.Meta("model", req.Model.Name)
+		b.Meta("mode", req.Mode.String())
+		b.Meta("batch", strconv.FormatInt(req.Batch, 10))
+		b.Meta("seq", strconv.FormatInt(req.Seq, 10))
+	}
 	graph, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, req.Mode.attention())
 	if err != nil {
 		return nil, err

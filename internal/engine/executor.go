@@ -19,6 +19,12 @@ const (
 // records the primitive's events; a nil builder records nothing.
 // Consecutive runs on one executor continue its clocks, so they model
 // consecutive iterations.
+//
+// The executor records each event at its start: an operator is begun
+// when its dispatch starts and ended after everything it contains. The
+// host clock and the stream's kernel starts only move forward, so the
+// host events and the device events each come out in start order, and
+// the builder merges them without a sort.
 type executor struct {
 	clocks
 	fo folder
@@ -27,8 +33,8 @@ type executor struct {
 	// gpuBusy is stream time spent on kernels and copies.
 	cpuBusy, gpuBusy sim.Time
 	// launches counts host-visible launch calls: a replayed CUDA graph
-	// is one.
-	launches int
+	// is one. kernels counts kernels executed on the device.
+	launches, kernels int
 }
 
 func newExecutor(p *hw.Platform, b *trace.Builder) *executor {
@@ -39,15 +45,16 @@ func newExecutor(p *hw.Platform, b *trace.Builder) *executor {
 // first, and reports the run. The run starts at t = 0 and ends in a
 // synchronize, so the host clock is the trace span, the TTFT.
 func (ex *executor) result(req Request, l *lowering) *Result {
-	ex.b.Grow(l.events(ex.fo.p))
+	if ex.b != nil {
+		ex.b.Grow(l.events(ex.fo.p))
+	}
 	ex.run(l)
-	tr := ex.b.Trace()
 	return &Result{
 		Request:      req,
-		Trace:        tr,
+		Trace:        ex.b.Trace(),
 		TTFT:         ex.c,
 		HostLaunches: ex.launches,
-		KernelCount:  tr.Count(trace.CatKernel),
+		KernelCount:  ex.kernels,
 		GPUBusy:      ex.gpuBusy,
 		CPUBusy:      ex.cpuBusy,
 		GPUIdle:      ex.c - ex.gpuBusy,
@@ -76,12 +83,12 @@ func (ex *executor) run(l *lowering) {
 			ex.node(n, cu)
 		}
 	case listBody:
-		start := ex.c
+		op := ex.b.Begin(l.op, mainThreadTID, ex.c)
 		for i := range l.ks {
 			ex.dispatch(l.hostNs)
 			ex.launch(&l.ks[i])
 		}
-		ex.b.Operator(l.op, mainThreadTID, start, ex.c-start)
+		ex.b.End(op, ex.c)
 	default:
 		ex.replay(l.ks)
 	}
@@ -97,7 +104,7 @@ func (ex *executor) run(l *lowering) {
 // The operator's span covers its children, the containment structure
 // SKIP's parent linking relies on.
 func (ex *executor) node(n *ops.Node, cu *cursor) {
-	start := ex.c
+	op := ex.b.Begin(n.Name, mainThreadTID, ex.c)
 	ex.dispatch(n.CPUNs)
 	for _, c := range n.Children {
 		ex.node(c, cu)
@@ -107,7 +114,7 @@ func (ex *executor) node(n *ops.Node, cu *cursor) {
 			ex.launch(k)
 		}
 	}
-	ex.b.Operator(n.Name, mainThreadTID, start, ex.c-start)
+	ex.b.End(op, ex.c)
 }
 
 // dispatch spends baseNs of framework host time.
@@ -122,6 +129,7 @@ func (ex *executor) launch(k *ops.Kernel) {
 	d := ex.fo.duration(k.Cost)
 	t := ex.advance(ex.fo.launch(d))
 	ex.launches++
+	ex.kernels++
 	ex.cpuBusy += ex.fo.launchCPU
 	ex.gpuBusy += d
 	corr := ex.b.NextCorrelation()
@@ -152,10 +160,10 @@ func (ex *executor) sync() {
 }
 
 // replay launches ks as one captured CUDA graph under a
-// CUDAGraphReplay operator span. Each node kernel is recorded with a
-// zero-cost cudaGraphNodeLaunch at the end of the one cudaGraphLaunch
-// call, so every kernel correlation keeps its own launch while the host
-// pays once.
+// CUDAGraphReplay operator span, begun just after the cudaGraphLaunch
+// call that starts with it. Each node kernel is recorded with a
+// zero-cost cudaGraphNodeLaunch at the end of that one call, so every
+// kernel correlation keeps its own launch while the host pays once.
 func (ex *executor) replay(ks []ops.Kernel) {
 	s := ex.fo.replay(ks)
 	t := ex.advance(s)
@@ -165,6 +173,8 @@ func (ex *executor) replay(ks []ops.Kernel) {
 		ex.gpuBusy += s.stream
 		ex.b.Launch("cudaGraphLaunch", mainThreadTID, t, s.cpu, ex.b.NextCorrelation())
 	}
+	op := ex.b.Begin("CUDAGraphReplay", mainThreadTID, t)
+	ex.kernels += len(ks)
 	at := ex.f - s.stream
 	for i := range ks {
 		k := &ks[i]
@@ -174,7 +184,7 @@ func (ex *executor) replay(ks []ops.Kernel) {
 		ex.b.Kernel(k.Name, defaultStream, at, d, corr, k.Cost.FLOPs, k.Cost.Bytes())
 		at += d
 	}
-	ex.b.Operator("CUDAGraphReplay", mainThreadTID, t, ex.c-t)
+	ex.b.End(op, ex.c)
 }
 
 // NullKernelResult reports the Table V microbenchmark outcome.

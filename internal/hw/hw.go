@@ -236,13 +236,6 @@ func (p *Platform) LaunchCPUTime() sim.Time {
 	return sim.FromNs(p.LaunchOverheadNs * p.LaunchCPUFraction)
 }
 
-// LaunchPropagation is the remaining launch latency after the CPU is
-// released: driver queue + interconnect traversal until the command
-// reaches the stream.
-func (p *Platform) LaunchPropagation() sim.Time {
-	return sim.FromNs(p.LaunchOverheadNs * (1 - p.LaunchCPUFraction))
-}
-
 // CPUTime scales a baseline CPU cost (calibrated on the Intel reference)
 // by this platform's single-thread performance.
 func (p *Platform) CPUTime(baseNs float64) sim.Time {

@@ -109,8 +109,9 @@ func (e *Event) Contains(other *Event) bool {
 
 // Trace is an ordered collection of events from one profiled run.
 type Trace struct {
-	// Events holds all events. Build and Sort keep them ordered by
-	// (Ts, insertion).
+	// Events holds all events. Builder.Trace and Sort order them by
+	// start time, events that start together in the order they were
+	// recorded.
 	Events []Event
 	// Meta records run provenance: platform, model, batch, mode, etc.
 	Meta map[string]string
@@ -129,7 +130,9 @@ func New() *Trace {
 func (t *Trace) Append(e Event) { t.Events = append(t.Events, e) }
 
 // Sort orders events by start time, stably, so same-timestamp events keep
-// emission order.
+// their order. Traces loaded from JSON are sorted here; a Builder's
+// trace is already in this order unless its emitter broke it (see
+// Builder.Trace).
 //
 // A sorted trace costs one comparison pass. Otherwise Sort never moves
 // events while it compares them: it sorts one pointer-free uint64 key per
@@ -139,13 +142,14 @@ func (t *Trace) Append(e Event) { t.Events = append(t.Events, e) }
 // plus n event moves, and one n-key allocation. A trace whose Ts range
 // and index do not fit one key together (a span near 2⁶⁴ ns) sorts its
 // indices stably by Ts instead.
-func (t *Trace) Sort() { sortByTs(t.Events) }
+func (t *Trace) Sort() { sortByTs(t.Events, nil) }
 
 // byTs orders events by start time.
 func byTs(a, b Event) int { return cmp.Compare(a.Ts, b.Ts) }
 
-// sortByTs sorts events stably by start time; see Trace.Sort.
-func sortByTs(ev []Event) {
+// sortByTs sorts events stably by start time; see Trace.Sort. perm is
+// scratch of len(ev) keys, or nil to allocate it when needed.
+func sortByTs(ev []Event, perm []uint64) {
 	if slices.IsSortedFunc(ev, byTs) {
 		return
 	}
@@ -154,7 +158,9 @@ func sortByTs(ev []Event) {
 		lo, hi = min(lo, ev[i].Ts), max(hi, ev[i].Ts)
 	}
 	// perm[j] ends up holding the index of the event that belongs at j.
-	perm := make([]uint64, len(ev))
+	if perm == nil {
+		perm = make([]uint64, len(ev))
+	}
 	shift := bits.Len(uint(len(ev) - 1))
 	if span := uint64(hi) - uint64(lo); bits.Len64(span)+shift <= 64 {
 		for i := range ev {
@@ -171,8 +177,14 @@ func sortByTs(ev []Event) {
 		}
 		slices.SortStableFunc(perm, func(a, b uint64) int { return cmp.Compare(ev[a].Ts, ev[b].Ts) })
 	}
-	// Follow each cycle of the permutation from its first position,
-	// pulling every event into place and marking the position done.
+	permute(ev, perm)
+}
+
+// permute moves the event at index perm[j] to j, for every j, in place:
+// it follows each cycle of the permutation from its first position,
+// pulling every event into place and marking the position done, so each
+// event moves once. perm is left as the identity.
+func permute(ev []Event, perm []uint64) {
 	for j := range perm {
 		if perm[j] == uint64(j) {
 			continue
@@ -224,7 +236,7 @@ func (t *Trace) Filter(cat Category) []Event {
 // runs only for traces whose events were appended out of order.
 func (t *Trace) Kernels() []Event {
 	ks := t.Filter(CatKernel)
-	sortByTs(ks)
+	sortByTs(ks, nil)
 	return ks
 }
 
@@ -321,6 +333,22 @@ func (e *Event) launch() bool { return e.Cat == CatRuntime && e.Correlation != 0
 
 // Builder emits well-formed traces, allocating correlation IDs.
 //
+// The finished trace is ordered as if each event had been appended when
+// it was recorded, an operator when it ended (after everything it
+// contains), and the whole then stably sorted by start time. That
+// position before the sort is the event's emission rank: events that
+// start together order by rank.
+//
+// An emitter gets that order without a sort when it places each event
+// in start order: an operator when it starts (Begin, with its duration
+// filled in by End), every other event when it is recorded. Trace then
+// only merges two runs, each already in (Ts, rank) order: the host run,
+// every operator and runtime call, and the device run, every kernel and
+// copy. The simulator's executor emits this way. Events out of that
+// order within a run, as in a hand-built trace or where an operator
+// and the first event it contains start together, make Trace fall back
+// to the sort.
+//
 // A nil *Builder is a valid builder that records nothing: every emitting
 // method returns at once, NextCorrelation returns 0 and Trace returns
 // nil. An executor takes a nil builder when only the timing of a run
@@ -328,7 +356,21 @@ func (e *Event) launch() bool { return e.Cat == CatRuntime && e.Correlation != 0
 type Builder struct {
 	t        *Trace
 	nextCorr uint64
+	// keys holds one word per event of t: its emission rank in the low
+	// 31 bits (so a trace holds fewer than 2³¹ events) and, in bit 31,
+	// whether it is a device event. Trace lays the finished order out in
+	// the high 32 bits.
+	keys []uint64
+	// rank is the next emission rank; open counts operators begun and
+	// not yet ended.
+	rank uint64
+	open int
 }
+
+// OnFinish, when set, is called by each Builder.Trace with whether the
+// trace was merged in order (true) or sorted. It exists for tests that
+// pin which path an emitter's traces take; leave it nil otherwise.
+var OnFinish func(merged bool)
 
 // NewBuilder returns a builder over a fresh trace.
 func NewBuilder() *Builder {
@@ -343,6 +385,7 @@ func (b *Builder) Grow(n int) {
 		return
 	}
 	b.t.Events = slices.Grow(b.t.Events, n)
+	b.keys = slices.Grow(b.keys, n)
 }
 
 // Meta records a provenance key.
@@ -353,12 +396,53 @@ func (b *Builder) Meta(key, value string) {
 	b.t.Meta[key] = value
 }
 
-// Operator emits a host operator span on thread tid.
+// deviceKey flags the key of a device event, a kernel or a copy;
+// rankMask masks a key to its rank.
+const (
+	deviceKey = 1 << 31
+	rankMask  = deviceKey - 1
+)
+
+// emit places e, ranked now; run is deviceKey for a device event and 0
+// for a host event.
+func (b *Builder) emit(e Event, run uint64) {
+	b.t.Append(e)
+	b.keys = append(b.keys, b.rank|run)
+	b.rank++
+}
+
+// Begin places a host operator span on thread tid starting at ts and
+// returns its handle for End, which ranks it and sets its duration.
+// Every Begin must be ended before Trace. A nil builder returns -1.
+func (b *Builder) Begin(name string, tid int, ts sim.Time) int {
+	if b == nil {
+		return -1
+	}
+	b.t.Append(Event{Name: name, Cat: CatOperator, Ts: ts, TID: tid})
+	b.keys = append(b.keys, 0)
+	b.open++
+	return len(b.t.Events) - 1
+}
+
+// End ends the operator span op, begun by Begin, at end.
+func (b *Builder) End(op int, end sim.Time) {
+	if b == nil {
+		return
+	}
+	b.t.Events[op].Dur = end - b.t.Events[op].Ts
+	b.keys[op] = b.rank
+	b.rank++
+	b.open--
+}
+
+// Operator emits a whole host operator span on thread tid, placed and
+// ranked at once. Hand-built traces use it; an emitter that records an
+// operator when it ends gets its trace sorted.
 func (b *Builder) Operator(name string, tid int, ts, dur sim.Time) {
 	if b == nil {
 		return
 	}
-	b.t.Append(Event{Name: name, Cat: CatOperator, Ts: ts, Dur: dur, TID: tid})
+	b.emit(Event{Name: name, Cat: CatOperator, Ts: ts, Dur: dur, TID: tid}, 0)
 }
 
 // NextCorrelation reserves a fresh correlation ID.
@@ -376,7 +460,7 @@ func (b *Builder) Launch(name string, tid int, ts, dur sim.Time, corr uint64) {
 	if b == nil {
 		return
 	}
-	b.t.Append(Event{Name: name, Cat: CatRuntime, Ts: ts, Dur: dur, TID: tid, Correlation: corr})
+	b.emit(Event{Name: name, Cat: CatRuntime, Ts: ts, Dur: dur, TID: tid, Correlation: corr}, 0)
 }
 
 // Runtime emits a non-launch runtime span (synchronize, memcpy call).
@@ -384,7 +468,7 @@ func (b *Builder) Runtime(name string, tid int, ts, dur sim.Time) {
 	if b == nil {
 		return
 	}
-	b.t.Append(Event{Name: name, Cat: CatRuntime, Ts: ts, Dur: dur, TID: tid})
+	b.emit(Event{Name: name, Cat: CatRuntime, Ts: ts, Dur: dur, TID: tid}, 0)
 }
 
 // Kernel emits a device kernel execution on a stream, linked to corr.
@@ -392,11 +476,11 @@ func (b *Builder) Kernel(name string, stream int, ts, dur sim.Time, corr uint64,
 	if b == nil {
 		return
 	}
-	b.t.Append(Event{
+	b.emit(Event{
 		Name: name, Cat: CatKernel, Ts: ts, Dur: dur,
 		TID: streamTID(stream), Stream: stream, Correlation: corr,
 		FLOPs: flops, Bytes: bytes,
-	})
+	}, deviceKey)
 }
 
 // Memcpy emits a copy event on a stream.
@@ -404,19 +488,106 @@ func (b *Builder) Memcpy(name string, stream int, ts, dur sim.Time, corr uint64,
 	if b == nil {
 		return
 	}
-	b.t.Append(Event{
+	b.emit(Event{
 		Name: name, Cat: CatMemcpy, Ts: ts, Dur: dur,
 		TID: streamTID(stream), Stream: stream, Correlation: corr, Bytes: bytes,
-	})
+	}, deviceKey)
 }
 
-// Trace finalizes and returns the built trace, sorted.
+// Trace finalizes and returns the built trace in start order, after the
+// last event; a later call returns the same trace. When the host and
+// device runs are each in (Ts, rank) order, Trace merges them in one
+// pass and moves each event at most once, allocating nothing.
+// Otherwise it puts the events back in emission order and sorts them
+// as Sort does, which gives the same order.
 func (b *Builder) Trace() *Trace {
 	if b == nil {
 		return nil
 	}
-	b.t.Sort()
+	if b.open != 0 {
+		panic(fmt.Sprintf("trace: Builder.Trace with %d operators begun and not ended", b.open))
+	}
+	if len(b.keys) != len(b.t.Events) { // finalized already
+		return b.t
+	}
+	merged := b.inOrder()
+	if merged {
+		b.merge()
+	} else {
+		b.restore()
+		sortByTs(b.t.Events, b.keys)
+	}
+	b.keys = nil
+	if OnFinish != nil {
+		OnFinish(merged)
+	}
 	return b.t
+}
+
+// before reports whether event i comes before event j in (Ts, rank)
+// order.
+func (b *Builder) before(i, j int) bool {
+	ev := b.t.Events
+	return ev[i].Ts < ev[j].Ts || ev[i].Ts == ev[j].Ts && b.keys[i]&rankMask < b.keys[j]&rankMask
+}
+
+// inOrder reports whether the host run and the device run are each in
+// (Ts, rank) order.
+func (b *Builder) inOrder() bool {
+	last := [2]int{-1, -1} // the previous host and device event
+	for i := range b.t.Events {
+		r := b.keys[i] >> 31 & 1 // deviceKey's bit
+		if last[r] >= 0 && !b.before(last[r], i) {
+			return false
+		}
+		last[r] = i
+	}
+	return true
+}
+
+// next returns the index of the first event at or after i in the device
+// run (device) or the host run, or the event count if none is left.
+func (b *Builder) next(i int, device bool) int {
+	for i < len(b.keys) && (b.keys[i]&deviceKey != 0) != device {
+		i++
+	}
+	return i
+}
+
+// merge orders the events by (Ts, rank), the host and device runs each
+// being in that order already. A cursor walks each run; the earlier of
+// the two cursors' events comes next, and its index goes into the high
+// half of that output position's key. The keys then hold the
+// permutation, which permute applies.
+func (b *Builder) merge() {
+	n := len(b.t.Events)
+	h, d := b.next(0, false), b.next(0, true)
+	for j := range b.keys {
+		var src int
+		if d == n || h < n && b.before(h, d) {
+			src, h = h, b.next(h+1, false)
+		} else {
+			src, d = d, b.next(d+1, true)
+		}
+		b.keys[j] |= uint64(src) << 32
+	}
+	for j := range b.keys {
+		b.keys[j] >>= 32
+	}
+	permute(b.t.Events, b.keys)
+}
+
+// restore puts the events back in emission order: the event of rank r
+// moves to r.
+func (b *Builder) restore() {
+	for i := range b.keys {
+		r := b.keys[i] & rankMask
+		b.keys[r] |= uint64(i) << 32
+	}
+	for j := range b.keys {
+		b.keys[j] >>= 32
+	}
+	permute(b.t.Events, b.keys)
 }
 
 // streamTID maps a stream id into the TID space the Chrome viewer groups
