@@ -55,11 +55,14 @@ func runExtAppliedFusion() (*Result, error) {
 		return nil, err
 	}
 	req := engine.Request{Platform: hw.GH200(), Model: model, Batch: 1, Seq: 512, Mode: engine.Eager}
-	eager, err := engine.Run(req)
+	eager, err := engine.Time(req)
 	if err != nil {
 		return nil, err
 	}
-	seq := fusion.KernelSequence(eager.Trace)
+	seq, err := fusionStudySeq(model, req.Batch)
+	if err != nil {
+		return nil, err
+	}
 
 	tbl := Table{
 		Title:   "Speedup over eager by chain length: idealized (Eq. 8) vs applied fusion",
@@ -76,11 +79,11 @@ func runExtAppliedFusion() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cons, err := engine.RunFused(req, l, engine.LaunchSavingsOnly)
+		cons, err := engine.TimeFused(req, l, engine.LaunchSavingsOnly)
 		if err != nil {
 			return nil, err
 		}
-		full, err := engine.RunFused(req, l, engine.FullRegionFusion)
+		full, err := engine.TimeFused(req, l, engine.FullRegionFusion)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +127,7 @@ func runExtDecode() (*Result, error) {
 	}
 	rows := map[string]row{}
 	for _, p := range hw.EvaluationPlatforms() {
-		g, err := engine.RunGenerate(engine.Request{
+		g, err := engine.TimeGenerate(engine.Request{
 			Platform: p, Model: model, Batch: 1, Seq: 512, Mode: engine.Eager,
 		}, 16)
 		if err != nil {

@@ -32,50 +32,64 @@ func init() {
 }
 
 // charPoint is one (platform, batch) measurement: the run's timings
-// and, when the sweep analyzed it, its SKIP metrics. It holds no trace,
-// so a sweep keeps none past its analysis.
+// and its SKIP metrics, which the executor accumulates as it runs. It
+// holds no trace: the sweeps run untraced.
 type charPoint struct {
 	ttft, gpuIdle, cpuIdle sim.Time
-	metrics                *core.Metrics
+	metrics                core.Metrics
+}
+
+// charRequest is the characterization sweep's eager prefill (seq 512)
+// of model at batch bs on p.
+func charRequest(p *hw.Platform, model *models.Config, bs int64) engine.Request {
+	return engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.Eager}
 }
 
 // sweepChar runs the characterization sweep for one model on the three
-// evaluation platforms. With analyze, each run is traced and SKIP
-// analyzes it; without, the runs are only timed and carry no metrics.
-func sweepChar(model *models.Config, batches []int64, analyze bool) (map[string][]charPoint, error) {
+// evaluation platforms, untraced.
+func sweepChar(model *models.Config, batches []int64) (map[string][]charPoint, error) {
 	out := make(map[string][]charPoint)
 	for _, p := range hw.EvaluationPlatforms() {
 		for _, bs := range batches {
-			req := engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.Eager}
-			run := engine.Time
-			if analyze {
-				run = engine.Run
-			}
-			r, err := run(req)
+			r, err := engine.Time(charRequest(p, model, bs))
 			if err != nil {
 				return nil, err
 			}
-			pt := charPoint{ttft: r.TTFT, gpuIdle: r.GPUIdle, cpuIdle: r.CPUIdle}
-			if analyze {
-				if pt.metrics, _, err = core.Analyze(r.Trace); err != nil {
-					return nil, err
-				}
-			}
-			out[p.Name] = append(out[p.Name], pt)
+			out[p.Name] = append(out[p.Name], charPoint{ttft: r.TTFT, gpuIdle: r.GPUIdle, cpuIdle: r.CPUIdle, metrics: r.Metrics})
 		}
 	}
 	return out, nil
 }
 
-// toSeries lists a platform's points as a SKIP series; a point without
-// metrics has a zero TKLQT.
+// checkSKIP runs the sweep's first point traced on each evaluation
+// platform and fails unless SKIP's analysis of the trace equals the
+// metrics the untraced sweep reported. The paper's figures read the
+// executor's metrics; this keeps SKIP's trace analysis checked against
+// them on every pass.
+func checkSKIP(model *models.Config, batches []int64, points map[string][]charPoint) error {
+	for _, p := range hw.EvaluationPlatforms() {
+		r, err := engine.Run(charRequest(p, model, batches[0]))
+		if err != nil {
+			return err
+		}
+		m, _, err := core.Analyze(r.Trace)
+		if err != nil {
+			return err
+		}
+		if got := points[p.Name][0].metrics; *m != got {
+			return fmt.Errorf("%s BS=%d on %s: SKIP's analysis of the trace gives %+v, the executor %+v",
+				model.Name, batches[0], p.Name, *m, got)
+		}
+	}
+	return nil
+}
+
+// toSeries lists a platform's points as a SKIP series.
 func toSeries(points []charPoint, batches []int64) []core.SeriesPoint {
 	series := make([]core.SeriesPoint, len(points))
-	for i, pt := range points {
-		series[i] = core.SeriesPoint{Batch: batches[i], TTFT: pt.ttft, Metrics: pt.metrics}
-		if pt.metrics != nil {
-			series[i].TKLQT = pt.metrics.TKLQT
-		}
+	for i := range points {
+		pt := &points[i]
+		series[i] = core.SeriesPoint{Batch: batches[i], TKLQT: pt.metrics.TKLQT, TTFT: pt.ttft, Metrics: &pt.metrics}
 	}
 	return series
 }
@@ -95,9 +109,14 @@ func runFig6() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		points, err := sweepChar(model, encoderBatches, true)
+		points, err := sweepChar(model, encoderBatches)
 		if err != nil {
 			return nil, err
+		}
+		if name == encoderModels[0] {
+			if err := checkSKIP(model, encoderBatches, points); err != nil {
+				return nil, fmt.Errorf("fig6: %w", err)
+			}
 		}
 		tbl := Table{
 			Title:   fmt.Sprintf("TKLQT (ms) vs batch size — %s (seq 512, eager)", name),
@@ -154,7 +173,7 @@ func runCharFig(id, title string, modelNames []string, batches []int64,
 		if err != nil {
 			return nil, err
 		}
-		points, err := sweepChar(model, batches, false)
+		points, err := sweepChar(model, batches)
 		if err != nil {
 			return nil, err
 		}

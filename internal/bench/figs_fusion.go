@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"github.com/skipsim/skip/internal/core"
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/fusion"
 	"github.com/skipsim/skip/internal/hw"
@@ -45,16 +44,15 @@ func init() {
 
 var fusionBatches = []int64{1, 2, 4}
 
-// fusionStudySeq runs one eager prefill on Intel+H100 and returns the
-// kernel sequence (the SKIP trace pipeline end to end).
+// fusionStudySeq returns the kernel sequence of one eager prefill (seq
+// 512): its graph's kernels in launch order, the order SKIP reads them
+// from the run's trace, on any platform.
 func fusionStudySeq(model *models.Config, bs int64) ([]string, error) {
-	r, err := engine.Run(engine.Request{
-		Platform: hw.IntelH100(), Model: model, Batch: bs, Seq: 512, Mode: engine.Eager,
-	})
+	g, err := models.BuildPrefill(model, bs, 512, models.AttnEager)
 	if err != nil {
 		return nil, err
 	}
-	return fusion.KernelSequence(r.Trace), nil
+	return g.KernelNames(), nil
 }
 
 func runFig3() (*Result, error) {
@@ -123,17 +121,13 @@ func runFig5() (*Result, error) {
 	for _, m := range models.FusionStudyModels() {
 		var row [3]cell
 		for i, mode := range []engine.Mode{engine.Eager, engine.Flash, engine.CompileReduceOverhead} {
-			r, err := engine.Run(engine.Request{Platform: p, Model: m, Batch: 1, Seq: 1024, Mode: mode})
-			if err != nil {
-				return nil, err
-			}
-			metrics, _, err := core.Analyze(r.Trace)
+			r, err := engine.Time(engine.Request{Platform: p, Model: m, Batch: 1, Seq: 1024, Mode: mode})
 			if err != nil {
 				return nil, err
 			}
 			row[i] = cell{
-				kernels: metrics.KernelCount,
-				avgUs:   metrics.MeanDelay.Milliseconds(),
+				kernels: r.Metrics.KernelCount,
+				avgUs:   r.Metrics.MeanDelay.Milliseconds(),
 			}
 		}
 		counts.Rows = append(counts.Rows, []string{m.Name, d(row[0].kernels), d(row[1].kernels), d(row[2].kernels)})
@@ -271,7 +265,7 @@ func runFig9() (*Result, error) {
 	}
 	var bestPSOverTC float64
 	for _, bs := range fusionBatches {
-		eager, err := engine.Run(engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.Eager})
+		eager, err := engine.Time(engine.Request{Platform: p, Model: model, Batch: bs, Seq: 512, Mode: engine.Eager})
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +275,10 @@ func runFig9() (*Result, error) {
 		}
 		tcSpeedup := float64(eager.TTFT) / float64(tc.TTFT)
 
-		seq := fusion.KernelSequence(eager.Trace)
+		seq, err := fusionStudySeq(model, bs)
+		if err != nil {
+			return nil, err
+		}
 		rep, err := fusion.Sweep(seq, fusion.StandardLengths())
 		if err != nil {
 			return nil, err

@@ -28,9 +28,9 @@
 // operator walk, a flat dispatch list under one operator span, or one
 // CUDA-graph replay, run inside one copy and synchronize bracket. Each
 // primitive's effect on the clocks is a max-plus span (fold.go). The
-// executor applies the spans one primitive at a time and records the
-// trace; the serving step oracle composes them to price a body without
-// running it.
+// executor applies the spans one primitive at a time, accumulating
+// SKIP's metrics and, when asked, recording the trace; the serving step
+// oracle composes them to price a body without running it.
 package engine
 
 import (
@@ -38,6 +38,7 @@ import (
 	"math"
 	"strconv"
 
+	"github.com/skipsim/skip/internal/core"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/ops"
@@ -142,8 +143,9 @@ type Result struct {
 	// from Time. It is excluded from JSON reports — Chrome-trace files
 	// have their own serialization (Trace.SaveFile, the CLI's -o flag).
 	Trace *trace.Trace `json:"-"`
-	// TTFT is the prefill latency: first operator start to last kernel
-	// end (matches SKIP's IL, Eq. 4).
+	// TTFT is the prefill latency: the run's span, from its input copy
+	// to its final synchronize. Metrics.IL (Eq. 4) is narrower: first
+	// operator start to last kernel end.
 	TTFT sim.Time
 	// CompileTime is the one-time warmup/compilation cost of the mode
 	// (Table I); not part of TTFT.
@@ -161,6 +163,10 @@ type Result struct {
 	GPUIdle sim.Time
 	// CPUIdle is TTFT − CPUBusy.
 	CPUIdle sim.Time
+	// Metrics are SKIP's metrics of the run (§III-A), accumulated by the
+	// executor as it runs, traced or not: what core.Analyze derives
+	// from Trace. Like Trace, they are excluded from JSON reports.
+	Metrics core.Metrics `json:"-"`
 }
 
 // validate checks that the request names a valid platform and a model.
@@ -179,8 +185,8 @@ func (r Request) validate() error {
 func Run(req Request) (*Result, error) { return run(req, true) }
 
 // Time is Run without the trace: the same Result in every field except
-// Trace, which is nil. Callers that read only timings use it and skip
-// recording and ordering the trace.
+// Trace, which is nil. Callers that read only timings or SKIP's metrics
+// use it and skip recording and ordering the trace.
 func Time(req Request) (*Result, error) { return run(req, false) }
 
 // run simulates one prefill iteration of the request, recording its

@@ -47,9 +47,20 @@ type FusedRunResult struct {
 
 // RunFused executes the request's eager graph with a proximity-score
 // fusion plan of the given chain length applied, under the chosen
-// application model. The plan is mined from the graph's own kernel
-// sequence (deterministic chains, greedy non-overlapping instances).
+// application model, and records its trace. The plan is mined from the
+// graph's own kernel sequence (deterministic chains, greedy
+// non-overlapping instances).
 func RunFused(req Request, chainLen int, app FusionApplication) (*FusedRunResult, error) {
+	return runFused(req, chainLen, app, true)
+}
+
+// TimeFused is RunFused without the trace, as Time is Run without it:
+// the result's Trace is nil.
+func TimeFused(req Request, chainLen int, app FusionApplication) (*FusedRunResult, error) {
+	return runFused(req, chainLen, app, false)
+}
+
+func runFused(req Request, chainLen int, app FusionApplication, traced bool) (*FusedRunResult, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -68,10 +79,13 @@ func RunFused(req Request, chainLen int, app FusionApplication) (*FusedRunResult
 	if err != nil {
 		return nil, err
 	}
-	b := trace.NewBuilder()
-	b.Meta("platform", req.Platform.Name)
-	b.Meta("model", req.Model.Name)
-	b.Meta("mode", fmt.Sprintf("ps-fused-L%d-%s", chainLen, app))
+	var b *trace.Builder
+	if traced {
+		b = trace.NewBuilder()
+		b.Meta("platform", req.Platform.Name)
+		b.Meta("model", req.Model.Name)
+		b.Meta("mode", fmt.Sprintf("ps-fused-L%d-%s", chainLen, app))
+	}
 	return &FusedRunResult{
 		Result:         newExecutor(req.Platform, b).result(req, &l),
 		ChainLength:    chainLen,
@@ -93,16 +107,11 @@ type chains struct {
 // planChains mines g's kernel sequence for deterministic chains of
 // length l.
 func planChains(g *ops.Graph, l int) (*chains, error) {
-	ks := g.FlattenKernels()
-	names := make([]string, len(ks))
-	for i := range ks {
-		names[i] = ks[i].Name
-	}
-	starts, err := fusion.InstancePositions(names, l)
+	starts, err := fusion.InstancePositions(g.KernelNames(), l)
 	if err != nil {
 		return nil, err
 	}
-	return &chains{ks: ks, starts: starts, l: l, name: fmt.Sprintf("ps_fused_chain_L%d", l)}, nil
+	return &chains{ks: g.FlattenKernels(), starts: starts, l: l, name: fmt.Sprintf("ps_fused_chain_L%d", l)}, nil
 }
 
 // launched reports how many kernels the plan launches: one per chain

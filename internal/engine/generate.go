@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"github.com/skipsim/skip/internal/core"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/sim"
 	"github.com/skipsim/skip/internal/trace"
@@ -28,15 +29,30 @@ type GenerateResult struct {
 	PrefillKernels, DecodeKernelsPerStep int
 	// PrefillGPUBusy / DecodeGPUBusy split device time by phase.
 	PrefillGPUBusy, DecodeGPUBusy sim.Time
-	// Trace covers the full generation (prefill + all decode steps). Like
-	// Result.Trace, it is excluded from JSON reports.
+	// Trace covers the full generation (prefill + all decode steps); nil
+	// from TimeGenerate. Like Result.Trace, it is excluded from JSON
+	// reports.
 	Trace *trace.Trace `json:"-"`
+	// Metrics are SKIP's metrics over the full generation, as
+	// Result.Metrics are over one run; excluded from JSON reports.
+	Metrics core.Metrics `json:"-"`
 }
 
 // RunGenerate simulates prefill plus newTokens decode iterations in one
 // continuous timeline (eager or flash attention; compiled decode is a
-// different serving regime the simulator does not model).
+// different serving regime the simulator does not model), and records
+// its trace.
 func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
+	return generate(req, newTokens, true)
+}
+
+// TimeGenerate is RunGenerate without the trace, as Time is Run without
+// it: the result's Trace is nil.
+func TimeGenerate(req Request, newTokens int) (*GenerateResult, error) {
+	return generate(req, newTokens, false)
+}
+
+func generate(req Request, newTokens int, traced bool) (*GenerateResult, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -50,17 +66,26 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 		return nil, fmt.Errorf("engine: generation supports eager and flash modes, got %v", req.Mode)
 	}
 	attn := req.Mode.attention()
-
-	b := trace.NewBuilder()
-	b.Meta("platform", req.Platform.Name)
-	b.Meta("model", req.Model.Name)
-	b.Meta("mode", "generate-"+req.Mode.String())
-	ex := newExecutor(req.Platform, b)
-
 	prefill, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, attn)
 	if err != nil {
 		return nil, err
 	}
+	step, err := models.BuildDecodeStep(req.Model, req.Batch, req.Seq, attn)
+	if err != nil {
+		return nil, err
+	}
+
+	var b *trace.Builder
+	if traced {
+		b = trace.NewBuilder()
+		b.Meta("platform", req.Platform.Name)
+		b.Meta("model", req.Model.Name)
+		b.Meta("mode", "generate-"+req.Mode.String())
+		// Every decode step has the first one's operators and kernels;
+		// only attention's costs depend on the KV length.
+		b.Grow((&lowering{g: prefill}).events(req.Platform) + newTokens*(&lowering{g: step}).events(req.Platform))
+	}
+	ex := newExecutor(req.Platform, b)
 	ex.run(&lowering{g: prefill})
 	res := &GenerateResult{
 		Request:        req,
@@ -71,10 +96,10 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 	}
 
 	for t := 0; t < newTokens; t++ {
-		kvLen := req.Seq + int64(t)
-		step, err := models.BuildDecodeStep(req.Model, req.Batch, kvLen, attn)
-		if err != nil {
-			return nil, err
+		if t > 0 {
+			if step, err = models.BuildDecodeStep(req.Model, req.Batch, req.Seq+int64(t), attn); err != nil {
+				return nil, err
+			}
 		}
 		ex.run(&lowering{g: step})
 	}
@@ -84,5 +109,6 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 	res.DecodeGPUBusy = ex.gpuBusy - res.PrefillGPUBusy
 	res.DecodeKernelsPerStep = (ex.launches - res.PrefillKernels) / newTokens
 	res.Trace = b.Trace()
+	res.Metrics = ex.metrics()
 	return res, nil
 }

@@ -53,7 +53,9 @@ func TestTimeMatchesRun(t *testing.T) {
 
 // TestPinnedTracesMerge: every trace TestTraceDigestsPinned's grid
 // records comes out of the executor with its host and device events
-// each in start order, so the builder merges it and never sorts.
+// each in start order, so the builder merges it and never sorts. The
+// grid records one trace per pinned run but the null-kernel
+// microbenchmark's, which runs untraced.
 func TestPinnedTracesMerge(t *testing.T) {
 	var merged, sorted int
 	trace.OnFinish = func(m bool) {
@@ -65,7 +67,8 @@ func TestPinnedTracesMerge(t *testing.T) {
 	}
 	defer func() { trace.OnFinish = nil }()
 	traceDigestGrid(t)
-	if sorted != 0 || merged != len(pinnedTraceDigests) {
-		t.Errorf("%d traces merged and %d sorted, want all %d merged", merged, sorted, len(pinnedTraceDigests))
+	want := len(pinnedTraceDigests) - len(hw.PlatformNames())
+	if sorted != 0 || merged != want {
+		t.Errorf("%d traces merged and %d sorted, want all %d merged", merged, sorted, want)
 	}
 }

@@ -145,6 +145,18 @@ func (n *Node) appendKernels(out []Kernel) []Kernel {
 	return append(out, n.Kernels...)
 }
 
+// appendKernelNames appends the names of the tree's kernels to out in
+// launch order.
+func (n *Node) appendKernelNames(out []string) []string {
+	for _, c := range n.Children {
+		out = c.appendKernelNames(out)
+	}
+	for i := range n.Kernels {
+		out = append(out, n.Kernels[i].Name)
+	}
+	return out
+}
+
 // CountNodes returns the number of operator nodes in the tree.
 func (n *Node) CountNodes() int {
 	count := 0
@@ -223,6 +235,16 @@ func (g *Graph) FlattenKernels() []Kernel {
 	out := make([]Kernel, 0, g.KernelCount())
 	for _, n := range g.Nodes {
 		out = n.appendKernels(out)
+	}
+	return out
+}
+
+// KernelNames returns the names of the graph's kernels in launch
+// order, FlattenKernels' names without copying the kernels.
+func (g *Graph) KernelNames() []string {
+	out := make([]string, 0, g.KernelCount())
+	for _, n := range g.Nodes {
+		out = n.appendKernelNames(out)
 	}
 	return out
 }

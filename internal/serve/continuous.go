@@ -88,9 +88,13 @@ func (r *contRequest) handoffRecord() Handoff {
 // slides the live requests back to the front when at least half of it
 // is popped slots, and grows it otherwise, so every operation is O(1)
 // amortized.
+//
+// tokens is the queued requests' summed PromptLen, kept as they come
+// and go, so the KV pressure they add costs O(1).
 type waitQueue struct {
-	buf  []*contRequest
-	head int
+	buf    []*contRequest
+	head   int
+	tokens int64
 }
 
 func (q *waitQueue) len() int { return len(q.buf) - q.head }
@@ -101,6 +105,7 @@ func (q *waitQueue) items() []*contRequest { return q.buf[q.head:] }
 func (q *waitQueue) front() *contRequest { return q.buf[q.head] }
 
 func (q *waitQueue) popFront() {
+	q.tokens -= q.buf[q.head].req.PromptLen
 	q.buf[q.head] = nil
 	q.head++
 	if q.head == len(q.buf) {
@@ -115,10 +120,12 @@ func (q *waitQueue) push(r *contRequest) {
 		q.buf, q.head = q.buf[:n], 0
 	}
 	q.buf = append(q.buf, r)
+	q.tokens += r.req.PromptLen
 }
 
 // pushFront re-queues r ahead of every waiting request.
 func (q *waitQueue) pushFront(r *contRequest) {
+	q.tokens += r.req.PromptLen
 	if q.head > 0 {
 		q.head--
 		q.buf[q.head] = r
@@ -129,6 +136,7 @@ func (q *waitQueue) pushFront(r *contRequest) {
 
 // remove deletes items()[i], keeping the order of the rest.
 func (q *waitQueue) remove(i int) {
+	q.tokens -= q.buf[q.head+i].req.PromptLen
 	q.buf = slices.Delete(q.buf, q.head+i, q.head+i+1)
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0

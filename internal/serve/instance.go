@@ -100,12 +100,11 @@ func (in *Instance) KVFrac() float64 { return in.s.kvUsed / in.s.capacity }
 // admitted occupancy: the KV demand already committed to this instance,
 // as a fraction of its budget. A KV-aware router minimizes this rather
 // than KVFrac so queued-but-unadmitted work still repels new requests.
+// The queue keeps its prompt tokens summed, so a call costs O(1). The
+// occupancy, the bytes per token and every prompt footprint are
+// integers below 2^53, so the sum is exact in any order.
 func (in *Instance) KVPressure() float64 {
-	pending := in.s.kvUsed
-	for _, w := range in.s.waiting.items() {
-		pending += float64(float64(w.req.PromptLen) * in.s.bytesPerTok)
-	}
-	return pending / in.s.capacity
+	return (in.s.kvUsed + float64(float64(in.s.waiting.tokens)*in.s.bytesPerTok)) / in.s.capacity
 }
 
 // CachedPrefixTokens reports how many of the request's leading prompt

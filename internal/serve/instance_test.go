@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/skipsim/skip/internal/sim"
@@ -162,5 +163,53 @@ func TestInstanceLoadAccessors(t *testing.T) {
 	cal.Run()
 	if s := in.Stats(); s.Completed != 2 {
 		t.Errorf("completed %d of 2", s.Completed)
+	}
+}
+
+// TestKVPressureMatchesScan: the wait queue's running sum of prompt
+// tokens survives random pushes, front pushes (preemption requeues),
+// pops (admissions), removals (abandonments) and the reset a kill
+// performs, and KVPressure over it equals, bit for bit, the scan that
+// sums every queued prompt's footprint onto the admitted occupancy.
+func TestKVPressureMatchesScan(t *testing.T) {
+	in, err := NewInstance("x", contConfig(), sim.NewCalendar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := in.s
+	scan := func() float64 {
+		pending := s.kvUsed
+		for _, w := range s.waiting.items() {
+			pending += float64(float64(w.req.PromptLen) * s.bytesPerTok)
+		}
+		return pending / s.capacity
+	}
+	rng := rand.New(rand.NewSource(1))
+	for op := 0; op < 20000; op++ {
+		q := &s.waiting
+		r := &contRequest{req: Request{ID: op, PromptLen: 1 + rng.Int63n(32768)}}
+		switch k := rng.Intn(100); {
+		case k < 40:
+			q.push(r)
+		case k < 50:
+			q.pushFront(r)
+		case k < 75 && q.len() > 0:
+			q.popFront()
+		case k < 98 && q.len() > 0:
+			q.remove(rng.Intn(q.len()))
+		case k >= 98:
+			s.waiting = waitQueue{}
+		}
+		s.kvUsed = float64(rng.Int63n(1<<20)) * s.bytesPerTok
+		var tokens int64
+		for _, w := range s.waiting.items() {
+			tokens += w.req.PromptLen
+		}
+		if s.waiting.tokens != tokens {
+			t.Fatalf("op %d: queue keeps %d prompt tokens, holds %d", op, s.waiting.tokens, tokens)
+		}
+		if got, want := in.KVPressure(), scan(); got != want {
+			t.Fatalf("op %d: KVPressure %v, scan %v", op, got, want)
+		}
 	}
 }
