@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	skip "github.com/skipsim/skip"
+	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/trace"
 )
 
@@ -120,7 +121,8 @@ func cmdModels() error {
 	return nil
 }
 
-// runFlags are shared by run/classify/recommend.
+// runFlags name an engine run. newRunFlags registers -batch and -o
+// only for the commands that read them.
 type runFlags struct {
 	fs       *flag.FlagSet
 	platform *string
@@ -131,17 +133,22 @@ type runFlags struct {
 	out      *string
 }
 
-func newRunFlags(name string) *runFlags {
+func newRunFlags(name string, batch, out bool) *runFlags {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	return &runFlags{
+	rf := &runFlags{
 		fs:       fs,
 		platform: fs.String("platform", skip.GH200, "platform name (see `skip platforms`)"),
 		model:    fs.String("model", "llama-3.2-1B", "model name (see `skip models`)"),
-		batch:    fs.Int64("batch", 1, "batch size"),
 		seq:      fs.Int64("seq", 512, "input sequence length"),
 		mode:     fs.String("mode", "eager", "execution mode: eager|flash|compile-default|compile-reduce-overhead|compile-max-autotune"),
-		out:      fs.String("o", "", "write the trace to this Chrome-trace JSON file"),
 	}
+	if batch {
+		rf.batch = fs.Int64("batch", 1, "batch size")
+	}
+	if out {
+		rf.out = fs.String("o", "", "write the trace to this Chrome-trace JSON file")
+	}
+	return rf
 }
 
 func (rf *runFlags) parseMode() (skip.Mode, error) { return skip.ParseMode(*rf.mode) }
@@ -164,7 +171,7 @@ func (rf *runFlags) runSpec(platformFile string, newTokens int) *skip.Spec {
 }
 
 func cmdRun(args []string) error {
-	rf := newRunFlags("run")
+	rf := newRunFlags("run", true, true)
 	platformFile := rf.fs.String("platform-file", "", "load a custom platform definition (JSON) instead of -platform")
 	if err := rf.fs.Parse(args); err != nil {
 		return err
@@ -245,7 +252,7 @@ func cmdAnalyze(args []string) error {
 }
 
 func cmdClassify(args []string) error {
-	rf := newRunFlags("classify")
+	rf := newRunFlags("classify", false, false)
 	batches := rf.fs.String("batches", "1,2,4,8,16,32,64", "comma-separated batch sizes")
 	if err := rf.fs.Parse(args); err != nil {
 		return err
@@ -258,19 +265,24 @@ func cmdClassify(args []string) error {
 	if err != nil {
 		return err
 	}
+	p, err := skip.PlatformByName(*rf.platform)
+	if err != nil {
+		return err
+	}
+	m, err := skip.ModelByName(*rf.model)
+	if err != nil {
+		return err
+	}
 	var series []skip.SeriesPoint
 	fmt.Printf("%-8s %14s %14s %14s  %s\n", "batch", "TTFT", "TKLQT", "GPU idle", "class")
 	for _, bs := range sizes {
-		res, err := skip.Run(*rf.platform, *rf.model, bs, *rf.seq, mode)
+		res, err := engine.Time(skip.Request{Platform: p, Model: m, Batch: bs, Seq: *rf.seq, Mode: mode})
 		if err != nil {
 			return err
 		}
-		m, _, err := skip.Profile(res.Trace)
-		if err != nil {
-			return err
-		}
-		series = append(series, skip.SeriesPoint{Batch: bs, TKLQT: m.TKLQT, TTFT: res.TTFT, Metrics: m})
-		fmt.Printf("%-8d %14v %14v %14v  %v\n", bs, res.TTFT, m.TKLQT, m.GPUIdle, skip.ClassifyRun(m))
+		met := &res.Metrics
+		series = append(series, skip.SeriesPoint{Batch: bs, TKLQT: met.TKLQT, TTFT: res.TTFT, Metrics: met})
+		fmt.Printf("%-8d %14v %14v %14v  %v\n", bs, res.TTFT, met.TKLQT, met.GPUIdle, skip.ClassifyRun(met))
 	}
 	tb, err := skip.TransitionBatch(series)
 	if err != nil {
@@ -288,7 +300,7 @@ func cmdClassify(args []string) error {
 }
 
 func cmdRecommend(args []string) error {
-	rf := newRunFlags("recommend")
+	rf := newRunFlags("recommend", true, false)
 	threshold := rf.fs.Float64("threshold", 1.0, "minimum proximity score PS(C) for candidates")
 	if err := rf.fs.Parse(args); err != nil {
 		return err
@@ -345,7 +357,7 @@ func parseBatches(s string) ([]int64, error) {
 }
 
 func cmdGenerate(args []string) error {
-	rf := newRunFlags("generate")
+	rf := newRunFlags("generate", true, true)
 	tokens := rf.fs.Int("tokens", 32, "number of decode tokens to generate")
 	if err := rf.fs.Parse(args); err != nil {
 		return err

@@ -60,3 +60,66 @@ func TestSimTraceOutNeedsRunSpec(t *testing.T) {
 		t.Errorf("run spec -o wrote no trace: %v", err)
 	}
 }
+
+// TestClassifyOutputPinned pins `skip classify` at the default mode and
+// with -mode flash byte for byte. The sweep reads SKIP's metrics from
+// untraced runs; this is the output of the traced runs' profiles.
+func TestClassifyOutputPinned(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, `batch              TTFT          TKLQT       GPU idle  class
+1              35.205ms       22.345ms       17.068ms  CPU-bound
+2              38.042ms       52.721ms       14.976ms  CPU-bound
+4              40.652ms      125.825ms        7.739ms  balanced
+8              53.304ms        2.8171s       672.40µs  GPU-bound
+16             92.462ms       13.2531s       408.98µs  GPU-bound
+32            171.018ms       36.1337s       158.88µs  GPU-bound
+64            328.520ms       85.2221s        94.71µs  GPU-bound
+transition: CPU-bound → GPU-bound at BS=8 ★
+balanced region (both PUs ≥55% busy): BS 2–8
+`},
+		{[]string{"-mode", "flash"}, `batch              TTFT          TKLQT       GPU idle  class
+1              29.490ms       22.034ms       12.731ms  CPU-bound
+2              32.327ms       52.254ms       11.813ms  CPU-bound
+4              34.937ms      124.093ms        6.923ms  balanced
+8              43.829ms        1.4344s       793.23µs  GPU-bound
+16             73.489ms        7.5180s       424.43µs  GPU-bound
+32            133.246ms       21.2840s       158.88µs  GPU-bound
+64            253.178ms       51.3234s        94.71µs  GPU-bound
+transition: CPU-bound → GPU-bound at BS=8 ★
+balanced region (both PUs ≥55% busy): BS 1–8
+`},
+	} {
+		got := captureStdout(t, func() error { return cmdClassify(tc.args) })
+		if string(got) != tc.want {
+			t.Errorf("skip classify %v:\n--- got\n%s--- want\n%s", tc.args, got, tc.want)
+		}
+	}
+}
+
+// TestFlagsOnlyWhereRead: a command rejects a flag it would ignore.
+// classify sweeps -batches and writes no trace, and recommend writes no
+// trace, so -batch and -o are undefined there.
+func TestFlagsOnlyWhereRead(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "x.json")
+	for _, tc := range []struct {
+		cmd  func([]string) error
+		args []string
+		flag string
+	}{
+		{cmdClassify, []string{"-o", out}, "-o"},
+		{cmdClassify, []string{"-batch", "4"}, "-batch"},
+		{cmdRecommend, []string{"-o", out}, "-o"},
+	} {
+		err := tc.cmd(tc.args)
+		if err == nil || err.Error() != "flag provided but not defined: "+tc.flag {
+			t.Errorf("%v: error = %v, want %s undefined", tc.args, err, tc.flag)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a rejected -o wrote %s", out)
+	}
+}

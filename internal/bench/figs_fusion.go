@@ -55,6 +55,17 @@ func fusionStudySeq(model *models.Config, bs int64) ([]string, error) {
 	return g.KernelNames(), nil
 }
 
+// fusionStudy returns fusionStudySeq and its proximity-score sweep over
+// the standard chain lengths, which fig7, fig8 and fig9 tabulate.
+func fusionStudy(model *models.Config, bs int64) ([]string, *fusion.Report, error) {
+	seq, err := fusionStudySeq(model, bs)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := fusion.Sweep(seq, fusion.StandardLengths())
+	return seq, rep, err
+}
+
 func runFig3() (*Result, error) {
 	res := &Result{ID: "fig3", Title: "Fig. 3"}
 	p := hw.IntelH100()
@@ -173,11 +184,7 @@ func runFig7() (*Result, error) {
 			Columns: []string{"Batch", "K_eager", "paper"},
 		}
 		for bi, bs := range fusionBatches {
-			seq, err := fusionStudySeq(model, bs)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := fusion.Sweep(seq, fusion.StandardLengths())
+			seq, rep, err := fusionStudy(model, bs)
 			if err != nil {
 				return nil, err
 			}
@@ -226,11 +233,7 @@ func runFig8() (*Result, error) {
 			Columns: append([]string{"Batch"}, lengthCols()...),
 		}
 		for _, bs := range fusionBatches {
-			seq, err := fusionStudySeq(model, bs)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := fusion.Sweep(seq, fusion.StandardLengths())
+			_, rep, err := fusionStudy(model, bs)
 			if err != nil {
 				return nil, err
 			}
@@ -275,11 +278,7 @@ func runFig9() (*Result, error) {
 		}
 		tcSpeedup := float64(eager.TTFT) / float64(tc.TTFT)
 
-		seq, err := fusionStudySeq(model, bs)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := fusion.Sweep(seq, fusion.StandardLengths())
+		_, rep, err := fusionStudy(model, bs)
 		if err != nil {
 			return nil, err
 		}

@@ -306,11 +306,6 @@ func Copy(aten, label string, elems int64) *Node {
 	return leaf(copyOp(aten, elems))
 }
 
-// View builds a metadata-only op: host cost, no kernel.
-func View(aten string) *Node {
-	return &Node{Name: "aten::" + aten, CPUNs: CPUView}
-}
-
 // Embedding builds aten::embedding: an index gather of (rows × hidden)
 // from a (vocab × hidden) table, its kernel named after label.
 func Embedding(label string, rows, hidden int64) *Node {

@@ -48,23 +48,3 @@ func FuseElementwise(kernels []Kernel, minRun int) []Kernel {
 	}
 	return out
 }
-
-// FusionSavings summarizes what a fusion pass achieved.
-type FusionSavings struct {
-	KernelsBefore int
-	KernelsAfter  int
-	BytesBefore   float64
-	BytesAfter    float64
-}
-
-// Summarize compares kernel lists before/after a fusion pass.
-func Summarize(before, after []Kernel) FusionSavings {
-	s := FusionSavings{KernelsBefore: len(before), KernelsAfter: len(after)}
-	for _, k := range before {
-		s.BytesBefore += k.Cost.Bytes()
-	}
-	for _, k := range after {
-		s.BytesAfter += k.Cost.Bytes()
-	}
-	return s
-}

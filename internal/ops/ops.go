@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"github.com/skipsim/skip/internal/hw"
-	"github.com/skipsim/skip/internal/tensor"
 )
 
 // KernelClass categorizes a kernel for fusion passes and analysis.
@@ -260,11 +259,16 @@ func (g *Graph) TotalCost() hw.KernelCost {
 
 const elemSize = 2 // FP16 evaluation precision throughout (paper §IV-B)
 
+// matmulFLOPs counts 2·m·k·n FLOPs per (m×k)·(k×n) product, batch times.
+func matmulFLOPs(batch, m, k, n int64) float64 {
+	return 2 * float64(batch) * float64(m) * float64(k) * float64(n)
+}
+
 // gemmCost computes the roofline cost of a (b·m × k) · (k × n) matmul:
 // activations and weights read once, output written once.
 func gemmCost(b, m, k, n int64) hw.KernelCost {
 	return hw.KernelCost{
-		FLOPs:      tensor.MatmulFLOPs(b, m, k, n),
+		FLOPs:      matmulFLOPs(b, m, k, n),
 		BytesRead:  float64((b*m*k + k*n) * elemSize),
 		BytesWrite: float64(b * m * n * elemSize),
 		Rows:       float64(b * m),
@@ -274,7 +278,7 @@ func gemmCost(b, m, k, n int64) hw.KernelCost {
 // bmmCost is a batched matmul where both operands are activations.
 func bmmCost(batch, m, k, n int64) hw.KernelCost {
 	return hw.KernelCost{
-		FLOPs:      tensor.MatmulFLOPs(batch, m, k, n),
+		FLOPs:      matmulFLOPs(batch, m, k, n),
 		BytesRead:  float64(batch * (m*k + k*n) * elemSize),
 		BytesWrite: float64(batch * m * n * elemSize),
 		Rows:       float64(batch * m),
@@ -284,7 +288,7 @@ func bmmCost(batch, m, k, n int64) hw.KernelCost {
 // pointwiseCost reads inputs ins times and writes once over elems.
 func pointwiseCost(elems int64, ins int, flopsPerElem float64) hw.KernelCost {
 	return hw.KernelCost{
-		FLOPs:      tensor.ElementwiseFLOPs(elems, flopsPerElem),
+		FLOPs:      float64(elems) * flopsPerElem,
 		BytesRead:  float64(int64(ins) * elems * elemSize),
 		BytesWrite: float64(elems * elemSize),
 	}

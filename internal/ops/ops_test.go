@@ -117,16 +117,6 @@ func TestFlashAttentionReducesTraffic(t *testing.T) {
 	}
 }
 
-func TestViewHasNoKernel(t *testing.T) {
-	v := View("view")
-	if v.CountKernels() != 0 {
-		t.Error("view must not launch kernels")
-	}
-	if v.CPUNs <= 0 {
-		t.Error("view still costs host time")
-	}
-}
-
 func TestEmbeddingGather(t *testing.T) {
 	e := Embedding("wte", 512, 768)
 	k := e.FlattenKernels()[0]
@@ -333,14 +323,47 @@ func TestFuseElementwiseProperties(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
+// A fused run is one kernel that moves fewer bytes than the run it
+// replaces.
+func TestFuseElementwiseMovesFewerBytes(t *testing.T) {
 	before := []Kernel{elemK("a", 100), elemK("b", 100)}
 	after := FuseElementwise(before, 2)
-	s := Summarize(before, after)
-	if s.KernelsBefore != 2 || s.KernelsAfter != 1 {
-		t.Errorf("Summarize kernels = %+v", s)
+	if len(after) != 1 {
+		t.Fatalf("fused %d kernels into %d, want 1", len(before), len(after))
 	}
-	if s.BytesAfter >= s.BytesBefore {
-		t.Errorf("Summarize bytes = %+v", s)
+	var bytesBefore float64
+	for _, k := range before {
+		bytesBefore += k.Cost.Bytes()
+	}
+	if got := after[0].Cost.Bytes(); got >= bytesBefore {
+		t.Errorf("fused bytes = %g, want < %g", got, bytesBefore)
+	}
+}
+
+func TestMatmulFLOPs(t *testing.T) {
+	// 2*m*k*n, batched.
+	if got := matmulFLOPs(1, 2, 3, 4); got != 48 {
+		t.Errorf("matmulFLOPs = %v, want 48", got)
+	}
+	if got := matmulFLOPs(5, 2, 3, 4); got != 240 {
+		t.Errorf("batched matmulFLOPs = %v, want 240", got)
+	}
+}
+
+// Property: FLOPs scale linearly in every dimension.
+func TestMatmulFLOPsLinearity(t *testing.T) {
+	f := func(b, m, k, n uint8) bool {
+		bb, mm, kk, nn := int64(b%16+1), int64(m%16+1), int64(k%16+1), int64(n%16+1)
+		return matmulFLOPs(2*bb, mm, kk, nn) == 2*matmulFLOPs(bb, mm, kk, nn) &&
+			matmulFLOPs(bb, 2*mm, kk, nn) == 2*matmulFLOPs(bb, mm, kk, nn)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestElementwiseFLOPs(t *testing.T) {
+	if got := pointwiseCost(100, 1, 2.5).FLOPs; got != 250 {
+		t.Errorf("pointwise FLOPs = %v, want 250", got)
 	}
 }

@@ -552,3 +552,55 @@ func TestBlockDetailMatchesFmt(t *testing.T) {
 		}
 	}
 }
+
+// TestOneRequestMatchesEngine ties the serving layer to the executor: a
+// lone request served continuously at latency bucket 1 (exact oracle
+// lengths) has the engine's TTFT, and its E2E is a generation of its
+// N−1 decode steps, TimeGenerate(N−1).Total; at N = 1 both are Time's
+// TTFT. Checked on every catalog platform in both modes RunGenerate
+// accepts, at two prompt lengths.
+func TestOneRequestMatchesEngine(t *testing.T) {
+	m := models.Llama32_1B()
+	for _, name := range hw.PlatformNames() {
+		p, err := hw.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []engine.Mode{engine.Eager, engine.Flash} {
+			for _, prompt := range []int64{64, 300} {
+				for _, n := range []int64{1, 2, 9} {
+					cfg := Config{
+						Platform: p, Model: m, Seq: prompt, Mode: mode,
+						Policy: ContinuousBatch, MaxBatch: 8, LatencyBucket: 1,
+					}
+					st, err := Simulate(cfg, []Request{{PromptLen: prompt, OutputLen: n}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Completed != 1 {
+						t.Fatalf("%s %v prompt %d N=%d: completed %d of 1", name, mode, prompt, n, st.Completed)
+					}
+					req := engine.Request{Platform: p, Model: m, Batch: 1, Seq: prompt, Mode: mode}
+					var ttft, e2e sim.Time
+					if n == 1 {
+						r, err := engine.Time(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ttft, e2e = r.TTFT, r.TTFT
+					} else {
+						g, err := engine.TimeGenerate(req, int(n-1))
+						if err != nil {
+							t.Fatal(err)
+						}
+						ttft, e2e = g.TTFT, g.Total
+					}
+					if st.MaxTTFT != ttft || st.MaxE2E != e2e {
+						t.Errorf("%s %v prompt %d N=%d: serve TTFT %v E2E %v, engine %v and %v",
+							name, mode, prompt, n, st.MaxTTFT, st.MaxE2E, ttft, e2e)
+					}
+				}
+			}
+		}
+	}
+}

@@ -91,8 +91,9 @@ func ParseTrace(r io.Reader) ([]Request, error) {
 		// record counter would point the user at the wrong place.
 		line, _ := cr.FieldPos(0)
 		arrivalMs, err := strconv.ParseFloat(strings.TrimSpace(rec[cols["arrival"]]), 64)
-		if err != nil || arrivalMs < 0 {
-			return nil, fmt.Errorf("serve: trace: line %d: arrival_ms must be a non-negative number, got %q", line, rec[cols["arrival"]])
+		// !(≥ 0) rejects NaN too; 2^63 ns does not fit a sim.Time.
+		if err != nil || !(arrivalMs >= 0) || arrivalMs*1e6 >= 1<<63 {
+			return nil, fmt.Errorf("serve: trace: line %d: arrival_ms must be a non-negative number below 9.2e12, got %q", line, rec[cols["arrival"]])
 		}
 		if arrivalMs < prevMs {
 			return nil, fmt.Errorf("serve: trace: line %d: arrival_ms %g goes back in time (previous row arrived at %g); traces must be sorted by arrival", line, arrivalMs, prevMs)

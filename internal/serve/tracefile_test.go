@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -90,16 +92,19 @@ func TestParseTraceColumnOrderAndOptionals(t *testing.T) {
 
 func TestParseTraceRejectsBadInput(t *testing.T) {
 	for name, doc := range map[string]string{
-		"unknown column":   "arrival_ms,prompt_tokens,latency\n1,2,3\n",
-		"duplicate column": "arrival_ms,arrival,prompt_tokens\n1,2,3\n",
-		"missing arrival":  "prompt_tokens,output_tokens\n128,8\n",
-		"missing prompt":   "arrival_ms,output_tokens\n1,8\n",
-		"negative arrival": "arrival_ms,prompt_tokens\n-5,128\n",
-		"zero prompt":      "arrival_ms,prompt_tokens\n5,0\n",
-		"bad number":       "arrival_ms,prompt_tokens\nsoon,128\n",
-		"negative output":  "arrival_ms,prompt_tokens,output_tokens\n5,128,-1\n",
-		"no rows":          "arrival_ms,prompt_tokens\n",
-		"empty":            "",
+		"unknown column":       "arrival_ms,prompt_tokens,latency\n1,2,3\n",
+		"duplicate column":     "arrival_ms,arrival,prompt_tokens\n1,2,3\n",
+		"missing arrival":      "prompt_tokens,output_tokens\n128,8\n",
+		"missing prompt":       "arrival_ms,output_tokens\n1,8\n",
+		"negative arrival":     "arrival_ms,prompt_tokens\n-5,128\n",
+		"NaN arrival":          "arrival_ms,prompt_tokens\nNaN,128\n3,64\n",
+		"infinite arrival":     "arrival_ms,prompt_tokens\n+Inf,128\n",
+		"arrival past 2^63 ns": "arrival_ms,prompt_tokens\n5,128\n9.3e12,64\n",
+		"zero prompt":          "arrival_ms,prompt_tokens\n5,0\n",
+		"bad number":           "arrival_ms,prompt_tokens\nsoon,128\n",
+		"negative output":      "arrival_ms,prompt_tokens,output_tokens\n5,128,-1\n",
+		"no rows":              "arrival_ms,prompt_tokens\n",
+		"empty":                "",
 	} {
 		if _, err := ParseTrace(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: ParseTrace should fail", name)
@@ -120,4 +125,47 @@ func TestTraceReplayThroughSimulate(t *testing.T) {
 	if stats.Completed != 3 {
 		t.Errorf("completed %d of 3 replayed requests", stats.Completed)
 	}
+}
+
+// FuzzParseTrace: on any CSV, ParseTrace either returns an error or a
+// stream whose IDs count 0…n−1 in row order, whose arrivals are
+// non-negative and non-decreasing, and whose prompts are positive. It
+// never panics. The corpus is seeded from the checked-in agentic log and
+// the hand-written cases above.
+func FuzzParseTrace(f *testing.F) {
+	log, err := os.ReadFile(filepath.Join("..", "..", "examples", "specs", "traces", "agentic_sessions.csv"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(log))
+	for _, doc := range []string{
+		"# a comment\narrival_ms,prompt_tokens,output_tokens,session_id\n0,128,0,0\n12.5,256,32,1\n",
+		"prompt_tokens,arrival_ms\n512,7\n",
+		"arrival_ms,prompt_tokens\n5,128\n5,64\n",
+		"arrival_ms,prompt_tokens\n5,128\n12.5,64\n3,256\n",
+		"arrival,prompt,output,session\n 1 , 2 , 3 , 4 \n",
+		"arrival_ms,prompt_tokens\nNaN,128\n3,64\n",
+	} {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		reqs, err := ParseTrace(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if len(reqs) == 0 {
+			t.Fatal("no error and no requests")
+		}
+		for i, r := range reqs {
+			if r.ID != i {
+				t.Fatalf("request %d has ID %d", i, r.ID)
+			}
+			if r.Arrival < 0 || (i > 0 && r.Arrival < reqs[i-1].Arrival) {
+				t.Fatalf("request %d arrives at %d after %d", i, r.Arrival, reqs[max(i-1, 0)].Arrival)
+			}
+			if r.PromptLen <= 0 {
+				t.Fatalf("request %d has prompt length %d", i, r.PromptLen)
+			}
+		}
+	})
 }

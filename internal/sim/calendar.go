@@ -231,25 +231,6 @@ func (c *Calendar) Run() Time {
 	return c.now
 }
 
-// RunUntil fires events (and stream entries) due at or before deadline,
-// returning the final time. Pending later events remain queued.
-func (c *Calendar) RunUntil(deadline Time) Time {
-	for {
-		if c.streamFirst() {
-			if c.stream.head > deadline {
-				break
-			}
-		} else if len(c.heap) == 0 || c.heap[0].at > deadline {
-			break
-		}
-		c.Step()
-	}
-	if c.now < deadline {
-		c.now = deadline
-	}
-	return c.now
-}
-
 // up moves the event at heap index j toward the root until its parent
 // precedes it.
 func (c *Calendar) up(j int) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,8 @@ func TestTimeString(t *testing.T) {
 		{1500 * Microsecond, "1.500ms"},
 		{2500 * Millisecond, "2.5000s"},
 		{-500, "-500ns"},
+		{math.MinInt64, "-9223372036854775808ns"}, // negating it overflows
+		{math.MinInt64 + 1, "-9223372036.8548s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
@@ -180,29 +183,6 @@ func TestCalendarStaleHandle(t *testing.T) {
 	}
 }
 
-func TestCalendarRunUntil(t *testing.T) {
-	c := NewCalendar()
-	var fired []Time
-	for _, at := range []Time{5, 15, 25} {
-		at := at
-		c.Schedule(at, func(now Time) { fired = append(fired, now) })
-	}
-	now := c.RunUntil(15)
-	if now != 15 {
-		t.Errorf("RunUntil returned %d", now)
-	}
-	if len(fired) != 2 {
-		t.Errorf("fired %v, want 2 events", fired)
-	}
-	if c.Len() != 1 {
-		t.Errorf("pending = %d, want 1", c.Len())
-	}
-	c.Run()
-	if len(fired) != 3 {
-		t.Errorf("after Run fired %v", fired)
-	}
-}
-
 func TestCalendarCascade(t *testing.T) {
 	// Events scheduling further events, as the decode scheduler does.
 	c := NewCalendar()
@@ -307,16 +287,6 @@ func (r *refCal) step() bool {
 	return true
 }
 
-func (r *refCal) runUntil(deadline Time) Time {
-	for i := r.next(); i >= 0 && r.pending[i].at <= deadline; i = r.next() {
-		r.step()
-	}
-	if r.now < deadline {
-		r.now = deadline
-	}
-	return r.now
-}
-
 // calOp is one randomly drawn calendar operation: a is its raw random
 // parameter and deltas a stream's inter-entry gaps.
 type calOp struct {
@@ -329,7 +299,6 @@ const (
 	opSchedule = iota
 	opCancel
 	opStream
-	opRunUntil
 	opStep
 	numOps
 )
@@ -347,7 +316,6 @@ type firing struct {
 type calDriver struct {
 	schedule func(at Time, fire func(now Time)) (cancel func() bool)
 	stream   func(times []Time, fire func(now Time, i int))
-	runUntil func(deadline Time) Time
 	step     func() bool
 	now      func() Time
 	length   func() int
@@ -411,8 +379,6 @@ func (d *calDriver) play(ops []calOp) {
 				d.streamLeft--
 				d.fire(first + i)(now)
 			})
-		case opRunUntil:
-			d.log = append(d.log, int64(d.runUntil(d.now()+Time(op.a%10))))
 		case opStep:
 			d.log = append(d.log, boolInt(d.step()))
 		}
@@ -423,10 +389,10 @@ func (d *calDriver) play(ops []calOp) {
 }
 
 // TestCalendarMatchesReference: random interleavings of Schedule,
-// Cancel, Stream, Step and RunUntil — with times drawn from a narrow
-// range so equal-time ties are common, callbacks that schedule at now,
-// streams installed behind setup-time events at the same instants, and
-// stream entries left past RunUntil deadlines — must fire the same
+// Cancel, Stream and Step — with times drawn from a narrow range so
+// equal-time ties are common, callbacks that schedule at now, and
+// streams installed behind setup-time events at the same instants —
+// must fire the same
 // entries at the same times as the naive (At, seq)-sorted reference.
 func TestCalendarMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
@@ -452,10 +418,9 @@ func TestCalendarMatchesReference(t *testing.T) {
 			stream: func(times []Time, fire func(Time, int)) {
 				c.Stream(len(times), func(i int) Time { return times[i] }, fire)
 			},
-			runUntil: c.RunUntil,
-			step:     c.Step,
-			now:      c.Now,
-			length:   c.Len,
+			step:   c.Step,
+			now:    c.Now,
+			length: c.Len,
 		}
 		r := &refCal{}
 		ref := &calDriver{
@@ -469,10 +434,9 @@ func TestCalendarMatchesReference(t *testing.T) {
 					r.schedule(at, func(now Time) { fire(now, i) })
 				}
 			},
-			runUntil: r.runUntil,
-			step:     r.step,
-			now:      func() Time { return r.now },
-			length:   func() int { return len(r.pending) },
+			step:   r.step,
+			now:    func() Time { return r.now },
+			length: func() int { return len(r.pending) },
 		}
 
 		real.play(ops)
@@ -502,7 +466,7 @@ func TestCalendarMatchesReference(t *testing.T) {
 // TestCalendarStreamTies pins the stream tie rule on a hand-built case:
 // a setup-time event at the stream's first instant fires before it, an
 // event its own callback schedules at now fires after every same-time
-// entry, and an entry past a RunUntil deadline stays pending.
+// entry, and a later entry stays pending.
 func TestCalendarStreamTies(t *testing.T) {
 	c := NewCalendar()
 	var order []string
@@ -518,13 +482,17 @@ func TestCalendarStreamTies(t *testing.T) {
 	if c.Len() != 5 {
 		t.Fatalf("Len = %d, want 5 (two events, three stream entries)", c.Len())
 	}
-	c.RunUntil(20)
+	for i := 0; i < 5; i++ {
+		if !c.Step() {
+			t.Fatalf("Step %d found the calendar empty", i)
+		}
+	}
 	want := "[setup@10 arrival0@10 arrival1@10 late@10 kick@10]"
 	if got := fmt.Sprint(order); got != want {
 		t.Fatalf("order = %s, want %s", got, want)
 	}
-	if c.Len() != 1 || c.Now() != 20 {
-		t.Fatalf("after RunUntil(20): Len = %d, Now = %d; want 1 and 20", c.Len(), c.Now())
+	if c.Len() != 1 || c.Now() != 10 {
+		t.Fatalf("after five Steps: Len = %d, Now = %d; want 1 and 10", c.Len(), c.Now())
 	}
 	c.Run()
 	if order[len(order)-1] != "arrival2@30" {

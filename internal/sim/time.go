@@ -54,6 +54,8 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // String renders the time with an adaptive unit, e.g. "2.26µs" or "14.8ms".
 func (t Time) String() string {
 	switch {
+	case t == -1<<63:
+		return fmt.Sprintf("%dns", int64(t)) // -t would overflow back to t
 	case t < 0:
 		return fmt.Sprintf("-%s", -t)
 	case t < Microsecond:
@@ -79,14 +81,6 @@ func FromNs(ns float64) Time {
 // MaxTime returns the later of two times.
 func MaxTime(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinTime returns the earlier of two times.
-func MinTime(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b
