@@ -26,13 +26,7 @@ func chaosStudySpec(platform string, count int, a *spec.AutoscaleSpec, f *spec.F
 		Workload: &spec.WorkloadSpec{
 			Scenario: "chat", Requests: 96, RatePerSec: 32, Seed: 19,
 		},
-		Serve: &spec.ServeSpec{
-			Policy:        "continuous",
-			MaxBatch:      32,
-			Seq:           512,
-			LatencyBucket: 256,
-			TTFTSLOMs:     500,
-		},
+		Serve: studyServe(32),
 		Fleet: &spec.FleetSpec{
 			Groups:    []spec.FleetGroupSpec{{Platform: platform, Count: count}},
 			Router:    "least-queue",

@@ -18,6 +18,18 @@ func init() {
 	})
 }
 
+// studyServe is the serving configuration every fleet study shares:
+// continuous batching of up to maxBatch requests, a 500 ms TTFT SLO.
+func studyServe(maxBatch int) *spec.ServeSpec {
+	return &spec.ServeSpec{
+		Policy:        "continuous",
+		MaxBatch:      maxBatch,
+		Seq:           512,
+		LatencyBucket: 256,
+		TTFTSLOMs:     500,
+	}
+}
+
 // clusterStudySpec is the heterogeneous fleet study as one declarative
 // spec: two coupled and two loosely-coupled instances serving the same
 // model under a production-style mixed stream (60% chat, 25% agentic
@@ -31,13 +43,7 @@ func clusterStudySpec(router string) *spec.Spec {
 			RatePerSec: 40,
 			Seed:       17,
 		},
-		Serve: &spec.ServeSpec{
-			Policy:        "continuous",
-			MaxBatch:      32,
-			Seq:           512,
-			LatencyBucket: 256,
-			TTFTSLOMs:     500,
-		},
+		Serve: studyServe(32),
 		Fleet: &spec.FleetSpec{
 			Groups: []spec.FleetGroupSpec{
 				{Platform: hw.GH200Name, Count: 2},

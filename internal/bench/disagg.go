@@ -36,14 +36,8 @@ func disaggStudySpec(scenario string, groups []spec.FleetGroupSpec, d *spec.Disa
 	return &spec.Spec{
 		Model:    "llama-3.2-1B",
 		Workload: disaggWorkload(scenario),
-		Serve: &spec.ServeSpec{
-			Policy:        "continuous",
-			MaxBatch:      32,
-			Seq:           512,
-			LatencyBucket: 256,
-			TTFTSLOMs:     500,
-		},
-		Fleet: &spec.FleetSpec{Groups: groups, Disaggregation: d},
+		Serve:    studyServe(32),
+		Fleet:    &spec.FleetSpec{Groups: groups, Disaggregation: d},
 	}
 }
 

@@ -32,14 +32,8 @@ func kvStudySpec(w *spec.WorkloadSpec, fleet *spec.FleetSpec) *spec.Spec {
 	return &spec.Spec{
 		Model:    "llama-3.2-1B",
 		Workload: w,
-		Serve: &spec.ServeSpec{
-			Policy:        "continuous",
-			MaxBatch:      32,
-			Seq:           512,
-			LatencyBucket: 256,
-			TTFTSLOMs:     500,
-		},
-		Fleet: fleet,
+		Serve:    studyServe(32),
+		Fleet:    fleet,
 	}
 }
 
@@ -64,13 +58,7 @@ func kvSpillSpec(platform string, kv *spec.KVCacheSpec) *spec.Spec {
 	return &spec.Spec{
 		Model:    "llama-3.2-1B",
 		Workload: &spec.WorkloadSpec{Scenario: "agentic", Requests: 64, RatePerSec: 8, Seed: 7, Turns: 8},
-		Serve: &spec.ServeSpec{
-			Policy:        "continuous",
-			MaxBatch:      4,
-			Seq:           512,
-			LatencyBucket: 256,
-			TTFTSLOMs:     500,
-		},
+		Serve:    studyServe(4),
 		Fleet: &spec.FleetSpec{
 			Groups:  []spec.FleetGroupSpec{{Platform: platform, Count: 1}},
 			KVCache: kv,

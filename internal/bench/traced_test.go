@@ -15,7 +15,8 @@ import (
 // latencies, idle times, SKIP's metrics or kernel sequences record no
 // trace: the executor reports the metrics, and the chain miner reads
 // the lowered graph. fig6 traces one point per platform, to check
-// SKIP's analysis of the trace against the executor's metrics.
+// SKIP's analysis of the trace against the executor's metrics, and the
+// builder merges each of those traces into start order, never sorting.
 func TestArtifactsTraceOnlyWhatTheyRead(t *testing.T) {
 	want := map[string]int{
 		"table1":                  0,
@@ -35,20 +36,28 @@ func TestArtifactsTraceOnlyWhatTheyRead(t *testing.T) {
 		"ext7-tc-projection":      0,
 		"fig6":                    len(hw.EvaluationPlatforms()),
 	}
-	var traces int
-	trace.OnFinish = func(bool) { traces++ }
+	var traces, sorted int
+	trace.OnFinish = func(merged bool) {
+		traces++
+		if !merged {
+			sorted++
+		}
+	}
 	defer func() { trace.OnFinish = nil }()
 	for id, n := range want {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces = 0
+		traces, sorted = 0, 0
 		if _, err := e.Run(); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if traces != n {
 			t.Errorf("%s recorded %d traces, want %d", id, traces, n)
+		}
+		if sorted != 0 {
+			t.Errorf("%s sorted %d of its %d traces, want all merged", id, sorted, traces)
 		}
 	}
 }

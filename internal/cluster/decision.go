@@ -91,10 +91,10 @@ const altSlabChunk = 1024
 
 // NewDecisionRecorder builds a recorder for the active policy. k caps
 // the alternatives stored per decision; shortPrompt is the
-// platform-aware regime boundary (≤ 0 takes the router default).
+// platform-aware regime boundary (≤ 0 takes defaultShortPrompt).
 func NewDecisionRecorder(policy Policy, shortPrompt int64, k int) *DecisionRecorder {
 	if shortPrompt <= 0 {
-		shortPrompt = 512
+		shortPrompt = defaultShortPrompt
 	}
 	r := &DecisionRecorder{policy: policy, shortPrompt: shortPrompt, k: k,
 		counter: make(map[Policy]*CounterfactualStat)}

@@ -119,11 +119,15 @@ type Router struct {
 	repins int
 }
 
+// defaultShortPrompt is the platform-aware regime boundary, in prompt
+// tokens, that a router or recorder given none takes.
+const defaultShortPrompt = 512
+
 // NewRouter builds a router for the policy. shortPrompt is the
-// platform-aware regime boundary (≤ 0 takes the 512-token default).
+// platform-aware regime boundary (≤ 0 takes defaultShortPrompt).
 func NewRouter(policy Policy, shortPrompt int64) *Router {
 	if shortPrompt <= 0 {
-		shortPrompt = 512
+		shortPrompt = defaultShortPrompt
 	}
 	return &Router{policy: policy, shortPrompt: shortPrompt, sessions: make(map[int64]int)}
 }

@@ -22,27 +22,11 @@ import (
 // KernelSequence extracts the kernel-name execution sequence from a
 // trace, in device execution order (the timed kernel sequences SKIP
 // feeds the recommender). Memcpys are not kernels and are excluded.
-//
-// The names are read in place while the kernels appear in start order,
-// as in every built or loaded trace; only a trace whose kernels were
-// appended out of order pays for the sorted copy of Trace.Kernels.
 func KernelSequence(tr *trace.Trace) []string {
-	names := make([]string, 0, tr.Count(trace.CatKernel))
-	prev := -1 // the previous kernel's index
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Cat != trace.CatKernel {
-			continue
-		}
-		if prev >= 0 && e.Ts < tr.Events[prev].Ts {
-			names = names[:0]
-			for _, k := range tr.Kernels() {
-				names = append(names, k.Name)
-			}
-			return names
-		}
-		names = append(names, e.Name)
-		prev = i
+	ks := tr.Kernels()
+	names := make([]string, len(ks))
+	for i := range ks {
+		names[i] = ks[i].Name
 	}
 	return names
 }

@@ -527,18 +527,18 @@ func appendCount(b []byte, label string, v int64) []byte {
 	return strconv.AppendInt(append(b, label...), v, 10)
 }
 
-// willEmitToken reports whether r produces an output token in the next
-// iteration: decoding requests always do, and a prefilling request does
-// when this iteration's chunk consumes the rest of its prompt.
-func (s *contSim) willEmitToken(r *contRequest) bool {
-	remaining := r.req.PromptLen - r.promptDone
-	if remaining <= 0 {
-		return true
+// nextChunk returns the prompt tokens r prefills in the next iteration:
+// the rest of its prompt, capped at PrefillChunk under chunked prefill,
+// or 0 once r decodes.
+func (s *contSim) nextChunk(r *contRequest) int64 {
+	chunk := r.req.PromptLen - r.promptDone
+	if chunk <= 0 {
+		return 0
 	}
-	if s.cfg.Policy == ChunkedPrefill && remaining > s.cfg.PrefillChunk {
-		return false
+	if s.cfg.Policy == ChunkedPrefill && chunk > s.cfg.PrefillChunk {
+		return s.cfg.PrefillChunk
 	}
-	return true
+	return chunk
 }
 
 // preemptForGrowth frees KV for the coming iteration's growth — one
@@ -549,17 +549,20 @@ func (s *contSim) willEmitToken(r *contRequest) bool {
 // is never evicted — feasibility guarantees it fits alone, so the
 // scheduler always makes progress.
 func (s *contSim) preemptForGrowth(now sim.Time) {
-	for {
-		var growth float64
-		for _, r := range s.running {
-			if s.willEmitToken(r) {
-				growth += s.bytesPerTok
-			}
+	// A request emits a token when it decodes or its chunk ends its
+	// prompt. Every term is a whole multiple of bytesPerTok, so growth
+	// stays exact as victims' tokens leave it.
+	var growth float64
+	for _, r := range s.running {
+		if r.promptDone+s.nextChunk(r) >= r.req.PromptLen {
+			growth += s.bytesPerTok
 		}
-		if s.kvUsed+growth <= s.capacity || len(s.running) <= 1 {
-			return
-		}
+	}
+	for s.kvUsed+growth > s.capacity && len(s.running) > 1 {
 		victim := s.running[len(s.running)-1]
+		if victim.promptDone+s.nextChunk(victim) >= victim.req.PromptLen {
+			growth -= s.bytesPerTok
+		}
 		s.running = s.running[:len(s.running)-1]
 		victim.running = false
 		s.kvUsed -= victim.kvBytes
@@ -596,17 +599,13 @@ func (s *contSim) kick(now sim.Time) {
 	decodeBatch := int64(0)
 	maxKV := int64(0)
 	for _, r := range s.running {
-		r.chunk = 0
-		if r.promptDone >= r.req.PromptLen {
+		r.chunk = s.nextChunk(r)
+		if r.chunk == 0 {
 			decodeBatch++
 			if kv := r.kvLen(); kv > maxKV {
 				maxKV = kv
 			}
 			continue
-		}
-		r.chunk = r.req.PromptLen - r.promptDone
-		if s.cfg.Policy == ChunkedPrefill && r.chunk > s.cfg.PrefillChunk {
-			r.chunk = s.cfg.PrefillChunk
 		}
 		d, err := s.sm.Prefill(1, r.chunk)
 		if err != nil {
@@ -721,13 +720,7 @@ func (s *contSim) emitToken(r *contRequest, end sim.Time) {
 		if r.req.OutputLen > 1 {
 			s.tpots = append(s.tpots, (end-r.firstTok)/sim.Time(r.req.OutputLen-1))
 		}
-		s.kvUsed -= r.kvBytes
-		r.kvBytes = 0
-		s.releaseBlocks(r)
-		s.removeRunning(r)
-		if end > s.lastCompletion {
-			s.lastCompletion = end
-		}
+		s.retire(r, end)
 		return
 	}
 	if s.handoff != nil {
@@ -736,18 +729,20 @@ func (s *contSim) emitToken(r *contRequest, end sim.Time) {
 		// layer now owns the cache and prices its transfer to a decode
 		// instance.
 		s.handedOff++
-		s.kvUsed -= r.kvBytes
-		r.kvBytes = 0
-		s.releaseBlocks(r)
-		s.removeRunning(r)
-		if end > s.lastCompletion {
-			s.lastCompletion = end
-		}
+		s.retire(r, end)
 		s.handoff(end, r.handoffRecord())
 	}
 }
 
-func (s *contSim) removeRunning(r *contRequest) {
+// retire takes r, done here at end, out of the running set: its KV
+// leaves the budget and its cache blocks are unpinned.
+func (s *contSim) retire(r *contRequest, end sim.Time) {
+	s.kvUsed -= r.kvBytes
+	r.kvBytes = 0
+	s.releaseBlocks(r)
+	if end > s.lastCompletion {
+		s.lastCompletion = end
+	}
 	r.running = false
 	for i, x := range s.running {
 		if x == r {

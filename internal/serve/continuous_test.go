@@ -171,6 +171,79 @@ func TestContinuousPreemptsOnKVGrowth(t *testing.T) {
 	}
 }
 
+// TestChunkedPrefillPreemptsSeveralVictims pins a chunked-prefill run
+// in which one scheduling decision preempts more than one request: a
+// 24-token prompt, prefilled in 16-token chunks, ahead of seven 1-token
+// prompts whose joint decode growth overflows a 100-token budget. Each
+// young victim frees only a few tokens, so freeing one iteration's
+// growth takes several.
+func TestChunkedPrefillPreemptsSeveralVictims(t *testing.T) {
+	cfg := contConfig()
+	cfg.Policy = ChunkedPrefill
+	cfg.PrefillChunk = 16
+	cfg.KVCapacityBytes = 100 * gpt2KVBytesPerToken()
+	cal := sim.NewCalendar()
+	in, err := NewInstance("i0", cfg, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		req := Request{ID: i, PromptLen: 1, OutputLen: 12}
+		if i == 0 {
+			req.PromptLen = 24
+		}
+		cal.Schedule(sim.Time(i)*sim.Microsecond, func(now sim.Time) {
+			if err := in.Accept(now, req); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	// A calendar step runs one event, so it kicks at most once.
+	most := 0
+	for {
+		before := in.s.preemptions
+		if !cal.Step() {
+			break
+		}
+		most = max(most, in.s.preemptions-before)
+	}
+	if err := in.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if most < 2 {
+		t.Errorf("at most %d preemptions in one kick, want a kick that preempts at least 2", most)
+	}
+	st := in.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"Completed", int64(st.Completed), 8},
+		{"Preemptions", int64(st.Preemptions), 6},
+		{"Batches", int64(st.Batches), 25},
+		{"TokensOut", st.TokensOut, 96},
+		{"P50TTFT", int64(st.P50TTFT), 163138014},
+		{"P95E2E", int64(st.P95E2E), 628163454},
+		{"Horizon", int64(st.Horizon), 628163454},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"MeanBatch", st.MeanBatch, 5.04},
+		{"PeakKVBytes", st.PeakKVBytes, 3.6864e+06},
+		{"MeanKVFrac", st.MeanKVFrac, 0.3850689287791645},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9*math.Max(1, math.Abs(c.want)) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 // TestContinuousFirstTokenGrowthRespectsBudget pins the overrun found
 // in review: two 50-token prompts exactly fill a 100-token budget, and
 // the first tokens their prefill completions emit must not push KV past

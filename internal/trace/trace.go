@@ -13,7 +13,6 @@ package trace
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"github.com/skipsim/skip/internal/sim"
@@ -132,52 +131,17 @@ func (t *Trace) Append(e Event) { t.Events = append(t.Events, e) }
 // Sort orders events by start time, stably, so same-timestamp events keep
 // their order. Traces loaded from JSON are sorted here; a Builder's
 // trace is already in this order unless its emitter broke it (see
-// Builder.Trace).
-//
-// A sorted trace costs one comparison pass. Otherwise Sort never moves
-// events while it compares them: it sorts one pointer-free uint64 key per
-// event, (Ts − min Ts) shifted above the event's index, so equal starts
-// order by index, and then applies the sorted permutation in place along
-// its cycles, moving each event once. That is O(n log n) on 8-byte keys
-// plus n event moves, and one n-key allocation. A trace whose Ts range
-// and index do not fit one key together (a span near 2⁶⁴ ns) sorts its
-// indices stably by Ts instead.
-func (t *Trace) Sort() { sortByTs(t.Events, nil) }
+// Builder.Trace). A sorted trace costs one comparison pass.
+func (t *Trace) Sort() { sortByTs(t.Events) }
 
 // byTs orders events by start time.
 func byTs(a, b Event) int { return cmp.Compare(a.Ts, b.Ts) }
 
-// sortByTs sorts events stably by start time; see Trace.Sort. perm is
-// scratch of len(ev) keys, or nil to allocate it when needed.
-func sortByTs(ev []Event, perm []uint64) {
-	if slices.IsSortedFunc(ev, byTs) {
-		return
+// sortByTs sorts events stably by start time; see Trace.Sort.
+func sortByTs(ev []Event) {
+	if !slices.IsSortedFunc(ev, byTs) {
+		slices.SortStableFunc(ev, byTs)
 	}
-	lo, hi := ev[0].Ts, ev[0].Ts
-	for i := range ev {
-		lo, hi = min(lo, ev[i].Ts), max(hi, ev[i].Ts)
-	}
-	// perm[j] ends up holding the index of the event that belongs at j.
-	if perm == nil {
-		perm = make([]uint64, len(ev))
-	}
-	shift := bits.Len(uint(len(ev) - 1))
-	if span := uint64(hi) - uint64(lo); bits.Len64(span)+shift <= 64 {
-		for i := range ev {
-			perm[i] = (uint64(ev[i].Ts)-uint64(lo))<<shift | uint64(i)
-		}
-		slices.Sort(perm)
-		mask := uint64(1)<<shift - 1
-		for j := range perm {
-			perm[j] &= mask
-		}
-	} else {
-		for i := range perm {
-			perm[i] = uint64(i)
-		}
-		slices.SortStableFunc(perm, func(a, b uint64) int { return cmp.Compare(ev[a].Ts, ev[b].Ts) })
-	}
-	permute(ev, perm)
 }
 
 // permute moves the event at index perm[j] to j, for every j, in place:
@@ -236,7 +200,7 @@ func (t *Trace) Filter(cat Category) []Event {
 // runs only for traces whose events were appended out of order.
 func (t *Trace) Kernels() []Event {
 	ks := t.Filter(CatKernel)
-	sortByTs(ks, nil)
+	sortByTs(ks)
 	return ks
 }
 
@@ -515,7 +479,7 @@ func (b *Builder) Trace() *Trace {
 		b.merge()
 	} else {
 		b.restore()
-		sortByTs(b.t.Events, b.keys)
+		sortByTs(b.t.Events)
 	}
 	b.keys = nil
 	if OnFinish != nil {
