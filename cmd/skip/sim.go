@@ -348,6 +348,7 @@ func printProfile(p *skip.SimProfile) {
 	fmt.Printf("    wall time      %v  (simulated %v, %.0fx real time)\n",
 		wall.Round(time.Microsecond), time.Duration(p.SimulatedNs), ratio(float64(p.SimulatedNs), float64(p.WallNs)))
 	fmt.Printf("    events         %d  (%.0f events/s)\n", p.Events, p.EventsPerSec)
+	fmt.Printf("    iterations     %d  (%.0f iterations/s)\n", p.Iterations, p.IterationsPerSec)
 	fmt.Printf("    allocations    %d (%.1f MB total, %.1f/event)  heap now %.1f MB\n",
 		p.Mallocs, float64(p.AllocBytes)/1e6, p.AllocsPerEvent, float64(p.HeapAllocBytes)/1e6)
 	fmt.Printf("    oracle misses  %d engine runs\n", p.OracleMisses)

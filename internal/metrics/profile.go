@@ -18,6 +18,12 @@ type Profile struct {
 	Events int64 `json:"events"`
 	// EventsPerSec is Events over wall time.
 	EventsPerSec float64 `json:"events_per_sec"`
+	// Iterations counts the scheduler iterations (batches) the run's
+	// instances executed, summed over instances and sweep points: the
+	// work an event count does not show.
+	Iterations int64 `json:"iterations"`
+	// IterationsPerSec is Iterations over wall time.
+	IterationsPerSec float64 `json:"iterations_per_sec"`
 	// Mallocs / AllocBytes are the heap-allocation count and byte
 	// deltas across the run.
 	Mallocs    int64 `json:"mallocs"`

@@ -28,3 +28,14 @@ func TestArrivalCycleAllocs(t *testing.T) {
 		t.Fatalf("a warm request cycle allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestLeapAllocs: once warm, a leap's plan, its bulk apply and a cut
+// allocate nothing (see warmLeap): the leap's event is the instance's
+// finish callback, the calendar recycles the cancelled and rescheduled
+// events, and the state series grows by whole chunks.
+func TestLeapAllocs(t *testing.T) {
+	round := warmLeap(t)
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("a warm leap plan, apply and cut allocates %.1f times, want 0", allocs)
+	}
+}

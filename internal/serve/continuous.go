@@ -208,6 +208,11 @@ type contSim struct {
 	// schedules (see arrive), bound once like finish.
 	kickFn func(now sim.Time)
 
+	// leapOn enables leaping over pure-decode iterations and lp is the
+	// leap in flight (see leap.go).
+	leapOn bool
+	lp     leap
+
 	// slab is the chunk new requests are carved from (see newSlot);
 	// slab[slabNext:] is unused.
 	slab     []contRequest
@@ -239,6 +244,7 @@ func newContSim(cfg Config, cal *sim.Calendar) (*contSim, error) {
 		bytesPerTok: kvBytesPerToken(cfg.Model),
 	}
 	s.finish = s.finishIteration
+	s.leapOn = leapOn
 	s.kickFn = func(now sim.Time) {
 		s.kickPending = false
 		s.kick(now)
@@ -359,6 +365,7 @@ func (s *contSim) arrive(now sim.Time, cr *contRequest) {
 	if s.err != nil {
 		return
 	}
+	s.cutLeap(now)
 	s.waiting.push(cr)
 	s.emit(now, EventArrival, cr)
 	if s.cfg.AbandonAfter > 0 && !cr.resumed {
@@ -631,9 +638,10 @@ func (s *contSim) kick(now sim.Time) {
 	// Pending host-tier restore penalties stall the iteration their
 	// request first executes in. Interconnect time, not compute, so the
 	// slow-node factor does not scale it.
+	var stall sim.Time
 	for _, r := range s.running {
 		if r.restoreStall > 0 {
-			dur += r.restoreStall
+			stall += r.restoreStall
 			r.restoreStall = 0
 		}
 	}
@@ -642,7 +650,10 @@ func (s *contSim) kick(now sim.Time) {
 	s.iterations++
 	s.totalBatch += len(s.running)
 	s.batch = append(s.batch[:0], s.running...)
-	s.cal.Schedule(now+dur, s.finish)
+	if decodeBatch == int64(len(s.running)) && s.planLeap(now+stall, dur, maxKV) {
+		return
+	}
+	s.cal.Schedule(now+stall+dur, s.finish)
 }
 
 // finishIteration applies the in-flight iteration's outcomes at its end
@@ -654,6 +665,11 @@ func (s *contSim) finishIteration(end sim.Time) {
 		// A stopped instance never kicks again, so its reused batch and
 		// the requests' chunk fields are never read again.
 		return
+	}
+	if s.lp.ev != (sim.Handle{}) {
+		// This finish ends a leap: apply the boundaries before it.
+		s.catchUp(end)
+		s.lp = leap{}
 	}
 	s.busy = false
 	if s.err != nil {

@@ -376,14 +376,10 @@ func TestContinuousGoodput(t *testing.T) {
 	}
 }
 
-// warmIteration builds the steady state BenchmarkSchedulerIteration
-// times: llama-3.2-1B decoding 16 requests of 512-token prompts on
-// GH200, with the next (decode) iteration in flight over a warm shared
-// step oracle. round finishes that iteration and kicks the next one,
-// first restoring every request's progress so each round starts from
-// the same batch state and hits one warm oracle entry; check reports a
-// batch that changed under the rounds.
-func warmIteration(tb testing.TB) (round func(), check func()) {
+// decodeBatch returns a continuous batcher on its own calendar, leaping
+// or not, with 16 requests of 512-token prompts arrived at 0:
+// llama-3.2-1B on GH200 with 64-token latency buckets.
+func decodeBatch(tb testing.TB, leap bool) (*contSim, *sim.Calendar) {
 	cfg := Config{
 		Platform: hw.GH200(), Model: models.Llama32_1B(), Seq: 512, Mode: engine.Eager,
 		Policy: ContinuousBatch, MaxBatch: 16, LatencyBucket: 64,
@@ -393,6 +389,7 @@ func warmIteration(tb testing.TB) (round func(), check func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	s.leapOn = leap
 	for i := 0; i < cfg.MaxBatch; i++ {
 		cr, err := s.newRequest(Request{ID: i, PromptLen: 512, OutputLen: 256})
 		if err != nil {
@@ -400,6 +397,19 @@ func warmIteration(tb testing.TB) (round func(), check func()) {
 		}
 		s.arrive(0, cr)
 	}
+	return s, cal
+}
+
+// warmIteration builds the steady state BenchmarkSchedulerIteration
+// times: llama-3.2-1B decoding 16 requests of 512-token prompts on
+// GH200, with the next (decode) iteration in flight over a warm shared
+// step oracle. round finishes that iteration and kicks the next one,
+// first restoring every request's progress so each round starts from
+// the same batch state and hits one warm oracle entry; check reports a
+// batch that changed under the rounds.
+func warmIteration(tb testing.TB) (round func(), check func()) {
+	s, cal := decodeBatch(tb, false) // every round is one ordinary iteration
+	cfg := s.cfg
 	// Run through the batched prefill: every request has its first
 	// token and the next (decode) iteration is in flight.
 	decoding := func() int {

@@ -17,7 +17,10 @@ import (
 // The load accessors (QueueDepth, Running, KVFrac, KVPressure) expose
 // the scheduler state a router inspects at decision time; they are only
 // meaningful while the calendar is between events, which is exactly
-// when routing callbacks run.
+// when routing callbacks run. An instance may be leaping over a run of
+// pure-decode iterations (see leap.go); KVFrac, KVPressure and Stats
+// first bring the leap up to the calendar's current time, and the
+// other accessors read state a leap does not change.
 type Instance struct {
 	name   string
 	s      *contSim
@@ -94,7 +97,10 @@ func (in *Instance) Outstanding() int { return in.s.waiting.len() + len(in.s.run
 
 // KVFrac reports the admitted KV-cache occupancy as a fraction of the
 // budget.
-func (in *Instance) KVFrac() float64 { return in.s.kvUsed / in.s.capacity }
+func (in *Instance) KVFrac() float64 {
+	in.s.catchUp(in.s.cal.Now())
+	return in.s.kvUsed / in.s.capacity
+}
 
 // KVPressure adds the wait queue's unreserved prompt footprints to the
 // admitted occupancy: the KV demand already committed to this instance,
@@ -104,6 +110,7 @@ func (in *Instance) KVFrac() float64 { return in.s.kvUsed / in.s.capacity }
 // occupancy, the bytes per token and every prompt footprint are
 // integers below 2^53, so the sum is exact in any order.
 func (in *Instance) KVPressure() float64 {
+	in.s.catchUp(in.s.cal.Now())
 	return (in.s.kvUsed + float64(float64(in.s.waiting.tokens)*in.s.bytesPerTok)) / in.s.capacity
 }
 
@@ -127,7 +134,10 @@ func (in *Instance) Err() error { return in.s.err }
 
 // Stats assembles the instance's serving statistics. Call it after the
 // shared calendar has drained.
-func (in *Instance) Stats() *Stats { return in.s.stats() }
+func (in *Instance) Stats() *Stats {
+	in.s.catchUp(in.s.cal.Now())
+	return in.s.stats()
+}
 
 // Latencies returns the raw per-request samples (TTFT, TPOT, E2E) so a
 // cluster can compute exact fleet-level percentiles instead of

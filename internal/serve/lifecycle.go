@@ -90,6 +90,10 @@ func (in *Instance) Kill(now sim.Time) []Handoff {
 	if s.state == StateStopped {
 		return nil
 	}
+	// A leap in flight applies its boundaries before now, so the
+	// evicted requests carry the tokens delivered before the kill; the
+	// iteration in flight finishes as a no-op, as on the step path.
+	s.cutLeap(now)
 	s.state = StateStopped
 	var out []Handoff
 	evict := func(cr *contRequest) {
@@ -153,6 +157,7 @@ func (in *Instance) SetSlowFactor(factor float64) error {
 	if factor < 1 {
 		return fmt.Errorf("serve: instance %s: slow factor must be ≥ 1, got %g", in.name, factor)
 	}
+	in.s.cutLeap(in.s.cal.Now())
 	in.s.slowFactor = factor
 	return nil
 }

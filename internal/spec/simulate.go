@@ -241,6 +241,7 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 			WallNs:         wall.Nanoseconds(),
 			SimulatedNs:    simulatedNs(rep),
 			Events:         events,
+			Iterations:     iterations(rep),
 			Mallocs:        int64(after.Mallocs - before.Mallocs),
 			AllocBytes:     int64(after.TotalAlloc - before.TotalAlloc),
 			HeapAllocBytes: int64(after.HeapAlloc),
@@ -248,6 +249,7 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 		}
 		if wall > 0 {
 			p.EventsPerSec = float64(events) / wall.Seconds()
+			p.IterationsPerSec = float64(p.Iterations) / wall.Seconds()
 		}
 		if events > 0 {
 			p.AllocsPerEvent = float64(p.Mallocs) / float64(events)
@@ -608,6 +610,33 @@ func simulatedNs(rep *Report) int64 {
 		return total
 	}
 	return 0
+}
+
+// iterations sums the scheduler iterations (Batches) of every instance
+// in the report, over every sweep point.
+func iterations(rep *Report) int64 {
+	var n int
+	switch {
+	case rep.Serve != nil:
+		n = rep.Serve.Batches
+	case rep.Cluster != nil:
+		for i := range rep.Cluster.Instances {
+			n += rep.Cluster.Instances[i].Serve.Batches
+		}
+	case rep.Disagg != nil:
+		for i := range rep.Disagg.Instances {
+			n += rep.Disagg.Instances[i].Serve.Batches
+		}
+	case rep.Sweep != nil:
+		var total int64
+		for i := range rep.Sweep {
+			if rep.Sweep[i].Report != nil {
+				total += iterations(rep.Sweep[i].Report)
+			}
+		}
+		return total
+	}
+	return int64(n)
 }
 
 // progressObserver forwards events to obs and interleaves an

@@ -228,6 +228,13 @@ func TestProfileAttached(t *testing.T) {
 	if p.SimulatedNs != int64(prof.Cluster.Horizon) {
 		t.Errorf("simulated_ns = %d, want horizon %d", p.SimulatedNs, prof.Cluster.Horizon)
 	}
+	var batches int
+	for _, in := range prof.Cluster.Instances {
+		batches += in.Serve.Batches
+	}
+	if p.Iterations != int64(batches) || batches == 0 || p.IterationsPerSec <= 0 {
+		t.Errorf("profile counted %d iterations at %g/s, want the instances' %d batches", p.Iterations, p.IterationsPerSec, batches)
+	}
 	if p.WallNs <= 0 {
 		t.Errorf("wall_ns = %d, want > 0", p.WallNs)
 	}
